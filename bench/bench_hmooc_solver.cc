@@ -92,23 +92,6 @@ BENCHMARK(BM_HmoocSolveTpchQ9Threads)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_HmoocSolveTpchQ9NoCache(benchmark::State& state) {
-  static auto catalog = TpchCatalog(100);
-  static auto q = *MakeTpchQuery(9, &catalog);
-  ClusterSpec cluster;
-  CostModelParams cost;
-  AnalyticSubQModel model(&q, cluster, cost);
-  model.evaluator().set_eval_cache_enabled(false);
-  HmoocOptions ho;
-  ho.seed = 3;
-  ho.num_threads = 1;
-  HmoocSolver solver(&model, ho);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Solve());
-  }
-}
-BENCHMARK(BM_HmoocSolveTpchQ9NoCache)->Unit(benchmark::kMillisecond);
-
 void BM_HmoocBudgetSweep(benchmark::State& state) {
   static auto catalog = TpchCatalog(100);
   static auto q = *MakeTpchQuery(9, &catalog);
@@ -143,59 +126,31 @@ void EmitSolveResults() {
   // ~10% run to run, which would swallow the very regressions the
   // snapshot gate exists to catch (min-of-3 is far tighter).
   const int reps = 3;
-  struct Config {
-    int threads;
-    bool cache;
-  };
   const int hw = ThreadPool(0).parallelism();
-  // On single-core runners hw == 1 and the multi-thread config would
-  // duplicate the {1, cache} row byte-for-byte, which then skews the
+  // On single-core runners hw == 1 and the multi-thread row would
+  // duplicate the threads=1 row byte-for-byte, which then skews the
   // snapshot aggregation (tools/bench_snapshot.sh). Skip it there.
-  std::vector<Config> configs{Config{1, false}, Config{1, true}};
-  if (hw != 1) configs.push_back(Config{hw, true});
-  for (const Config& cfg : configs) {
+  std::vector<int> thread_counts{1};
+  if (hw != 1) thread_counts.push_back(hw);
+  for (const int threads : thread_counts) {
     AnalyticSubQModel model(&q, cluster, cost);
-    model.evaluator().set_eval_cache_enabled(cfg.cache);
     HmoocOptions ho;
     ho.seed = 3;
-    ho.num_threads = cfg.threads;
+    ho.num_threads = threads;
     HmoocSolver solver(&model, ho);
     double best_s = 1e300;
-    size_t evals = 0, evals_total = 0;
+    size_t evals = 0;
     for (int rep = 0; rep < reps; ++rep) {
       benchutil::Timer timer;
       const auto r = solver.Solve();
       best_s = std::min(best_s, timer.Seconds());
       evals = r.evaluations;
-      evals_total += r.evaluations;
     }
-    // cache_hits / cache_probes accumulate across reps (the evaluator
-    // persists); probe_len_avg normalises probes by total Evaluate calls
-    // so the threads=1 cache anomaly (probe cost > hit win at 5.7% hit
-    // rate, see DESIGN.md §12) is visible straight from the RESULT line.
-    const uint64_t probes = model.evaluator().eval_cache_probes();
     obs::JsonObject o;
     o.emplace_back("query", obs::Json("tpch_q9"));
-    o.emplace_back("threads", obs::Json(cfg.threads));
-    o.emplace_back("eval_cache", obs::Json(cfg.cache));
+    o.emplace_back("threads", obs::Json(threads));
     o.emplace_back("solve_ms", obs::Json(best_s * 1e3));
     o.emplace_back("evaluations", obs::Json(static_cast<uint64_t>(evals)));
-    o.emplace_back(
-        "cache_hits",
-        obs::Json(model.evaluator().eval_cache_hits()));
-    o.emplace_back(
-        "cache_misses",
-        obs::Json(model.evaluator().eval_cache_misses()));
-    o.emplace_back(
-        "cache_drops",
-        obs::Json(model.evaluator().eval_cache_drops()));
-    o.emplace_back("cache_probes", obs::Json(probes));
-    o.emplace_back(
-        "probe_len_avg",
-        obs::Json(evals_total > 0
-                      ? static_cast<double>(probes) /
-                            static_cast<double>(evals_total)
-                      : 0.0));
     benchutil::EmitJson("hmooc_solve", obs::Json(std::move(o)));
   }
 }

@@ -86,20 +86,6 @@ void BM_MlpBatchInference(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpBatchInference)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_AnalyticSubQEvaluateUncached(benchmark::State& state) {
-  // Fresh evaluator with the memo cache off: the pre-cache baseline.
-  auto& fx = Fx();
-  AnalyticSubQModel model(&fx.q9, fx.cluster, fx.cost);
-  model.evaluator().set_eval_cache_enabled(false);
-  int subq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Evaluate(subq, fx.conf));
-    subq = (subq + 1) % model.num_subqs();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AnalyticSubQEvaluateUncached);
-
 void BM_PhysicalPlanning(benchmark::State& state) {
   auto& fx = Fx();
   PhysicalPlanner planner(&fx.q9.plan, fx.q9.plan.DecomposeSubQueries());

@@ -608,35 +608,4 @@ bool ParetoInsert3(Front3* front, double px, double py, double pz, size_t id) {
   return true;
 }
 
-void EpsilonThin2(Front2* front, double eps, ParetoScratch* scratch) {
-  if (eps <= 0.0 || front->size() <= 2) return;
-  const size_t n = front->size();
-  SortByXY(front->x.data(), front->y.data(), n, &scratch->order);
-  auto& keep = scratch->kept;
-  keep.clear();
-  // Walk the staircase keeping a point only when it escapes the last
-  // survivor's epsilon box on y; the min-x (first) and min-y (last)
-  // extremes always survive so the front's span is preserved.
-  double kept_y = kInf;
-  for (size_t p = 0; p < n; ++p) {
-    const uint32_t idx = scratch->order[p];
-    const bool is_extreme = p == 0 || p + 1 == n;
-    if (is_extreme || kept_y > (1.0 + eps) * front->y[idx]) {
-      keep.push_back(idx);
-      kept_y = front->y[idx];
-    }
-  }
-  if (keep.size() == n) return;
-  std::sort(keep.begin(), keep.end());
-  for (size_t p = 0; p < keep.size(); ++p) {
-    const uint32_t src = keep[p];
-    front->x[p] = front->x[src];
-    front->y[p] = front->y[src];
-    front->payload[p] = front->payload[src];
-  }
-  front->x.resize(keep.size());
-  front->y.resize(keep.size());
-  front->payload.resize(keep.size());
-}
-
 }  // namespace sparkopt

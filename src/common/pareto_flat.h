@@ -262,14 +262,4 @@ double FlatHypervolume3(const double* x, const double* y, const double* z,
 /// the sorted non-dominated multiset of all points ever offered.
 bool ParetoInsert3(Front3* front, double px, double py, double pz, size_t id);
 
-/// \brief Epsilon-dominance thinning for front-size budgets (HMOOC1's
-/// optional knob): sweeping the staircase in (x, y) order, drops a point
-/// when the previously kept point eps-dominates it on the y axis
-/// (kept_y <= (1 + eps) * y; objectives must be nonnegative for the
-/// multiplicative grid to make sense). The staircase extremes (min-x and
-/// min-y points) are always kept, input order is preserved, and
-/// eps <= 0 is a no-op — so the default configuration stays on the
-/// bitwise-exact path.
-void EpsilonThin2(Front2* front, double eps, ParetoScratch* scratch);
-
 }  // namespace sparkopt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/rng.h"
 #include "obs/trace.h"
 
 namespace sparkopt {
@@ -17,191 +16,19 @@ CostModelParams NoiseFree(CostModelParams p) {
 }
 
 double NLogN(double n) { return n * std::log2(std::max(n, 2.0)); }
-
-/// 64-bit key over the full Evaluate input. Doubles are hashed bitwise;
-/// the completed-subQ mask folds into one word per 64 subQs (a nullptr
-/// mask and an all-false mask key separately even though BuildStage
-/// treats them the same — a conservative split that only costs one
-/// duplicate entry). A 64-bit hash admits a ~n^2/2^64 collision chance
-/// per solve — negligible at the 10^4-10^5 evaluations a solve performs.
-uint64_t EvalKey(int subq_id, const ContextParams& c, const PlanParams& p,
-                 const StageParams& s, CardinalitySource source,
-                 const std::vector<bool>* completed) {
-  const double fields[] = {
-      static_cast<double>(c.executor_cores),
-      c.executor_memory_gb,
-      static_cast<double>(c.executor_instances),
-      static_cast<double>(c.default_parallelism),
-      c.reducer_max_size_in_flight_mb,
-      static_cast<double>(c.shuffle_bypass_merge_threshold),
-      c.shuffle_compress ? 1.0 : 0.0,
-      c.memory_fraction,
-      p.advisory_partition_size_mb,
-      p.non_empty_partition_ratio,
-      p.shuffled_hash_join_threshold_mb,
-      p.broadcast_join_threshold_mb,
-      static_cast<double>(p.shuffle_partitions),
-      p.skewed_partition_threshold_mb,
-      p.skewed_partition_factor,
-      p.max_partition_bytes_mb,
-      p.file_open_cost_mb,
-      s.rebalance_small_factor,
-      s.coalesce_min_partition_size_mb,
-  };
-  uint64_t h = Fnv1a(fields, sizeof(fields));
-  h = HashCombine(h, (static_cast<uint64_t>(subq_id) << 8) |
-                         static_cast<uint64_t>(source));
-  if (completed != nullptr) {
-    uint64_t word = 0;
-    for (size_t i = 0; i < completed->size(); ++i) {
-      if ((*completed)[i]) word |= uint64_t{1} << (i % 64);
-      if (i % 64 == 63) {
-        h = HashCombine(h, word);
-        word = 0;
-      }
-    }
-    h = HashCombine(h, word);
-  }
-  return h;
-}
 }  // namespace
-
-// ---- EvalCache ---------------------------------------------------------
-
-EvalCache::EvalCache(size_t capacity) {
-  size_t cap = 1024;
-  while (cap < capacity) cap <<= 1;
-  slots_ = std::make_unique<Slot[]>(cap);
-  mask_ = cap - 1;
-}
-
-bool EvalCache::Lookup(uint64_t key, SubQObjectives* out, int* probes) {
-  if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
-  for (int d = 0; d < kMaxProbe; ++d) {
-    Slot& slot = slots_[(key + d) & mask_];
-    const uint64_t tag = slot.tag.load(std::memory_order_acquire);
-    if (tag == key) {
-      if (probes != nullptr) *probes = d + 1;
-      // Seqlock-style read: load the payload, then re-check the tag. A
-      // concurrent eviction republishes the slot as kBusy first, so a
-      // stable tag across the fence proves the three loads saw one
-      // consistent entry.
-      const double latency = slot.latency.load(std::memory_order_relaxed);
-      const double io = slot.io_bytes.load(std::memory_order_relaxed);
-      const double cost = slot.cost.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.tag.load(std::memory_order_relaxed) != key) return false;
-      out->analytical_latency = latency;
-      out->io_bytes = io;
-      out->cost = cost;
-      slot.ref.store(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (tag == kEmpty) {
-      if (probes != nullptr) *probes = d + 1;
-      return false;
-    }
-    // kBusy or a different key: keep probing.
-  }
-  if (probes != nullptr) *probes = kMaxProbe;
-  return false;
-}
-
-void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
-  if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
-  auto publish = [&](Slot& slot) {
-    slot.latency.store(value.analytical_latency, std::memory_order_relaxed);
-    slot.io_bytes.store(value.io_bytes, std::memory_order_relaxed);
-    slot.cost.store(value.cost, std::memory_order_relaxed);
-    slot.ref.store(1, std::memory_order_relaxed);
-    slot.tag.store(key, std::memory_order_release);
-  };
-  // Pass 1: take an empty slot (or find the key already present).
-  for (int d = 0; d < kMaxProbe; ++d) {
-    Slot& slot = slots_[(key + d) & mask_];
-    uint64_t tag = slot.tag.load(std::memory_order_acquire);
-    if (tag == key) return;  // already inserted by a concurrent thread
-    if (tag != kEmpty) continue;
-    uint64_t expected = kEmpty;
-    if (slot.tag.compare_exchange_strong(expected, kBusy,
-                                         std::memory_order_acq_rel)) {
-      publish(slot);
-      size_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (expected == key) return;
-    // Lost the race to someone inserting a different key; keep probing.
-  }
-  // Probe window full: CLOCK second-chance replacement. The first sweep
-  // clears reference bits of recently-touched entries; the second sweep
-  // claims the first entry whose bit is still clear. Occupancy is
-  // unchanged (a published entry is replaced in place).
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    for (int d = 0; d < kMaxProbe; ++d) {
-      Slot& slot = slots_[(key + d) & mask_];
-      uint64_t tag = slot.tag.load(std::memory_order_acquire);
-      if (tag == key) return;
-      if (tag == kEmpty || tag == kBusy) continue;  // mid-write elsewhere
-      if (slot.ref.load(std::memory_order_relaxed) != 0) {
-        slot.ref.store(0, std::memory_order_relaxed);
-        continue;
-      }
-      if (slot.tag.compare_exchange_strong(tag, kBusy,
-                                           std::memory_order_acq_rel)) {
-        publish(slot);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // Raced with another evictor on this slot; move on.
-    }
-  }
-  // Every slot in the window was mid-write or repeatedly raced: give up
-  // (the value is recomputable) but count it.
-  drops_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void EvalCache::Clear() {
-  for (size_t i = 0; i <= mask_; ++i) {
-    slots_[i].tag.store(kEmpty, std::memory_order_relaxed);
-    slots_[i].ref.store(0, std::memory_order_relaxed);
-  }
-  size_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  drops_.store(0, std::memory_order_relaxed);
-}
 
 SubQEvaluator::SubQEvaluator(const Query* query, const ClusterSpec& cluster,
                              const CostModelParams& cost_params,
-                             const PriceBook& prices,
-                             size_t eval_cache_capacity)
+                             const PriceBook& prices, size_t)
     : query_(query),
       subqs_(query->plan.DecomposeSubQueries()),
       cost_model_(cluster, NoiseFree(cost_params)),
-      prices_(prices),
-      cache_(eval_cache_capacity) {
+      prices_(prices) {
   subq_of_op_.assign(query_->plan.num_ops(), -1);
   for (const auto& sq : subqs_) {
     for (int op : sq.op_ids) subq_of_op_[op] = sq.id;
   }
-}
-
-void SubQEvaluator::PublishCacheGauges() const {
-  const double hits =
-      static_cast<double>(cache_hits_.load(std::memory_order_relaxed));
-  const double misses =
-      static_cast<double>(cache_misses_.load(std::memory_order_relaxed));
-  const double lookups = hits + misses;
-  obs::GaugeSet("model.eval_cache_occupancy_frac",
-                static_cast<double>(cache_.occupancy()) /
-                    static_cast<double>(cache_.capacity()));
-  obs::GaugeSet("model.eval_cache_hit_rate",
-                lookups > 0.0 ? hits / lookups : 0.0);
-  // Inserts are attempted once per miss, so misses bound the denominator.
-  obs::GaugeSet("model.eval_cache_drop_rate",
-                misses > 0.0 ? static_cast<double>(cache_.drops()) / misses
-                             : 0.0);
-  obs::GaugeSet("model.eval_cache_evictions",
-                static_cast<double>(cache_.evictions()));
 }
 
 QueryStage SubQEvaluator::BuildStage(
@@ -413,39 +240,6 @@ SubQObjectives SubQEvaluator::Evaluate(
     const std::vector<bool>* completed_subqs) const {
   obs::Count("model.inferences");
   obs::ScopedHistogramTimer timer(obs::HistogramFor("model.inference_us"));
-  const bool probe_cache =
-      cache_enabled_ && !cache_bypassed_.load(std::memory_order_relaxed);
-  uint64_t key = 0;
-  if (probe_cache) {
-    key = EvalKey(subq_id, theta_c, theta_p, theta_s, source,
-                  completed_subqs);
-    SubQObjectives cached;
-    int probes = 0;
-    const bool hit = cache_.Lookup(key, &cached, &probes);
-    cache_probes_.fetch_add(static_cast<uint64_t>(probes),
-                            std::memory_order_relaxed);
-    obs::Observe("model.eval_cache_probe_len", probes);
-    if (hit) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::Count("model.eval_cache_hits");
-      return cached;
-    }
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count("model.eval_cache_misses");
-    // Adaptive bypass (DESIGN.md section 12): the rate only drops on a
-    // miss, so this is the only place the latch can trip. Reading two
-    // relaxed atomics is racy around the window edge — at worst the
-    // decision lands a few lookups late, which is harmless: the cache is
-    // transparent, so only probe overhead is at stake.
-    const uint64_t hits = cache_hits_.load(std::memory_order_relaxed);
-    const uint64_t misses = cache_misses_.load(std::memory_order_relaxed);
-    if (hits + misses >= kBypassWindow &&
-        static_cast<double>(hits) <
-            kBypassMinHitRate * static_cast<double>(hits + misses)) {
-      cache_bypassed_.store(true, std::memory_order_relaxed);
-      obs::Count("model.eval_cache_bypassed");
-    }
-  }
   const QueryStage st = BuildStage(subq_id, theta_c, theta_p, theta_s,
                                    source, completed_subqs);
   double task_sum = 0.0;
@@ -465,9 +259,7 @@ SubQObjectives SubQEvaluator::Evaluate(
       task_sum += cost_model_.TaskLatency(st, t, theta_c, /*seed=*/0);
     }
   }
-  const SubQObjectives obj = FinishObjectives(st, theta_c, task_sum);
-  if (probe_cache) cache_.Insert(key, obj);
-  return obj;
+  return FinishObjectives(st, theta_c, task_sum);
 }
 
 SubQObjectives SubQEvaluator::EvaluateScreen(

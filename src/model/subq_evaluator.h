@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "exec/cost_model.h"
@@ -32,92 +30,13 @@ struct SubQObjectives {
   double cost = 0.0;                ///< dollars (decomposable share)
 };
 
-/// \brief Capacity-bounded, thread-safe open-addressing memo table for
-/// evaluation results, with second-chance eviction.
-///
-/// Keys are 64-bit hashes of the full evaluation inputs; values are the
-/// three objective doubles. Lock-free: a writer claims a slot by CAS-ing
-/// the tag to a busy sentinel, writes the value, then publishes the key
-/// with a release store; readers validate seqlock-style — an acquire
-/// load of the matching tag, relaxed loads of the three value words, an
-/// acquire fence, then a tag re-check. If an eviction republished the
-/// slot mid-read the re-check fails and the lookup reports a miss (the
-/// value is recomputable, so a spurious miss is merely a little work).
-///
-/// When the probe window is full, Insert falls back to CLOCK-style
-/// second-chance eviction inside the window: each slot carries a
-/// reference bit set on hit and on insert; a first sweep clears set bits,
-/// a second sweep replaces the first slot whose bit is still clear. Only
-/// under extreme contention (every slot busy or repeatedly raced) does an
-/// insert drop. Since evaluation is a pure function of the key's
-/// preimage, losing a race, dropping, or evicting merely recomputes a
-/// deterministic value — correctness never depends on which thread
-/// inserted first or which entry was displaced.
-class EvalCache {
- public:
-  static constexpr size_t kDefaultCapacity = size_t{1} << 16;
-
-  /// `capacity` is rounded up to a power of two (minimum 1024 slots).
-  explicit EvalCache(size_t capacity = kDefaultCapacity);
-
-  /// True (and `*out` filled) when `key` is present. `probes`, when
-  /// non-null, receives the number of slots inspected (>= 1) — the
-  /// open-addressing probe length the profiler uses to price lookups.
-  /// Non-const: a hit touches the slot's second-chance reference bit.
-  bool Lookup(uint64_t key, SubQObjectives* out, int* probes = nullptr);
-  /// Inserts, evicting the least-recently-touched slot in the probe
-  /// window when it is full (see evictions()); drops only when every
-  /// slot in the window is mid-write (see drops()).
-  void Insert(uint64_t key, const SubQObjectives& value);
-  /// Empties the table and resets all counters. Not thread-safe against
-  /// concurrent access.
-  void Clear();
-
-  size_t capacity() const { return mask_ + 1; }
-  /// Slots currently holding a published entry.
-  size_t occupancy() const { return size_.load(std::memory_order_relaxed); }
-  /// Entries displaced by second-chance replacement. A high eviction
-  /// rate means the working set exceeds the table; hit rate degrades
-  /// gracefully instead of freezing the first-inserted entries.
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  /// Inserts abandoned because every slot in the probe window was
-  /// mid-write or repeatedly raced — rare; the value is recomputable.
-  uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> tag{kEmpty};
-    std::atomic<uint32_t> ref{0};  ///< second-chance reference bit
-    // Values are individually atomic so evicting writers never tear a
-    // concurrent reader's view; the seqlock tag re-check in Lookup
-    // rejects any read that overlapped a republish.
-    std::atomic<double> latency{0.0};
-    std::atomic<double> io_bytes{0.0};
-    std::atomic<double> cost{0.0};
-  };
-  static constexpr uint64_t kEmpty = 0;
-  static constexpr uint64_t kBusy = 1;
-  static constexpr int kMaxProbe = 16;
-
-  std::unique_ptr<Slot[]> slots_;
-  size_t mask_ = 0;
-  std::atomic<uint64_t> size_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> drops_{0};
-};
-
 /// \brief Evaluates subQs of one query as standalone stages.
 class SubQEvaluator {
  public:
-  /// `eval_cache_capacity` sizes the memo table (rounded up to a power of
-  /// two, minimum 1024 slots); service deployments size it per tenant
-  /// budget instead of the single-solve default.
+  /// The trailing size_t is ignored; bench/suite/ still passes it.
   SubQEvaluator(const Query* query, const ClusterSpec& cluster,
                 const CostModelParams& cost_params,
-                const PriceBook& prices = PriceBook(),
-                size_t eval_cache_capacity = EvalCache::kDefaultCapacity);
+                const PriceBook& prices = PriceBook(), size_t = 0);
 
   int num_subqs() const { return static_cast<int>(subqs_.size()); }
   const std::vector<SubQuery>& subqueries() const { return subqs_; }
@@ -153,9 +72,7 @@ class SubQEvaluator {
   /// uniform representative partition — no skewed-partition vector, no
   /// skew split, no AQE coalesce simulation. 5-20x cheaper per call than
   /// Evaluate and monotonically related to it, which is what a
-  /// dominance-margin screen needs (see moo/objective_models.h). Never
-  /// consults the eval cache: screen values live in a different result
-  /// space than full evaluations and must not share keys.
+  /// dominance-margin screen needs (see moo/objective_models.h).
   SubQObjectives EvaluateScreen(int subq_id, const ContextParams& theta_c,
                                 const PlanParams& theta_p,
                                 const StageParams& theta_s,
@@ -170,71 +87,6 @@ class SubQEvaluator {
                                CardinalitySource source) const;
 
   const TaskCostModel& cost_model() const { return cost_model_; }
-
-  /// \brief Evaluation memoization (see EvalCache). Enabled by default:
-  /// repeated configurations across HMOOC weight pairs, cluster
-  /// refinement rounds, and runtime re-optimization incumbents skip
-  /// BuildStage and per-task costing entirely. Hits/misses are exposed
-  /// here and counted under obs "model.eval_cache_{hits,misses}".
-  ///
-  /// Safe to share across solves: evaluation is a pure function of the
-  /// cached key's inputs (the plan's cardinalities are immutable), and
-  /// the runtime completed-subQ mask is part of the key.
-  /// Re-enabling also re-arms the adaptive bypass (below), giving the
-  /// cache a fresh observation window.
-  void set_eval_cache_enabled(bool enabled) {
-    cache_enabled_ = enabled;
-    cache_bypassed_.store(false, std::memory_order_relaxed);
-  }
-  bool eval_cache_enabled() const { return cache_enabled_; }
-  /// \brief Adaptive bypass: once kBypassWindow lookups have been
-  /// observed and the running hit rate sits below kBypassMinHitRate,
-  /// probing is disabled for all further evaluations — at low hit rates
-  /// the probe cost exceeds the hit win (the threads=1 regression of
-  /// DESIGN.md section 12). The bypass is latched until re-armed via
-  /// set_eval_cache_enabled(true); results are unaffected either way
-  /// (the cache is transparent), only lookup overhead changes.
-  bool eval_cache_bypassed() const {
-    return cache_bypassed_.load(std::memory_order_relaxed);
-  }
-  uint64_t eval_cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t eval_cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  /// Total slots probed across all lookups (hit or miss). Divided by
-  /// hits+misses this is the mean probe length; multiplied by a measured
-  /// ns/probe it bounds the cache's lookup overhead — the quantity that
-  /// explains the threads=1 cache-on regression in BENCH_pr6.json (see
-  /// DESIGN.md section 12). Also observed per-lookup into the
-  /// "model.eval_cache_probe_len" histogram when a session is installed.
-  uint64_t eval_cache_probes() const {
-    return cache_probes_.load(std::memory_order_relaxed);
-  }
-  /// Inserts dropped by the cache because every probe-window slot was
-  /// mid-write (EvalCache::drops); emitted next to hits/misses on the
-  /// hmooc_solve RESULT line so table-pressure is visible from benchmarks.
-  uint64_t eval_cache_drops() const { return cache_.drops(); }
-  /// Entries displaced by the cache's second-chance eviction.
-  uint64_t eval_cache_evictions() const { return cache_.evictions(); }
-  size_t eval_cache_capacity() const { return cache_.capacity(); }
-  size_t eval_cache_occupancy() const { return cache_.occupancy(); }
-
-  /// \brief Publishes eval-cache health as obs gauges
-  /// ("model.eval_cache_{occupancy_frac,hit_rate,drop_rate,evictions}")
-  /// so saturation shows up in OpenMetrics exports, not only on bench
-  /// RESULT lines. Cheap (a handful of relaxed loads); called once at the
-  /// end of every HMOOC solve and a no-op when no obs session is
-  /// installed.
-  void PublishCacheGauges() const;
-
-  /// Lookups observed before the bypass decision is made, and the hit
-  /// rate below which probing stops paying for itself (measured: at a
-  /// 5.7% hit rate the threads=1 solve was ~16% slower with the cache on
-  /// than off — DESIGN.md section 12).
-  static constexpr uint64_t kBypassWindow = 4096;
-  static constexpr double kBypassMinHitRate = 0.10;
 
  private:
   QueryStage BuildStageCore(int subq_id, const ContextParams& theta_c,
@@ -252,12 +104,6 @@ class SubQEvaluator {
   std::vector<int> subq_of_op_;
   TaskCostModel cost_model_;
   PriceBook prices_;
-  bool cache_enabled_ = true;
-  mutable EvalCache cache_;
-  mutable std::atomic<bool> cache_bypassed_{false};
-  mutable std::atomic<uint64_t> cache_hits_{0};
-  mutable std::atomic<uint64_t> cache_misses_{0};
-  mutable std::atomic<uint64_t> cache_probes_{0};
 };
 
 }  // namespace sparkopt

@@ -155,40 +155,20 @@ void DagAggregator::Thin(int node_idx, int k, size_t cap) {
   node.choice = rows;
 }
 
-// Optional epsilon-dominance budget (k = 2 only): shrinks the front on
-// the epsilon grid and compacts the choice rows through the surviving
-// payloads. No-op at eps <= 0, keeping the default path bitwise exact.
-void DagAggregator::EpsilonThinNode(int node_idx, double eps) {
-  Node& node = nodes_[node_idx];
-  const size_t n = node.f2.size();
-  EpsilonThin2(&node.f2, eps, &scratch_);
-  if (node.f2.size() == n) return;
-  const int w = node.width;
-  int* rows = arena_.AllocArray<int>(node.f2.size() * static_cast<size_t>(w));
-  for (size_t p = 0; p < node.f2.size(); ++p) {
-    const int* row =
-        node.choice + node.f2.payload[p] * static_cast<size_t>(w);
-    std::copy(row, row + w, rows + p * static_cast<size_t>(w));
-    node.f2.payload[p] = p;
-  }
-  node.choice = rows;
-}
-
 int DagAggregator::Recurse(const std::vector<std::vector<SubQEntry>>& sets,
-                           int lo, int hi, int k, size_t cap, double eps) {
+                           int lo, int hi, int k, size_t cap) {
   if (lo == hi) return Leaf(sets[lo], k);
   const int mid = (lo + hi) / 2;
-  const int left = Recurse(sets, lo, mid, k, cap, eps);
-  const int right = Recurse(sets, mid + 1, hi, k, cap, eps);
+  const int left = Recurse(sets, lo, mid, k, cap);
+  const int right = Recurse(sets, mid + 1, hi, k, cap);
   const int merged = Merge(left, right, k);
-  if (eps > 0.0 && k == 2) EpsilonThinNode(merged, eps);
   Thin(merged, k, cap);
   return merged;
 }
 
 void DagAggregator::AggregateDc(
     const std::vector<std::vector<SubQEntry>>& sets, int k, size_t cap,
-    double eps, AggregatedBatch* out) {
+    AggregatedBatch* out) {
   SPARKOPT_CHECK(k == 2 || k == 3) << "DagAggregator supports k in {2, 3}";
   const int m = static_cast<int>(sets.size());
   out->clear();
@@ -198,7 +178,7 @@ void DagAggregator::AggregateDc(
     if (s.empty()) return;
   }
   arena_.Reset();
-  const int root = Recurse(sets, 0, m - 1, k, cap, eps);
+  const int root = Recurse(sets, 0, m - 1, k, cap);
   Node& r = nodes_[root];
   const size_t n = NodePoints(r, k);
   out->obj.reserve(n * static_cast<size_t>(k));

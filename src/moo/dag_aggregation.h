@@ -60,12 +60,10 @@ class DagAggregator {
  public:
   /// HMOOC1: exact divide-and-conquer Minkowski merging (Algorithms 2-3)
   /// on the flat kernel. `cap` bounds each merge node's front (evenly
-  /// spaced thinning, extremes kept); `eps` is the optional
-  /// epsilon-dominance budget — k = 2 only, ignored for k = 3 (the
-  /// multiplicative grid is axis-pairwise; a 3-D grid is future work).
-  /// Emits nothing when any subQ set is empty.
+  /// spaced thinning, extremes kept). Emits nothing when any subQ set is
+  /// empty.
   void AggregateDc(const std::vector<std::vector<SubQEntry>>& sets, int k,
-                   size_t cap, double eps, AggregatedBatch* out);
+                   size_t cap, AggregatedBatch* out);
 
   /// HMOOC2: weighted-sum approximation (Algorithm 4). For k = 2 the
   /// weight ladder is w_latency = i/(ws_pairs-1); for k = 3 it is the
@@ -104,9 +102,8 @@ class DagAggregator {
   int Leaf(const std::vector<SubQEntry>& set, int k);
   int Merge(int a, int b, int k);
   void Thin(int node, int k, size_t cap);
-  void EpsilonThinNode(int node, double eps);  // k = 2 only
   int Recurse(const std::vector<std::vector<SubQEntry>>& sets, int lo, int hi,
-              int k, size_t cap, double eps);
+              int k, size_t cap);
 
   MonotonicArena arena_;
   ParetoScratch scratch_;

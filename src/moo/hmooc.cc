@@ -242,7 +242,7 @@ MooRunResult HmoocSolver::Solve() const {
       case DagAggregation::kDivideAndConquer:
         aggregator.AggregateDc(
             eff[c], nk, static_cast<size_t>(std::max(opts_.dc_front_cap, 0)),
-            opts_.dc_epsilon, &per_cand[c]);
+            &per_cand[c]);
         break;
     }
   });
@@ -305,11 +305,6 @@ MooRunResult HmoocSolver::Solve() const {
   obs::Count("hmooc.solves");
   obs::Count("hmooc.model_evals", result.evaluations);
   obs::Count("hmooc.pareto_points", result.pareto.size());
-  // Eval-cache saturation gauges: published once per solve so OpenMetrics
-  // exports show occupancy / hit-rate / drop-rate, not only bench lines.
-  if (const SubQEvaluator* se = model_->screen_evaluator()) {
-    se->PublishCacheGauges();
-  }
   if (screening) {
     span.Arg("mf_tier0_evals",
              static_cast<double>(screening->tier0_evals()));

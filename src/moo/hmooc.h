@@ -51,11 +51,6 @@ struct HmoocOptions {
   /// a merged front exceeds the cap it is thinned to the points closest
   /// to the weighted utopia, keeping the extremes (see ThinFront).
   int dc_front_cap = 192;
-  /// HMOOC1 only: optional epsilon-dominance budget applied to each
-  /// intermediate front before the cap (EpsilonThin2 in pareto_flat.h).
-  /// <= 0 (the default) disables thinning and keeps the exact,
-  /// bitwise-reproducible aggregation path.
-  double dc_epsilon = 0.0;
   int ws_pairs = 11;           ///< weight pairs for HMOOC2
   /// HMOOC2 only: normalize objectives per subQ before the weighted pick
   /// (Algorithm 4, line 5). Normalization spreads the weight sweep more

@@ -24,11 +24,11 @@ namespace sparkopt {
 /// \brief White-box compile-time phi: wraps SubQEvaluator.
 class AnalyticSubQModel : public SubQObjectiveModel {
  public:
+  /// The trailing size_t is ignored; bench/suite/ still passes it.
   AnalyticSubQModel(const Query* query, const ClusterSpec& cluster,
                     const CostModelParams& cost,
-                    const PriceBook& prices = PriceBook(),
-                    size_t eval_cache_capacity = EvalCache::kDefaultCapacity)
-      : evaluator_(query, cluster, cost, prices, eval_cache_capacity) {}
+                    const PriceBook& prices = PriceBook(), size_t = 0)
+      : evaluator_(query, cluster, cost, prices) {}
 
   int num_subqs() const override { return evaluator_.num_subqs(); }
   int num_objectives() const override { return num_objectives_; }
@@ -49,9 +49,6 @@ class AnalyticSubQModel : public SubQObjectiveModel {
     return &evaluator_;
   }
 
-  const SubQEvaluator& evaluator() const { return evaluator_; }
-  SubQEvaluator& evaluator() { return evaluator_; }
-
  private:
   SubQEvaluator evaluator_;
   int num_objectives_ = 2;
@@ -64,11 +61,11 @@ class AnalyticSubQModel : public SubQObjectiveModel {
 /// and IO via the price book (the paper's cost objective construction).
 class LearnedSubQModel : public SubQObjectiveModel {
  public:
+  /// The trailing size_t is ignored; bench/suite/ still passes it.
   LearnedSubQModel(const Query* query, const ClusterSpec& cluster,
                    const CostModelParams& cost, const Regressor* subq_model,
-                   const PriceBook& prices = PriceBook(),
-                   size_t eval_cache_capacity = EvalCache::kDefaultCapacity)
-      : evaluator_(query, cluster, cost, prices, eval_cache_capacity),
+                   const PriceBook& prices = PriceBook(), size_t = 0)
+      : evaluator_(query, cluster, cost, prices),
         model_(subq_model),
         prices_(prices) {}
 
@@ -97,8 +94,6 @@ class LearnedSubQModel : public SubQObjectiveModel {
   const SubQEvaluator* screen_evaluator() const override {
     return &evaluator_;
   }
-
-  SubQEvaluator& evaluator() { return evaluator_; }
 
   /// \brief Routes regressor inference through `sink` instead of calling
   /// Regressor::PredictBatchInto directly (nullptr restores the direct

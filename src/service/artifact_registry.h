@@ -10,7 +10,6 @@
 #include "exec/cluster.h"
 #include "exec/cost_model.h"
 #include "model/mlp.h"
-#include "model/subq_evaluator.h"
 #include "moo/hmooc.h"
 #include "workload/builder.h"
 
@@ -51,9 +50,8 @@ struct ServiceArtifacts {
   /// Trained subQ regressor; when untrained the analytic compile-time
   /// model is used instead (mirrors TunerOptions::learned_subq_model).
   Regressor subq_model;
-  /// Per-session eval-cache slots (the private memo inside each solve;
-  /// the shared cross-query cache is sized separately by the service).
-  size_t eval_cache_capacity = EvalCache::kDefaultCapacity;
+  /// Ignored; bench/suite/ still reads it.
+  size_t eval_cache_capacity = 0;
 
   /// Stores `catalog` in the bundle and returns a pointer that stays
   /// valid for the bundle's lifetime — pass it to MakeTpchQuery etc.

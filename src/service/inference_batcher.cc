@@ -14,7 +14,7 @@ void InferenceBatcher::TakePendingLocked(std::vector<Request*>* batch) {
   batch->swap(pending_);
   pending_.clear();
   pending_rows_ = 0;
-  leader_ = nullptr;
+  ++window_;
 }
 
 void InferenceBatcher::ExecuteBatch(const std::vector<Request*>& batch) {
@@ -90,32 +90,25 @@ void InferenceBatcher::Predict(const Regressor& reg, const double* x,
   std::vector<Request*> batch;
   {
     MutexLock lock(mu_);
+    // The request that opens a window leads it: it alone owns the
+    // window's deadline, so every window has exactly one live timer.
+    const bool leads = pending_.empty();
+    const uint64_t window = window_;
     pending_.push_back(&req);
     pending_rows_ += rows;
     if (pending_rows_ >= opts_.max_rows) {
       TakePendingLocked(&batch);
       full_flushes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    } else if (leads) {
+      // Wait until a full flush takes the window (req included) or the
+      // deadline passes, then flush the window only if it is still open.
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::microseconds(opts_.max_wait_us);
-      while (!req.done && batch.empty()) {
-        if (leader_ == nullptr) leader_ = &req;
-        if (leader_ != &req) {
-          cv_.Wait(mu_);
-          continue;
-        }
+      while (window_ == window) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
-          // Leader deadline: flush whatever accumulated. pending_ cannot
-          // be empty while req is undone-and-unclaimed (req is in it),
-          // but may be empty if another thread's full flush claimed req
-          // in the meantime — then there is simply nothing to do here.
-          if (!pending_.empty()) {
-            TakePendingLocked(&batch);
-            timeout_flushes_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            if (leader_ == &req) leader_ = nullptr;
-          }
+          TakePendingLocked(&batch);
+          timeout_flushes_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
         cv_.WaitFor(mu_, deadline - now);

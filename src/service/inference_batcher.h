@@ -13,11 +13,12 @@
 /// flat row-major batch so per-row AVX2 throughput is realized even when
 /// each session's own batches are small.
 ///
-/// Flush policy (DESIGN.md section 15): a submission whose rows push the
-/// pending total to `max_rows` flushes immediately ("full" flush); the
-/// first waiter otherwise becomes the *leader* and waits up to
-/// `max_wait_us` on a timed condvar before flushing whatever has
-/// accumulated ("timeout" flush). Followers just wait; whoever flushes
+/// Flush policy (DESIGN.md section 15): pending requests form a
+/// *window*. A submission whose rows push the window to `max_rows`
+/// flushes it immediately ("full" flush); otherwise the request that
+/// opened the window is its *leader* and waits up to `max_wait_us` on a
+/// timed condvar, then flushes the window if no full flush took it first
+/// ("timeout" flush). Followers just wait; whoever flushes
 /// executes the batch outside the lock (gather -> one PredictBatchInto
 /// per distinct regressor -> scatter), marks the covered requests done,
 /// and wakes everyone. Submissions of `max_rows` or more rows bypass the
@@ -75,7 +76,7 @@ class InferenceBatcher : public InferenceSink {
     bool done = false;
   };
 
-  /// Moves the pending list into `*batch` and resets the window.
+  /// Moves the pending list into `*batch` and closes the window.
   void TakePendingLocked(std::vector<Request*>* batch)
       SPARKOPT_REQUIRES(mu_);
   /// Gather -> predict (one kernel per distinct regressor) -> scatter.
@@ -87,7 +88,9 @@ class InferenceBatcher : public InferenceSink {
   CondVar cv_;
   std::vector<Request*> pending_ SPARKOPT_GUARDED_BY(mu_);
   size_t pending_rows_ SPARKOPT_GUARDED_BY(mu_) = 0;
-  const Request* leader_ SPARKOPT_GUARDED_BY(mu_) = nullptr;
+  /// Windows closed so far; a leader's window is open while this is
+  /// unchanged since its request opened it.
+  uint64_t window_ SPARKOPT_GUARDED_BY(mu_) = 0;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> rows_{0};

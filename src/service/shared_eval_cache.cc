@@ -4,6 +4,107 @@
 
 namespace sparkopt {
 
+// ---- EvalCache ---------------------------------------------------------
+
+EvalCache::EvalCache(size_t capacity) {
+  size_t cap = 1024;
+  while (cap < capacity) cap <<= 1;
+  slots_ = std::make_unique<Slot[]>(cap);
+  mask_ = cap - 1;
+}
+
+bool EvalCache::Lookup(uint64_t key, SubQObjectives* out) {
+  if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
+  for (int d = 0; d < kMaxProbe; ++d) {
+    Slot& slot = slots_[(key + d) & mask_];
+    const uint64_t tag = slot.tag.load(std::memory_order_acquire);
+    if (tag == key) {
+      // Seqlock-style read: load the payload, then re-check the tag. A
+      // concurrent eviction republishes the slot as kBusy first, so a
+      // stable tag across the fence proves the three loads saw one
+      // consistent entry.
+      const double latency = slot.latency.load(std::memory_order_relaxed);
+      const double io = slot.io_bytes.load(std::memory_order_relaxed);
+      const double cost = slot.cost.load(std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (slot.tag.load(std::memory_order_relaxed) != key) return false;
+      out->analytical_latency = latency;
+      out->io_bytes = io;
+      out->cost = cost;
+      slot.ref.store(1, std::memory_order_relaxed);
+      return true;
+    }
+    if (tag == kEmpty) return false;
+    // kBusy or a different key: keep probing.
+  }
+  return false;
+}
+
+void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
+  if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
+  auto publish = [&](Slot& slot) {
+    slot.latency.store(value.analytical_latency, std::memory_order_relaxed);
+    slot.io_bytes.store(value.io_bytes, std::memory_order_relaxed);
+    slot.cost.store(value.cost, std::memory_order_relaxed);
+    slot.ref.store(1, std::memory_order_relaxed);
+    slot.tag.store(key, std::memory_order_release);
+  };
+  // Pass 1: take an empty slot (or find the key already present).
+  for (int d = 0; d < kMaxProbe; ++d) {
+    Slot& slot = slots_[(key + d) & mask_];
+    uint64_t tag = slot.tag.load(std::memory_order_acquire);
+    if (tag == key) return;  // already inserted by a concurrent thread
+    if (tag != kEmpty) continue;
+    uint64_t expected = kEmpty;
+    if (slot.tag.compare_exchange_strong(expected, kBusy,
+                                         std::memory_order_acq_rel)) {
+      publish(slot);
+      size_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (expected == key) return;
+    // Lost the race to someone inserting a different key; keep probing.
+  }
+  // Probe window full: CLOCK second-chance replacement. The first sweep
+  // clears reference bits of recently-touched entries; the second sweep
+  // claims the first entry whose bit is still clear. Occupancy is
+  // unchanged (a published entry is replaced in place).
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (int d = 0; d < kMaxProbe; ++d) {
+      Slot& slot = slots_[(key + d) & mask_];
+      uint64_t tag = slot.tag.load(std::memory_order_acquire);
+      if (tag == key) return;
+      if (tag == kEmpty || tag == kBusy) continue;  // mid-write elsewhere
+      if (slot.ref.load(std::memory_order_relaxed) != 0) {
+        slot.ref.store(0, std::memory_order_relaxed);
+        continue;
+      }
+      if (slot.tag.compare_exchange_strong(tag, kBusy,
+                                           std::memory_order_acq_rel)) {
+        publish(slot);
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      // Raced with another evictor on this slot; move on.
+    }
+  }
+  // Every slot in the window was mid-write or repeatedly raced: give up
+  // (the value is recomputable) but count it.
+  drops_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void EvalCache::Clear() {
+  for (size_t i = 0; i <= mask_; ++i) {
+    slots_[i].tag.store(kEmpty, std::memory_order_relaxed);
+    slots_[i].ref.store(0, std::memory_order_relaxed);
+  }
+  size_.store(0, std::memory_order_relaxed);
+  evictions_.store(0, std::memory_order_relaxed);
+  drops_.store(0, std::memory_order_relaxed);
+}
+
+// ---- SharedEvalCache ---------------------------------------------------
+
 SharedEvalCache::SharedEvalCache(SharedEvalCacheOptions opts) {
   size_t n = 1;
   while (n < opts.shards) n <<= 1;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -8,7 +9,8 @@
 
 /// \file shared_eval_cache.h
 /// \brief Cross-query, cross-session evaluation memo shared by every
-/// concurrent tuning session of the service.
+/// concurrent tuning session of the service — the only evaluation cache
+/// in the system (direct solves evaluate uncached; see DESIGN.md §9).
 ///
 /// A thin sharded wrapper over EvalCache: the shard is picked from the
 /// key's high bits (EvalCache probes with the low bits, so the two
@@ -23,6 +25,79 @@
 /// across queries that share subQ ids.
 
 namespace sparkopt {
+
+/// \brief Capacity-bounded, thread-safe open-addressing memo table for
+/// evaluation results, with second-chance eviction. One shard of
+/// SharedEvalCache.
+///
+/// Keys are 64-bit hashes of the full evaluation inputs; values are the
+/// three objective doubles. Lock-free: a writer claims a slot by CAS-ing
+/// the tag to a busy sentinel, writes the value, then publishes the key
+/// with a release store; readers validate seqlock-style — an acquire
+/// load of the matching tag, relaxed loads of the three value words, an
+/// acquire fence, then a tag re-check. If an eviction republished the
+/// slot mid-read the re-check fails and the lookup reports a miss (the
+/// value is recomputable, so a spurious miss is merely a little work).
+///
+/// When the probe window is full, Insert falls back to CLOCK-style
+/// second-chance eviction inside the window: each slot carries a
+/// reference bit set on hit and on insert; a first sweep clears set bits,
+/// a second sweep replaces the first slot whose bit is still clear. Only
+/// under extreme contention (every slot busy or repeatedly raced) does an
+/// insert drop. Since evaluation is a pure function of the key's
+/// preimage, losing a race, dropping, or evicting merely recomputes a
+/// deterministic value — correctness never depends on which thread
+/// inserted first or which entry was displaced.
+class EvalCache {
+ public:
+  /// `capacity` is rounded up to a power of two (minimum 1024 slots).
+  explicit EvalCache(size_t capacity);
+
+  /// True (and `*out` filled) when `key` is present. Non-const: a hit
+  /// touches the slot's second-chance reference bit.
+  bool Lookup(uint64_t key, SubQObjectives* out);
+  /// Inserts, evicting the least-recently-touched slot in the probe
+  /// window when it is full (see evictions()); drops only when every
+  /// slot in the window is mid-write (see drops()).
+  void Insert(uint64_t key, const SubQObjectives& value);
+  /// Empties the table and resets all counters. Not thread-safe against
+  /// concurrent access.
+  void Clear();
+
+  size_t capacity() const { return mask_ + 1; }
+  /// Slots currently holding a published entry.
+  size_t occupancy() const { return size_.load(std::memory_order_relaxed); }
+  /// Entries displaced by second-chance replacement. A high eviction
+  /// rate means the working set exceeds the table; hit rate degrades
+  /// gracefully instead of freezing the first-inserted entries.
+  uint64_t evictions() const {
+    return evictions_.load(std::memory_order_relaxed);
+  }
+  /// Inserts abandoned because every slot in the probe window was
+  /// mid-write or repeatedly raced — rare; the value is recomputable.
+  uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Slot {
+    std::atomic<uint64_t> tag{kEmpty};
+    std::atomic<uint32_t> ref{0};  ///< second-chance reference bit
+    // Values are individually atomic so evicting writers never tear a
+    // concurrent reader's view; the seqlock tag re-check in Lookup
+    // rejects any read that overlapped a republish.
+    std::atomic<double> latency{0.0};
+    std::atomic<double> io_bytes{0.0};
+    std::atomic<double> cost{0.0};
+  };
+  static constexpr uint64_t kEmpty = 0;
+  static constexpr uint64_t kBusy = 1;
+  static constexpr int kMaxProbe = 16;
+
+  std::unique_ptr<Slot[]> slots_;
+  size_t mask_ = 0;
+  std::atomic<uint64_t> size_{0};
+  std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> drops_{0};
+};
 
 struct SharedEvalCacheOptions {
   /// Number of shards, rounded up to a power of two (>= 1).

@@ -167,13 +167,13 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   // Objective-model stack, mirroring Tuner::Run: analytic by default,
   // learned when the bundle ships a trained regressor...
   AnalyticSubQModel analytic(query, snap->cluster, snap->cost_params,
-                             snap->prices, snap->eval_cache_capacity);
+                             snap->prices);
   std::unique_ptr<LearnedSubQModel> learned;
   const SubQObjectiveModel* model = &analytic;
   if (snap->subq_model.trained()) {
     learned = std::make_unique<LearnedSubQModel>(
         query, snap->cluster, snap->cost_params, &snap->subq_model,
-        snap->prices, snap->eval_cache_capacity);
+        snap->prices);
     // ...with inference routed through the cross-session batcher (a
     // bitwise-transparent sink; see model/inference_sink.h)...
     learned->set_inference_sink(batcher_.get());

@@ -63,7 +63,7 @@ struct TuningServiceOptions {
   /// Cross-session inference coalescing (enabled=false reproduces the
   /// naive per-session dispatch the benchmark compares against).
   InferenceBatcherOptions batcher;
-  /// Cross-query shared evaluation cache (false = per-solve memo only).
+  /// Cross-query shared evaluation cache (false = evaluate uncached).
   bool shared_cache_enabled = true;
   SharedEvalCacheOptions shared_cache;
   /// Preference weights used when a request leaves its own empty.

@@ -40,7 +40,7 @@ Result<TuningOutcome> Tuner::RunWithConfig(const Query& query,
 
   if (runtime_opt) {
     SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params,
-                       opts_.prices, opts_.eval_cache_capacity);
+                       opts_.prices);
     RuntimeOptimizerOptions ro = opts_.runtime;
     ro.preference = opts_.preference;
     if (opts_.num_threads >= 0) ro.num_threads = opts_.num_threads;
@@ -79,14 +79,14 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
 
   // Compile-time objective model.
   AnalyticSubQModel analytic(&query, opts_.cluster, opts_.cost_params,
-                             opts_.prices, opts_.eval_cache_capacity);
+                             opts_.prices);
   std::unique_ptr<LearnedSubQModel> learned;
   const SubQObjectiveModel* model = &analytic;
   if (opts_.learned_subq_model != nullptr &&
       opts_.learned_subq_model->trained()) {
     learned = std::make_unique<LearnedSubQModel>(
         &query, opts_.cluster, opts_.cost_params, opts_.learned_subq_model,
-        opts_.prices, opts_.eval_cache_capacity);
+        opts_.prices);
     model = learned.get();
   }
 
@@ -180,8 +180,7 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
   const ContextParams tc = DecodeContext(out.chosen.conf);
   PlanParams tp = DecodePlan(out.chosen.conf);
   StageParams ts = DecodeStage(out.chosen.conf);
-  SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params, opts_.prices,
-                     opts_.eval_cache_capacity);
+  SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params, opts_.prices);
   if (!out.chosen.per_subq_conf.empty()) {
     AggregateForSubmission(out.chosen.per_subq_conf, eval.subqueries(), &tp,
                            &ts);

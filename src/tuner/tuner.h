@@ -53,10 +53,8 @@ struct TunerOptions {
   int so_fw_samples = 3000;
   /// Learned subQ model (nullptr = analytic compile-time model).
   const Regressor* learned_subq_model = nullptr;
-  /// Slots in the per-solve evaluation memo table (see model/
-  /// subq_evaluator.h). The default fits a single solve; long-lived
-  /// embedders (the tuning service) size it explicitly.
-  size_t eval_cache_capacity = EvalCache::kDefaultCapacity;
+  /// Ignored; bench/suite/ still sets it.
+  size_t eval_cache_capacity = 0;
   uint64_t seed = 17;
 };
 

@@ -178,11 +178,11 @@ TEST_P(DagAggregatorAllocTest, AggregateDcIsAllocationFreeAfterWarmup) {
   // Warm-up: node pool, scratch buffers, arena blocks, and the output
   // batch all reach their high-water capacity.
   for (int r = 0; r < 2; ++r) {
-    aggregator.AggregateDc(sets, k, /*cap=*/64, /*eps=*/0.0, &batch);
+    aggregator.AggregateDc(sets, k, /*cap=*/64, &batch);
   }
   AllocProbe probe;
   for (int r = 0; r < 16; ++r) {
-    aggregator.AggregateDc(sets, k, /*cap=*/64, /*eps=*/0.0, &batch);
+    aggregator.AggregateDc(sets, k, /*cap=*/64, &batch);
   }
   EXPECT_EQ(probe.allocations(), 0u);
   EXPECT_GT(batch.size(), 0u);

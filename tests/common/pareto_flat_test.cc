@@ -164,40 +164,6 @@ TEST_P(FlatKernelPropertyTest, ParetoInsertMatchesBatchFilter) {
   }
 }
 
-TEST_P(FlatKernelPropertyTest, EpsilonThinKeepsExtremesAndSubsets) {
-  Rng rng(GetParam());
-  ParetoScratch scratch;
-  for (int round = 0; round < 10; ++round) {
-    // Start from a real front so the staircase structure holds.
-    auto pts = ParetoFilter(RandomPoints(&rng, 40, /*ties=*/false));
-    Front2 front;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      front.Append(pts[i][0], pts[i][1], i);
-    }
-    Front2 untouched = front;
-    EpsilonThin2(&untouched, 0.0, &scratch);  // eps <= 0: exact no-op
-    EXPECT_EQ(untouched.x, front.x);
-    EXPECT_EQ(untouched.payload, front.payload);
-
-    EpsilonThin2(&front, 0.25, &scratch);
-    EXPECT_LE(front.size(), pts.size());
-    double min_x = pts[0][0], min_y = pts[0][1];
-    for (const auto& p : pts) {
-      min_x = std::min(min_x, p[0]);
-      min_y = std::min(min_y, p[1]);
-    }
-    EXPECT_NE(std::find(front.x.begin(), front.x.end(), min_x),
-              front.x.end());
-    EXPECT_NE(std::find(front.y.begin(), front.y.end(), min_y),
-              front.y.end());
-    for (size_t p = 0; p < front.size(); ++p) {
-      // Every survivor is one of the originals (payload resolves it).
-      EXPECT_EQ(front.x[p], pts[front.payload[p]][0]);
-      EXPECT_EQ(front.y[p], pts[front.payload[p]][1]);
-    }
-  }
-}
-
 // k-D fallback (ParetoKD) against the quadratic reference.
 TEST_P(FlatKernelPropertyTest, KdFallbackMatchesReference) {
   Rng rng(GetParam());

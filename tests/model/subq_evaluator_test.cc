@@ -129,178 +129,8 @@ TEST(SubQEvaluatorTest, DeterministicEvaluation) {
   EXPECT_DOUBLE_EQ(a.cost, b.cost);
 }
 
-TEST(SubQEvaluatorTest, EvalCacheHitsOnRepeatAndIsTransparent) {
-  Fixture cached, uncached;
-  uncached.eval.set_eval_cache_enabled(false);
-  ASSERT_TRUE(cached.eval.eval_cache_enabled());
-  ASSERT_FALSE(uncached.eval.eval_cache_enabled());
-
-  const auto a1 = cached.eval.Evaluate(1, cached.tc, cached.tp, cached.ts,
-                                       CardinalitySource::kEstimated);
-  EXPECT_EQ(cached.eval.eval_cache_hits(), 0u);
-  EXPECT_EQ(cached.eval.eval_cache_misses(), 1u);
-  const auto a2 = cached.eval.Evaluate(1, cached.tc, cached.tp, cached.ts,
-                                       CardinalitySource::kEstimated);
-  EXPECT_EQ(cached.eval.eval_cache_hits(), 1u);
-
-  // Cached results are bitwise identical to the uncached path.
-  const auto b = uncached.eval.Evaluate(1, uncached.tc, uncached.tp,
-                                        uncached.ts,
-                                        CardinalitySource::kEstimated);
-  EXPECT_EQ(a1.analytical_latency, b.analytical_latency);
-  EXPECT_EQ(a1.cost, b.cost);
-  EXPECT_EQ(a2.analytical_latency, b.analytical_latency);
-  EXPECT_EQ(a2.cost, b.cost);
-  EXPECT_EQ(uncached.eval.eval_cache_hits(), 0u);
-  EXPECT_EQ(uncached.eval.eval_cache_misses(), 0u);
-}
-
-TEST(SubQEvaluatorTest, EvalCacheProbesExposeLookupCost) {
-  Fixture fx;
-  EXPECT_EQ(fx.eval.eval_cache_probes(), 0u);
-  fx.eval.Evaluate(1, fx.tc, fx.tp, fx.ts, CardinalitySource::kEstimated);
-  // A miss in an empty table still probes at least one slot — the cost
-  // the threads=1 anomaly measures (see DESIGN.md §12).
-  const uint64_t after_miss = fx.eval.eval_cache_probes();
-  EXPECT_GE(after_miss, 1u);
-  fx.eval.Evaluate(1, fx.tc, fx.tp, fx.ts, CardinalitySource::kEstimated);
-  const uint64_t after_hit = fx.eval.eval_cache_probes();
-  EXPECT_GT(after_hit, after_miss);
-
-  // Disabled cache does not probe.
-  Fixture off;
-  off.eval.set_eval_cache_enabled(false);
-  off.eval.Evaluate(1, off.tc, off.tp, off.ts,
-                    CardinalitySource::kEstimated);
-  EXPECT_EQ(off.eval.eval_cache_probes(), 0u);
-}
-
-TEST(SubQEvaluatorTest, EvalCacheKeySeparatesInputs) {
-  Fixture fx;
-  // Distinct subQ, params, source, and mask must all miss, not collide.
-  fx.eval.Evaluate(0, fx.tc, fx.tp, fx.ts, CardinalitySource::kEstimated);
-  fx.eval.Evaluate(1, fx.tc, fx.tp, fx.ts, CardinalitySource::kEstimated);
-  auto tp2 = fx.tp;
-  tp2.shuffle_partitions += 1;
-  fx.eval.Evaluate(0, fx.tc, tp2, fx.ts, CardinalitySource::kEstimated);
-  fx.eval.Evaluate(0, fx.tc, fx.tp, fx.ts, CardinalitySource::kTrue);
-  std::vector<bool> mask(fx.eval.num_subqs(), false);
-  mask[1] = true;
-  fx.eval.Evaluate(0, fx.tc, fx.tp, fx.ts, CardinalitySource::kEstimated,
-                   &mask);
-  EXPECT_EQ(fx.eval.eval_cache_hits(), 0u);
-  EXPECT_EQ(fx.eval.eval_cache_misses(), 5u);
-}
-
-TEST(EvalCacheTest, InsertEvictsInsteadOfDroppingWhenWindowFull) {
-  EvalCache cache(1024);
-  ASSERT_EQ(cache.capacity(), 1024u);
-  // Keys congruent mod capacity share one probe window. kMaxProbe fit;
-  // the next insert must CLOCK-evict the oldest untouched entry rather
-  // than drop the new value.
-  const uint64_t base = 0x1000;
-  const uint64_t stride = cache.capacity();
-  auto value_of = [](uint64_t j) {
-    SubQObjectives v;
-    v.analytical_latency = static_cast<double>(j) + 0.25;
-    v.io_bytes = static_cast<double>(j) * 2.0;
-    v.cost = static_cast<double>(j) * 3.0;
-    return v;
-  };
-  for (uint64_t j = 0; j < 16; ++j) {
-    cache.Insert(base + j * stride, value_of(j));
-  }
-  EXPECT_EQ(cache.occupancy(), 16u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  cache.Insert(base + 16 * stride, value_of(16));
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.drops(), 0u);
-  // Replacement happens in place: occupancy is unchanged.
-  EXPECT_EQ(cache.occupancy(), 16u);
-  SubQObjectives got;
-  ASSERT_TRUE(cache.Lookup(base + 16 * stride, &got));
-  EXPECT_EQ(got.analytical_latency, value_of(16).analytical_latency);
-  EXPECT_EQ(got.io_bytes, value_of(16).io_bytes);
-  EXPECT_EQ(got.cost, value_of(16).cost);
-  // The first sweep cleared every ref bit and the second claimed the
-  // window's first entry, so key 0 is the one that went.
-  EXPECT_FALSE(cache.Lookup(base + 0 * stride, &got));
-}
-
-TEST(EvalCacheTest, ClockGivesRecentlyTouchedEntriesASecondChance) {
-  EvalCache cache(1024);
-  const uint64_t base = 0x1000;
-  const uint64_t stride = cache.capacity();
-  for (uint64_t j = 0; j < 16; ++j) {
-    cache.Insert(base + j * stride, SubQObjectives{});
-  }
-  // First eviction clears all ref bits, replaces entry 0 with key 16
-  // (whose ref is set by the insert).
-  cache.Insert(base + 16 * stride, SubQObjectives{});
-  // A hit re-arms key 3's ref bit.
-  SubQObjectives got;
-  ASSERT_TRUE(cache.Lookup(base + 3 * stride, &got));
-  // Next eviction must skip the two referenced entries (16 at window
-  // position 0, 3 at position 3) and take key 1 — the first clear bit.
-  cache.Insert(base + 17 * stride, SubQObjectives{});
-  EXPECT_EQ(cache.evictions(), 2u);
-  EXPECT_TRUE(cache.Lookup(base + 16 * stride, &got));
-  EXPECT_TRUE(cache.Lookup(base + 3 * stride, &got));
-  EXPECT_TRUE(cache.Lookup(base + 17 * stride, &got));
-  EXPECT_FALSE(cache.Lookup(base + 1 * stride, &got));
-}
-
-TEST(EvalCacheTest, SaturationEvictsAndKeepsOccupancyBounded) {
-  EvalCache cache(1024);
-  for (uint64_t k = 2; k < 50000; ++k) {
-    cache.Insert(k, SubQObjectives{});
-    // The entry just published is always findable right after.
-    SubQObjectives got;
-    if (k % 9973 == 0) EXPECT_TRUE(cache.Lookup(k, &got));
-  }
-  EXPECT_GT(cache.evictions(), 0u);
-  // Single-threaded there is always an evictable entry: never a drop.
-  EXPECT_EQ(cache.drops(), 0u);
-  EXPECT_LE(cache.occupancy(), cache.capacity());
-  cache.Clear();
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.occupancy(), 0u);
-}
-
-TEST(SubQEvaluatorTest, EvalCacheDropsExposedAndZeroOnSmallWorkload) {
-  Fixture fx;
-  fx.eval.Evaluate(0, fx.tc, fx.tp, fx.ts, CardinalitySource::kEstimated);
-  EXPECT_EQ(fx.eval.eval_cache_drops(), 0u);
-}
-
-TEST(SubQEvaluatorTest, AdaptiveBypassTripsAtLowHitRateAndRearms) {
-  Fixture fx;
-  EXPECT_FALSE(fx.eval.eval_cache_bypassed());
-  // All-miss traffic: every conf is distinct, so after kBypassWindow
-  // lookups the running hit rate (0) sits below kBypassMinHitRate and
-  // the latch must trip.
-  auto tp = fx.tp;
-  for (uint64_t i = 0; i <= SubQEvaluator::kBypassWindow; ++i) {
-    tp.advisory_partition_size_mb = 64.0 + 1e-6 * static_cast<double>(i);
-    fx.eval.Evaluate(0, fx.tc, tp, fx.ts, CardinalitySource::kEstimated);
-  }
-  EXPECT_TRUE(fx.eval.eval_cache_bypassed());
-  // Bypassed lookups stop probing (results stay correct regardless).
-  const uint64_t probes_before = fx.eval.eval_cache_probes();
-  tp.advisory_partition_size_mb = 65.0;
-  fx.eval.Evaluate(0, fx.tc, tp, fx.ts, CardinalitySource::kEstimated);
-  EXPECT_EQ(fx.eval.eval_cache_probes(), probes_before);
-  // Re-enabling re-arms the observation window.
-  fx.eval.set_eval_cache_enabled(true);
-  EXPECT_FALSE(fx.eval.eval_cache_bypassed());
-  fx.eval.Evaluate(0, fx.tc, tp, fx.ts, CardinalitySource::kEstimated);
-  EXPECT_GT(fx.eval.eval_cache_probes(), probes_before);
-}
-
 TEST(SubQEvaluatorTest, EvaluateScreenSanity) {
   Fixture fx;
-  const uint64_t probes_before = fx.eval.eval_cache_probes();
   for (int i = 0; i < fx.eval.num_subqs(); ++i) {
     const auto a =
         fx.eval.EvaluateScreen(i, fx.tc, fx.tp, fx.ts,
@@ -313,9 +143,6 @@ TEST(SubQEvaluatorTest, EvaluateScreenSanity) {
     EXPECT_EQ(a.analytical_latency, b.analytical_latency) << "subq " << i;
     EXPECT_EQ(a.cost, b.cost);
   }
-  // The screen lives in a different result space than full evaluations
-  // and must never touch the eval cache.
-  EXPECT_EQ(fx.eval.eval_cache_probes(), probes_before);
 }
 
 TEST(SubQEvaluatorTest, ShufflePartitionCountRespected) {

@@ -68,9 +68,9 @@ TEST_P(DagAggregationTest, DcMatchesBruteForceWithoutThinning) {
     const auto sets = RandomSets(/*m=*/4, /*per_set=*/5, k, seed);
     DagAggregator aggregator;
     AggregatedBatch batch;
-    // cap larger than any possible front and eps = 0: the D&C result is
-    // the exact query-level front.
-    aggregator.AggregateDc(sets, k, /*cap=*/100000, /*eps=*/0.0, &batch);
+    // cap larger than any possible front: the D&C result is the exact
+    // query-level front.
+    aggregator.AggregateDc(sets, k, /*cap=*/100000, &batch);
     std::vector<ObjectiveVector> got;
     for (size_t p = 0; p < batch.size(); ++p) got.push_back(PointOf(batch, p));
     std::sort(got.begin(), got.end());
@@ -93,7 +93,7 @@ TEST_P(DagAggregationTest, ChoiceRowsReproduceTheObjectives) {
   for (int mode = 0; mode < 3; ++mode) {
     AggregatedBatch batch;
     if (mode == 0) {
-      aggregator.AggregateDc(sets, k, /*cap=*/128, /*eps=*/0.0, &batch);
+      aggregator.AggregateDc(sets, k, /*cap=*/128, &batch);
     } else if (mode == 1) {
       aggregator.AggregateWeightedSum(sets, k, /*ws_pairs=*/11,
                                       /*normalize=*/true, &batch);
@@ -120,8 +120,8 @@ TEST_P(DagAggregationTest, DcThinningCapsTheFrontWithValidPoints) {
   const auto sets = RandomSets(/*m=*/4, /*per_set=*/6, k, 31);
   DagAggregator aggregator;
   AggregatedBatch full, thin;
-  aggregator.AggregateDc(sets, k, /*cap=*/100000, /*eps=*/0.0, &full);
-  aggregator.AggregateDc(sets, k, /*cap=*/8, /*eps=*/0.0, &thin);
+  aggregator.AggregateDc(sets, k, /*cap=*/100000, &full);
+  aggregator.AggregateDc(sets, k, /*cap=*/8, &thin);
   EXPECT_LE(thin.size(), 8u);
   EXPECT_GT(thin.size(), 0u);
   // Thinning drops combinations, it never invents points: every thinned
@@ -166,7 +166,7 @@ TEST_P(DagAggregationTest, EmptySubqSetYieldsEmptyBatch) {
   sets[1].clear();
   DagAggregator aggregator;
   AggregatedBatch batch;
-  aggregator.AggregateDc(sets, k, /*cap=*/64, /*eps=*/0.0, &batch);
+  aggregator.AggregateDc(sets, k, /*cap=*/64, &batch);
   EXPECT_EQ(batch.size(), 0u);
   aggregator.AggregateWeightedSum(sets, k, 11, true, &batch);
   EXPECT_EQ(batch.size(), 0u);

@@ -1,7 +1,10 @@
 #include "service/inference_batcher.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -202,6 +205,72 @@ TEST(InferenceBatcherTest, MixedRegressorsNeverShareAKernelCall) {
     DirectPredict(reg, xs[i].data(), 1, direct.data());
     EXPECT_EQ(outs[i], direct) << "request " << i;
   }
+}
+
+/// Calls Predict `depth` frames below the caller. Predict keeps its
+/// Request on its own stack, so varying the depth gives consecutive
+/// requests of one thread different addresses.
+void PredictAtDepth(InferenceBatcher* batcher, const Regressor& reg,
+                    const double* x, size_t rows, double* out, int depth) {
+  volatile char frame[64] = {};
+  if (depth == 0) {
+    batcher->Predict(reg, x, rows, out);
+  } else {
+    PredictAtDepth(batcher, reg, x, rows, out, depth - 1);
+  }
+  frame[0] = frame[0] + 1;  // live after the call: no tail-call reuse
+}
+
+/// Three threads of 20-49 row requests against a 64-row window for a
+/// fixed stretch of time: most windows close by a full flush while their
+/// leader is still waiting, the schedule under which a leader can
+/// outlive its request. Exits 0 once every thread has finished and every
+/// prediction matched the direct one bitwise.
+void RunLivenessStress(const Regressor& reg) {
+  constexpr int kThreads = 3;
+  constexpr size_t kMaxRows = 49;
+  InferenceBatcherOptions opts;
+  opts.max_rows = 64;
+  opts.max_wait_us = 50;
+  InferenceBatcher batcher(opts);
+  const auto stop = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(HashCombine(77, static_cast<uint64_t>(t)));
+      const auto x = RandomRows(kMaxRows, 300 + t);
+      std::vector<double> want(kMaxRows * kOut), got(kMaxRows * kOut);
+      DirectPredict(reg, x.data(), kMaxRows, want.data());
+      while (std::chrono::steady_clock::now() < stop) {
+        const size_t rows = 20 + rng.Next() % 30;
+        const int depth = static_cast<int>(rng.Next() % 24);
+        PredictAtDepth(&batcher, reg, x.data(), rows, got.data(), depth);
+        // Per-row batch invariance: a prefix predicts like the full set.
+        for (size_t j = 0; j < rows * kOut; ++j) {
+          if (got[j] != want[j]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  int total = 0;
+  for (int m : mismatches) total += m;
+  std::exit(total == 0 ? 0 : 1);
+}
+
+// Liveness under mixed full and timeout flushes. A stalled batcher never
+// lets the threads reach their stop time; the alarm then kills the
+// child, which EXPECT_EXIT reports as a failure.
+TEST(InferenceBatcherTest, MixedFlushesNeverStrandAWindow) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Regressor reg = TrainTinyRegressor(12);
+  EXPECT_EXIT(
+      {
+        alarm(60);
+        RunLivenessStress(reg);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

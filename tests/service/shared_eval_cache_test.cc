@@ -20,6 +20,84 @@ SubQObjectives ValueOf(uint64_t key) {
   return v;
 }
 
+TEST(EvalCacheTest, InsertEvictsInsteadOfDroppingWhenWindowFull) {
+  EvalCache cache(1024);
+  ASSERT_EQ(cache.capacity(), 1024u);
+  // Keys congruent mod capacity share one probe window. kMaxProbe fit;
+  // the next insert must CLOCK-evict the oldest untouched entry rather
+  // than drop the new value.
+  const uint64_t base = 0x1000;
+  const uint64_t stride = cache.capacity();
+  auto value_of = [](uint64_t j) {
+    SubQObjectives v;
+    v.analytical_latency = static_cast<double>(j) + 0.25;
+    v.io_bytes = static_cast<double>(j) * 2.0;
+    v.cost = static_cast<double>(j) * 3.0;
+    return v;
+  };
+  for (uint64_t j = 0; j < 16; ++j) {
+    cache.Insert(base + j * stride, value_of(j));
+  }
+  EXPECT_EQ(cache.occupancy(), 16u);
+  EXPECT_EQ(cache.evictions(), 0u);
+
+  cache.Insert(base + 16 * stride, value_of(16));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.drops(), 0u);
+  // Replacement happens in place: occupancy is unchanged.
+  EXPECT_EQ(cache.occupancy(), 16u);
+  SubQObjectives got;
+  ASSERT_TRUE(cache.Lookup(base + 16 * stride, &got));
+  EXPECT_EQ(got.analytical_latency, value_of(16).analytical_latency);
+  EXPECT_EQ(got.io_bytes, value_of(16).io_bytes);
+  EXPECT_EQ(got.cost, value_of(16).cost);
+  // The first sweep cleared every ref bit and the second claimed the
+  // window's first entry, so key 0 is the one that went.
+  EXPECT_FALSE(cache.Lookup(base + 0 * stride, &got));
+}
+
+TEST(EvalCacheTest, ClockGivesRecentlyTouchedEntriesASecondChance) {
+  EvalCache cache(1024);
+  const uint64_t base = 0x1000;
+  const uint64_t stride = cache.capacity();
+  for (uint64_t j = 0; j < 16; ++j) {
+    cache.Insert(base + j * stride, SubQObjectives{});
+  }
+  // First eviction clears all ref bits, replaces entry 0 with key 16
+  // (whose ref is set by the insert).
+  cache.Insert(base + 16 * stride, SubQObjectives{});
+  // A hit re-arms key 3's ref bit.
+  SubQObjectives got;
+  ASSERT_TRUE(cache.Lookup(base + 3 * stride, &got));
+  // Next eviction must skip the two referenced entries (16 at window
+  // position 0, 3 at position 3) and take key 1 — the first clear bit.
+  cache.Insert(base + 17 * stride, SubQObjectives{});
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_TRUE(cache.Lookup(base + 16 * stride, &got));
+  EXPECT_TRUE(cache.Lookup(base + 3 * stride, &got));
+  EXPECT_TRUE(cache.Lookup(base + 17 * stride, &got));
+  EXPECT_FALSE(cache.Lookup(base + 1 * stride, &got));
+}
+
+TEST(EvalCacheTest, SaturationEvictsAndKeepsOccupancyBounded) {
+  EvalCache cache(1024);
+  for (uint64_t k = 2; k < 50000; ++k) {
+    cache.Insert(k, SubQObjectives{});
+    // The entry just published is always findable right after.
+    SubQObjectives got;
+    if (k % 9973 == 0) {
+      EXPECT_TRUE(cache.Lookup(k, &got));
+    }
+  }
+  EXPECT_GT(cache.evictions(), 0u);
+  // Single-threaded there is always an evictable entry: never a drop.
+  EXPECT_EQ(cache.drops(), 0u);
+  EXPECT_LE(cache.occupancy(), cache.capacity());
+  cache.Clear();
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.occupancy(), 0u);
+}
+
 TEST(SharedEvalCacheTest, RoundTripsAcrossShards) {
   SharedEvalCache cache({/*shards=*/8, /*capacity_per_shard=*/1024});
   EXPECT_EQ(cache.capacity(), 8u * 1024u);

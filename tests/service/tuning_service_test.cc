@@ -50,7 +50,6 @@ MooRunResult DirectSolve(const ServiceArtifacts& a, const std::string& query,
   to.cost_params = a.cost_params;
   to.prices = a.prices;
   to.hmooc = a.hmooc;
-  to.eval_cache_capacity = a.eval_cache_capacity;
   to.seed = service_seed;
   if (a.subq_model.trained()) to.learned_subq_model = &a.subq_model;
   Tuner tuner(to);
