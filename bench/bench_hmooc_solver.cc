@@ -227,10 +227,11 @@ void EmitFidelitySweep() {
   };
   const std::vector<ScreenCfg> cfgs{
       ScreenCfg{"off", FidelityMode::kOff, 0.10, 0.15, 8},
-      ScreenCfg{"analytic", FidelityMode::kAnalytic, 0.05, 0.02, 8},
-      ScreenCfg{"analytic", FidelityMode::kAnalytic, 0.15, 0.10, 8},
-      // The learned screen mispredicts more than the analytic one, so it
-      // runs with a wider survival band and a higher promotion floor.
+      // The distilled screen's tier-0 objectives are predictions of a
+      // small regressor, typically 25% or more off the tier-1 latency
+      // (further off on cost), so it runs with a wide survival band
+      // (0.45) and a higher promotion floor to keep the hypervolume loss
+      // within its 1% bound.
       ScreenCfg{"distilled", FidelityMode::kDistilled, 0.10, 0.45, 16},
   };
   struct Workload {

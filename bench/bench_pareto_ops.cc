@@ -1,8 +1,8 @@
 /// \file bench_pareto_ops.cc
 /// \brief Micro-benchmarks of the Pareto primitives every MOO solver sits
-/// on: non-dominated filtering (the O(n log n) 2D path and the k-D
-/// fallback), hypervolume, WUN recommendation, and the Minkowski merge of
-/// HMOOC1's divide-and-conquer aggregation.
+/// on: non-dominated filtering (the O(n log n) 2D and 3D paths),
+/// hypervolume, WUN recommendation, and the Minkowski merge of HMOOC1's
+/// divide-and-conquer aggregation.
 
 #include <benchmark/benchmark.h>
 

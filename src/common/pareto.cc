@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
+#include "common/check.h"
 #include "common/pareto_flat.h"
 
 namespace sparkopt {
@@ -18,6 +18,13 @@ namespace {
 ParetoScratch& TlsScratch() {
   thread_local ParetoScratch scratch;
   return scratch;
+}
+
+// Every model and solver produces 2 or 3 objectives; the kernels below
+// support exactly those.
+void CheckObjectiveCount(size_t k, const char* fn) {
+  SPARKOPT_CHECK(k == 2 || k == 3)
+      << fn << " supports 2 or 3 objectives, got " << k;
 }
 
 }  // namespace
@@ -50,9 +57,8 @@ std::vector<size_t> Pareto2D(const std::vector<ObjectiveVector>& pts) {
   return {scratch.kept.begin(), scratch.kept.end()};
 }
 
-// 3-D filter routed through the flat kernel's staircase sweep; same set
-// and order as ParetoKD on 3-objective input (the property suite pins
-// both against the quadratic reference).
+// 3-D filter routed through the flat kernel's staircase sweep (the
+// property suite pins it against the quadratic reference).
 std::vector<size_t> Pareto3D(const std::vector<ObjectiveVector>& pts) {
   ParetoScratch& scratch = TlsScratch();
   scratch.ax.resize(pts.size());
@@ -68,40 +74,13 @@ std::vector<size_t> Pareto3D(const std::vector<ObjectiveVector>& pts) {
   return {scratch.kept.begin(), scratch.kept.end()};
 }
 
-// Generic k-D filter. Pre-sorts by sum of objectives so dominators tend to
-// be visited first, which keeps the non-dominated archive small.
-std::vector<size_t> ParetoKD(const std::vector<ObjectiveVector>& pts) {
-  std::vector<size_t> order(pts.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t i, size_t j) {
-    double si = 0, sj = 0;
-    for (double v : pts[i]) si += v;
-    for (double v : pts[j]) sj += v;
-    if (si != sj) return si < sj;
-    return i < j;
-  });
-  std::vector<size_t> archive;
-  for (size_t idx : order) {
-    bool dominated = false;
-    for (size_t a : archive) {
-      if (Dominates(pts[a], pts[idx])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) archive.push_back(idx);
-  }
-  std::sort(archive.begin(), archive.end());
-  return archive;
-}
-
 }  // namespace
 
 std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points) {
   if (points.empty()) return {};
-  if (points[0].size() == 2) return Pareto2D(points);
-  if (points[0].size() == 3) return Pareto3D(points);
-  return ParetoKD(points);
+  const size_t k = points[0].size();
+  CheckObjectiveCount(k, "ParetoIndices");
+  return k == 2 ? Pareto2D(points) : Pareto3D(points);
 }
 
 std::vector<ObjectiveVector> ParetoFilter(
@@ -128,65 +107,27 @@ double Hypervolume2D(const std::vector<ObjectiveVector>& front,
                           ref[0], ref[1], &scratch);
 }
 
-namespace {
-
-// Recursive hypervolume by slicing on the last objective (simple exact
-// algorithm, adequate for fronts of tens of points).
-double HvRecursive(std::vector<ObjectiveVector> pts,
-                   const ObjectiveVector& ref) {
-  const size_t k = ref.size();
-  if (pts.empty()) return 0.0;
-  if (k == 2) return Hypervolume2D(pts, ref);
-  // Sort by last objective ascending; sweep slices.
-  std::sort(pts.begin(), pts.end(),
-            [k](const ObjectiveVector& a, const ObjectiveVector& b) {
-              return a[k - 1] < b[k - 1];
-            });
-  double hv = 0.0;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const double z_lo = pts[i][k - 1];
-    if (z_lo >= ref[k - 1]) break;
-    const double z_hi = (i + 1 < pts.size())
-                            ? std::min(pts[i + 1][k - 1], ref[k - 1])
-                            : ref[k - 1];
-    const double depth = z_hi - z_lo;
-    if (depth <= 0) continue;
-    // Project points with z <= z_lo into (k-1) dims.
-    std::vector<ObjectiveVector> proj;
-    ObjectiveVector sub_ref(ref.begin(), ref.end() - 1);
-    for (size_t j = 0; j <= i; ++j) {
-      proj.emplace_back(pts[j].begin(), pts[j].end() - 1);
-    }
-    hv += depth * HvRecursive(std::move(proj), sub_ref);
-  }
-  return hv;
-}
-
-}  // namespace
-
 double Hypervolume(const std::vector<ObjectiveVector>& front,
                    const ObjectiveVector& ref) {
   if (front.empty()) return 0.0;
+  CheckObjectiveCount(ref.size(), "Hypervolume");
   if (ref.size() == 2) return Hypervolume2D(front, ref);
-  if (ref.size() == 3) {
-    // Flat slab sweep, bitwise identical to HvRecursive (tied slabs have
-    // zero depth, so the recursion's tie order never reaches the sum).
-    // Stage into the b-side buffers: FlatHypervolume3 uses ax/ay/az as
-    // its own internal staging.
-    ParetoScratch& scratch = TlsScratch();
-    scratch.bx.resize(front.size());
-    scratch.by.resize(front.size());
-    scratch.bz.resize(front.size());
-    for (size_t i = 0; i < front.size(); ++i) {
-      scratch.bx[i] = front[i][0];
-      scratch.by[i] = front[i][1];
-      scratch.bz[i] = front[i][2];
-    }
-    return FlatHypervolume3(scratch.bx.data(), scratch.by.data(),
-                            scratch.bz.data(), front.size(), ref[0], ref[1],
-                            ref[2], &scratch);
+  // Flat slab sweep, bitwise identical to recursive slicing on the last
+  // objective (tied slabs have zero depth, so the slicing's tie order
+  // never reaches the sum). Stage into the b-side buffers:
+  // FlatHypervolume3 uses ax/ay/az as its own internal staging.
+  ParetoScratch& scratch = TlsScratch();
+  scratch.bx.resize(front.size());
+  scratch.by.resize(front.size());
+  scratch.bz.resize(front.size());
+  for (size_t i = 0; i < front.size(); ++i) {
+    scratch.bx[i] = front[i][0];
+    scratch.by[i] = front[i][1];
+    scratch.bz[i] = front[i][2];
   }
-  return HvRecursive(front, ref);
+  return FlatHypervolume3(scratch.bx.data(), scratch.by.data(),
+                          scratch.bz.data(), front.size(), ref[0], ref[1],
+                          ref[2], &scratch);
 }
 
 size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,
@@ -233,7 +174,9 @@ IndexedFront FilterDominated(IndexedFront front) {
 
 IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
                          std::vector<std::pair<size_t, size_t>>* combo_out) {
-  const size_t k = a.empty() ? 0 : a.points[0].size();
+  if (a.empty() || b.empty()) return {};
+  const size_t k = a.points[0].size();
+  CheckObjectiveCount(k, "MergeFronts");
   if (k == 3) {
     ParetoScratch& scratch = TlsScratch();
     Front3 fa, fb, merged;
@@ -260,7 +203,6 @@ IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
     }
     return out;
   }
-  if (k != 2) return MergeFrontsNaive(a, b, combo_out);
 
   ParetoScratch& scratch = TlsScratch();
   Front2 fa, fb, merged;

@@ -7,19 +7,21 @@
 /// \file pareto.h
 /// \brief Pareto-set primitives used across the optimizer: dominance
 /// checks, non-dominated filtering (Kung et al. sort-based algorithm for
-/// 2D, generic sweep for k-D), hypervolume, Weighted-Utopia-Nearest (WUN)
+/// 2D, staircase sweep for 3D), hypervolume, Weighted-Utopia-Nearest (WUN)
 /// recommendation, and the Minkowski-sum merge that underlies HMOOC's
 /// divide-and-conquer DAG aggregation (Algorithm 3 in the paper).
 ///
 /// All objectives are minimized. A point with k objectives is a
-/// std::vector<double> of size k.
+/// std::vector<double> of size k. Every model and solver produces k = 2
+/// or k = 3, and ParetoIndices, Hypervolume and MergeFronts abort on any
+/// other k (empty input is always legal).
 ///
 /// This header is the AoS shim over the flat kernel in pareto_flat.h:
-/// the 2- and 3-objective paths of ParetoIndices, Hypervolume, and
-/// MergeFronts delegate to the structure-of-arrays kernel and are
-/// bitwise identical — same points, same payload mapping, same stable
-/// tie order — to the naive formulations they replaced (the naive merge
-/// survives as MergeFrontsNaive for property tests and k > 3).
+/// ParetoIndices, Hypervolume, and MergeFronts delegate to the
+/// structure-of-arrays kernel and are bitwise identical — same points,
+/// same payload mapping, same stable tie order — to the naive
+/// formulations they replaced (the naive merge survives as
+/// MergeFrontsNaive, the oracle of the property tests).
 
 namespace sparkopt {
 
@@ -34,9 +36,9 @@ bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b);
 ///
 /// For 2-objective inputs this runs the classical sort-based Kung
 /// algorithm in O(n log n); 3-objective inputs take the flat kernel's
-/// staircase sweep (same complexity); k > 3 falls back to a pruned
-/// pairwise sweep. Ties: duplicate non-dominated points are all kept
-/// (stable order by original index).
+/// staircase sweep (same complexity); any other k aborts. Ties:
+/// duplicate non-dominated points are all kept (stable order by original
+/// index).
 std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points);
 
 /// \brief Filters `points` to its Pareto front (convenience wrapper).
@@ -50,10 +52,11 @@ std::vector<ObjectiveVector> ParetoFilter(
 double Hypervolume2D(const std::vector<ObjectiveVector>& front,
                      const ObjectiveVector& ref);
 
-/// \brief Hypervolume for k objectives; intended for the small fronts
-/// (tens of points) this project produces. k = 2 routes to Hypervolume2D,
-/// k = 3 to the flat kernel's slab sweep (bitwise identical to the
-/// recursive slicing it replaced), k > 3 to recursive slicing.
+/// \brief Hypervolume for k = 2 or 3 objectives (k = ref.size(); any
+/// other k aborts); intended for the small fronts (tens of points) this
+/// project produces. k = 2 routes to Hypervolume2D, k = 3 to the flat
+/// kernel's slab sweep (bitwise identical to the recursive slicing it
+/// replaced).
 double Hypervolume(const std::vector<ObjectiveVector>& front,
                    const ObjectiveVector& ref);
 
@@ -86,9 +89,10 @@ IndexedFront FilterDominated(IndexedFront front);
 /// \brief Minkowski-sum merge of two fronts (Algorithm 3): sums every
 /// |a| x |b| combination of objective vectors and keeps the Pareto front
 /// (the non-dominated multiset, duplicates included), ordered by
-/// cross-product index i * |b| + j. For 2- and 3-objective input the
-/// output-sensitive flat kernel (pareto_flat.h) is used, so the product
-/// is never materialized; k > 3 falls back to MergeFrontsNaive.
+/// cross-product index i * |b| + j. The output-sensitive flat kernel
+/// (pareto_flat.h) does the work, so the product is never materialized.
+/// Either front empty: returns an empty front; otherwise k must be 2 or
+/// 3.
 ///
 /// Payload contract: each surviving point originates from one
 /// (a-point, b-point) combination. When `combo_out` is non-null the pair
@@ -107,8 +111,9 @@ IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
                          std::vector<std::pair<size_t, size_t>>* combo_out);
 
 /// \brief Reference implementation of MergeFronts that materializes the
-/// full cross product before filtering. Identical output contract (any
-/// k). Kept as the oracle for the flat kernel's bitwise-equivalence
+/// full cross product before filtering. Identical output contract; the
+/// sums are taken for any k, the filter is ParetoIndices (so k = 2 or
+/// 3). Kept as the oracle for the flat kernel's bitwise-equivalence
 /// property tests; production call sites use MergeFronts.
 IndexedFront MergeFrontsNaive(const IndexedFront& a, const IndexedFront& b,
                               std::vector<std::pair<size_t, size_t>>* combo_out);

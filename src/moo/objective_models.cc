@@ -120,8 +120,7 @@ void LearnedSubQModel::EvaluateBatch(
 
 void SelectSurvivors2(const std::vector<ObjectiveVector>& tier0,
                       double survival_margin, int min_promote,
-                      double promote_frac, size_t keep_prefix,
-                      std::vector<size_t>* out) {
+                      double promote_frac, std::vector<size_t>* out) {
   out->clear();
   const size_t n = tier0.size();
   if (n == 0) return;
@@ -162,7 +161,6 @@ void SelectSurvivors2(const std::vector<ObjectiveVector>& tier0,
 
   std::vector<char> taken(n, 0);
   for (size_t i = 0; i < k; ++i) taken[order[i]] = 1;
-  for (size_t i = 0; i < std::min(keep_prefix, n); ++i) taken[i] = 1;
   // Extreme guarantee: the boundary (HMOOC3) aggregation is built from
   // per-objective minima, and a candidate that is near-best on one
   // objective but poor on the other scores a bad dominance ratio. Promote
@@ -188,28 +186,19 @@ void SelectSurvivors2(const std::vector<ObjectiveVector>& tier0,
 }
 
 bool ScreeningSubQModel::usable() const {
-  switch (fidelity_.mode) {
-    case FidelityMode::kOff:
+  if (fidelity_.mode != FidelityMode::kDistilled ||
+      fidelity_.distilled == nullptr ||
+      static_cast<int>(fidelity_.distilled->size()) != tier1_->num_subqs()) {
+    return false;
+  }
+  for (const auto& reg : *fidelity_.distilled) {
+    if (!reg.trained()) return false;
+    // A screen must predict one value per tier-1 objective.
+    if (static_cast<int>(reg.output_dim()) != tier1_->num_objectives()) {
       return false;
-    case FidelityMode::kAnalytic:
-      return tier1_->screen_evaluator() != nullptr;
-    case FidelityMode::kDistilled: {
-      if (fidelity_.distilled == nullptr ||
-          static_cast<int>(fidelity_.distilled->size()) !=
-              tier1_->num_subqs()) {
-        return false;
-      }
-      for (const auto& reg : *fidelity_.distilled) {
-        if (!reg.trained()) return false;
-        // A screen must predict one value per tier-1 objective.
-        if (static_cast<int>(reg.output_dim()) != tier1_->num_objectives()) {
-          return false;
-        }
-      }
-      return true;
     }
   }
-  return false;
+  return true;
 }
 
 void ScreeningSubQModel::EvaluateBatch(
@@ -229,43 +218,32 @@ void ScreeningSubQModel::EvaluateBatch(
 
   // Tier 0: screen every candidate. Screen objective width follows the
   // tier-1 model (the distilled screens are trained at the same width).
+  SPARKOPT_DCHECK(usable());
   const size_t nk = static_cast<size_t>(tier1_->num_objectives());
+  const Regressor& reg = (*fidelity_.distilled)[subq];
+  const size_t d = static_cast<size_t>(reg.input_dim());
+  thread_local std::vector<double> flat;
+  thread_local std::vector<double> preds;
+  thread_local Mlp::BatchScratch scratch;
+  flat.assign(n * d, 0.0);
+  preds.resize(n * nk);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t m = std::min(d, confs[i].size());
+    std::copy(confs[i].begin(), confs[i].begin() + m, flat.begin() + i * d);
+  }
+  reg.PredictBatchInto(flat.data(), n, preds.data(), &scratch);
   std::vector<ObjectiveVector> t0(n);
-  if (fidelity_.mode == FidelityMode::kDistilled) {
-    const Regressor& reg = (*fidelity_.distilled)[subq];
-    const size_t d = static_cast<size_t>(reg.input_dim());
-    thread_local std::vector<double> flat;
-    thread_local std::vector<double> preds;
-    thread_local Mlp::BatchScratch scratch;
-    flat.assign(n * d, 0.0);
-    preds.resize(n * nk);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t m = std::min(d, confs[i].size());
-      std::copy(confs[i].begin(), confs[i].begin() + m,
-                flat.begin() + i * d);
-    }
-    reg.PredictBatchInto(flat.data(), n, preds.data(), &scratch);
-    for (size_t i = 0; i < n; ++i) {
-      t0[i] = {std::max(preds[nk * i], 1e-4),
-               std::max(preds[nk * i + 1], 1e-12)};
-      if (nk == 3) t0[i].push_back(std::max(preds[nk * i + 2], 1e-12));
-    }
-  } else {
-    const SubQEvaluator* screen = tier1_->screen_evaluator();
-    for (size_t i = 0; i < n; ++i) {
-      const auto o = screen->EvaluateScreen(
-          subq, DecodeContext(confs[i]), DecodePlan(confs[i]),
-          DecodeStage(confs[i]), CardinalitySource::kEstimated);
-      t0[i] = {o.analytical_latency, o.cost};
-      if (nk == 3) t0[i].push_back(o.io_bytes / 1e9);
-    }
+  for (size_t i = 0; i < n; ++i) {
+    t0[i] = {std::max(preds[nk * i], 1e-4),
+             std::max(preds[nk * i + 1], 1e-12)};
+    if (nk == 3) t0[i].push_back(std::max(preds[nk * i + 2], 1e-12));
   }
   tier0_evals_.fetch_add(n, std::memory_order_relaxed);
   obs::Count("hmooc.mf_tier0_evals", n);
 
   std::vector<size_t> survivors;
   SelectSurvivors2(t0, fidelity_.survival_margin, fidelity_.min_promote,
-                   fidelity_.promote_frac, /*keep_prefix=*/0, &survivors);
+                   fidelity_.promote_frac, &survivors);
 
   // Tier 1: escalate the survivors; the final objectives are tier-1 only.
   std::vector<std::vector<double>> promoted;

@@ -45,10 +45,6 @@ class AnalyticSubQModel : public SubQObjectiveModel {
     return evals_.load(std::memory_order_relaxed);
   }
 
-  const SubQEvaluator* screen_evaluator() const override {
-    return &evaluator_;
-  }
-
  private:
   SubQEvaluator evaluator_;
   int num_objectives_ = 2;
@@ -91,10 +87,6 @@ class LearnedSubQModel : public SubQObjectiveModel {
     return evals_.load(std::memory_order_relaxed);
   }
 
-  const SubQEvaluator* screen_evaluator() const override {
-    return &evaluator_;
-  }
-
   /// \brief Routes regressor inference through `sink` instead of calling
   /// Regressor::PredictBatchInto directly (nullptr restores the direct
   /// call). The sink contract (see model/inference_sink.h) guarantees
@@ -126,25 +118,23 @@ class LearnedSubQModel : public SubQObjectiveModel {
 /// Additionally the top max(1, min_promote / 2) candidates of each
 /// single objective are always promoted (the extreme guarantee: boundary
 /// DAG aggregation consumes per-objective minima, which the dominance
-/// ratio alone can starve), and indices in [0, keep_prefix) are
-/// force-included (runtime incumbents). `out` receives the surviving
-/// indices in ascending order.
+/// ratio alone can starve). `out` receives the surviving indices in
+/// ascending order.
 void SelectSurvivors2(const std::vector<ObjectiveVector>& tier0,
                       double survival_margin, int min_promote,
-                      double promote_frac, size_t keep_prefix,
-                      std::vector<size_t>* out);
+                      double promote_frac, std::vector<size_t>* out);
 
 /// \brief Tiered (multi-fidelity) phi: a cheap tier-0 screen over the
 /// whole batch, full tier-1 evaluation of the survivors only.
 ///
-/// Wraps any SubQObjectiveModel. EvaluateBatch screens every conf at
-/// tier 0 (analytic EvaluateScreen or per-subQ distilled regressors per
-/// FidelityOptions), selects survivors with SelectSurvivors2, and
-/// escalates only those to tier1->EvaluateBatch. Pruned entries are
-/// reported as {+inf, +inf}: any finite point dominates them, so they
-/// can never enter a Pareto front — and the >= 2 survivor floor
-/// guarantees finite points exist. Single-point Evaluate calls pass
-/// through to tier 1 unscreened (they are not a pool to thin).
+/// Wraps any SubQObjectiveModel. EvaluateBatch screens every conf with
+/// the subQ's distilled tier-0 regressor (FidelityOptions::distilled),
+/// selects survivors with SelectSurvivors2, and escalates only those to
+/// tier1->EvaluateBatch. Pruned entries are reported as {+inf, +inf}:
+/// any finite point dominates them, so they can never enter a Pareto
+/// front — and the >= 2 survivor floor guarantees finite points exist.
+/// Single-point Evaluate calls pass through to tier 1 unscreened (they
+/// are not a pool to thin). Screening a batch requires usable().
 ///
 /// eval_count() delegates to tier 1, so MooRunResult::evaluations shows
 /// exactly the full-fidelity evaluations the screen saved.
@@ -154,9 +144,9 @@ class ScreeningSubQModel : public SubQObjectiveModel {
                      const FidelityOptions& fidelity)
       : tier1_(tier1), fidelity_(fidelity) {}
 
-  /// False when the configured mode cannot run against this tier-1 model
-  /// (kAnalytic without a screen_evaluator(), kDistilled without one
-  /// trained screen per subQ). Callers should fall back to tier 1.
+  /// False unless the mode is kDistilled with one trained screen per
+  /// subQ, each predicting one value per tier-1 objective. Callers
+  /// should fall back to tier 1.
   bool usable() const;
 
   int num_subqs() const override { return tier1_->num_subqs(); }
@@ -172,10 +162,6 @@ class ScreeningSubQModel : public SubQObjectiveModel {
                      std::vector<ObjectiveVector>* out) const override;
 
   size_t eval_count() const override { return tier1_->eval_count(); }
-
-  const SubQEvaluator* screen_evaluator() const override {
-    return tier1_->screen_evaluator();
-  }
 
   /// Tier counters (across all batches; worker-thread safe).
   uint64_t tier0_evals() const {
@@ -203,7 +189,9 @@ class ScreeningSubQModel : public SubQObjectiveModel {
 /// per subQ, and Regressor::Distill compresses
 /// it into the final tiny student over a 2x teacher-pseudo-labeled
 /// sample. Deterministic given `seed`. The tier-1 labeling counts
-/// toward tier1's eval_count (it is real full-fidelity work).
+/// toward tier1's eval_count (it is real full-fidelity work), but
+/// HmoocSolver::Solve trains before it snapshots eval_count, so the
+/// labeling stays out of MooRunResult::evaluations.
 Result<std::vector<Regressor>> TrainDistilledScreens(
     const SubQObjectiveModel& tier1, int samples, uint64_t seed);
 

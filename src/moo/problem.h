@@ -27,21 +27,21 @@ class Regressor;
 /// (moo/objective_models.h; DESIGN.md section 13).
 enum class FidelityMode {
   kOff = 0,    ///< single fidelity: every candidate pays the full model
-  kAnalytic,   ///< screen with SubQEvaluator::EvaluateScreen (coarse cost)
   kDistilled   ///< screen with per-subQ distilled tiny regressors
 };
 
-/// \brief Knobs of the tiered (multi-fidelity) evaluation pipeline.
+/// \brief Knobs of the tiered (multi-fidelity) evaluation pipeline of
+/// HmoocSolver (HmoocOptions::fidelity).
 ///
 /// The default (kOff) is guaranteed to leave every solve path untouched —
-/// bitwise-identical fronts to the single-fidelity solver. With a screen
-/// enabled, each batch is first evaluated at tier 0; candidates within
-/// `survival_margin` of the tier-0 Pareto front (dominance-aware ratio,
-/// see SelectSurvivors2) escalate to the full tier-1 model, plus a
-/// guaranteed-promotion floor so the tier-0 extremes and at least
-/// max(min_promote, promote_frac * n) candidates always escalate. Final
-/// fronts are built from tier-1 objectives only: screening can lose
-/// quality, never fabricate points.
+/// bitwise-identical fronts to the single-fidelity solver. With the
+/// distilled screen enabled, each batch is first evaluated by one tiny
+/// per-subQ regressor (tier 0); candidates within `survival_margin` of
+/// the tier-0 Pareto front (dominance-aware ratio, see SelectSurvivors2)
+/// escalate to the full tier-1 model, plus a guaranteed-promotion floor
+/// so the tier-0 extremes and at least max(min_promote, promote_frac *
+/// n) candidates always escalate. Final fronts are built from tier-1
+/// objectives only: screening can lose quality, never fabricate points.
 struct FidelityOptions {
   FidelityMode mode = FidelityMode::kOff;
   /// Survival band around the tier-0 front: candidate i survives when
@@ -50,11 +50,11 @@ struct FidelityOptions {
   /// Floor on promoted candidates per batch (absolute and fractional).
   int min_promote = 8;
   double promote_frac = 0.10;
-  /// kDistilled only: tier-1-labeled training confs per subQ (used by
-  /// TrainDistilledScreens; ignored at solve time).
+  /// Tier-1-labeled training confs per subQ when the solve trains its
+  /// own screens (`distilled` == nullptr; see TrainDistilledScreens).
   int distill_samples = 160;
-  /// kDistilled only: one trained screen per subQ (size must equal
-  /// num_subqs). Not owned; must outlive the solve.
+  /// One trained screen per subQ (size must equal num_subqs). Not owned;
+  /// must outlive the solve. nullptr: HmoocSolver::Solve trains them.
   const std::vector<Regressor>* distilled = nullptr;
 };
 
@@ -94,11 +94,7 @@ class SubQObjectiveModel {
   /// Number of model evaluations performed so far (for benchmarks).
   virtual size_t eval_count() const = 0;
 
-  /// \brief The analytical evaluator backing this model, when one exists
-  /// (both concrete models are built over a SubQEvaluator). Gives the
-  /// multi-fidelity pipeline access to the cheap EvaluateScreen path;
-  /// nullptr means FidelityMode::kAnalytic cannot be used with this
-  /// model.
+  /// Unused by the solvers; kept only because bench/suite/ overrides it.
   virtual const SubQEvaluator* screen_evaluator() const { return nullptr; }
 
   /// Query-level objectives: sum over subQs with shared theta_c and

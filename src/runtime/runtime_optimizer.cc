@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/pareto_flat.h"
 #include "common/rng.h"
-#include "moo/objective_models.h"
 #include "obs/trace.h"
 #include "params/sampler.h"
 
@@ -184,11 +182,8 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
     // Steady-state solve path: reuse per-worker buffers across tasks and
     // calls instead of reallocating (capacity is retained by clear()).
     thread_local std::vector<PlanParams> cands;
-    thread_local std::vector<size_t> sel;
-    thread_local std::vector<ObjectiveVector> t0;
     thread_local std::vector<SubQObjectives> objs;
     cands.clear();
-    sel.clear();
     cands.push_back((*theta_p)[std::min<size_t>(sq_id,
                                                 theta_p->size() - 1)]);
     if (!init_theta_p_.empty()) {
@@ -196,42 +191,16 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
           sq_id, init_theta_p_.size() - 1)]);
     }
     for (const auto& s : samples) cands.push_back(PlanFromSub(s));
-    // Multi-fidelity: coarse-screen the candidates and evaluate only the
-    // survivors at full fidelity. The incumbent/seed prefix is force-kept,
-    // so sel[0] == 0 and PickWeighted's incumbent normalization holds.
-    if (opts_.fidelity.mode != FidelityMode::kOff) {
-      const bool want_io = opts_.preference.size() >= 3;
-      t0.resize(cands.size());
-      for (size_t k = 0; k < cands.size(); ++k) {
-        const auto o = evaluator_->EvaluateScreen(
-            sq_id, context_, cands[k], StageParams{},
-            CardinalitySource::kEstimated, &completed);
-        if (want_io) {
-          t0[k] = {o.analytical_latency, o.cost, o.io_bytes / 1e9};
-        } else {
-          t0[k] = {o.analytical_latency, o.cost};
-        }
-      }
-      SelectSurvivors2(t0, opts_.fidelity.survival_margin,
-                       opts_.fidelity.min_promote,
-                       opts_.fidelity.promote_frac,
-                       /*keep_prefix=*/cands.size() - samples.size(), &sel);
-      obs::Count("runtime.mf_tier0_evals", cands.size());
-      obs::Count("runtime.mf_tier1_evals", sel.size());
-    } else {
-      sel.resize(cands.size());
-      std::iota(sel.begin(), sel.end(), size_t{0});
-    }
     objs.clear();
-    objs.reserve(sel.size());
-    for (size_t k : sel) {
-      objs.push_back(evaluator_->Evaluate(sq_id, context_, cands[k],
+    objs.reserve(cands.size());
+    for (const auto& cand : cands) {
+      objs.push_back(evaluator_->Evaluate(sq_id, context_, cand,
                                           StageParams{},
                                           CardinalitySource::kEstimated,
                                           &completed));
     }
     const size_t best = PickWeighted(objs, opts_.preference, /*hyst=*/0.12);
-    (*theta_p)[sq_id] = cands[sel[best]];
+    (*theta_p)[sq_id] = cands[best];
   });
   last_completed_ = completed;
   last_theta_p_ = *theta_p;
@@ -288,43 +257,16 @@ void RuntimeOptimizer::OnStagesReady(const PhysicalPlan& plan,
     for (const auto& s : samples) cands.push_back(StageFromSub(s));
     const std::vector<bool>* done =
         last_completed_.empty() ? nullptr : &last_completed_;
-    // Multi-fidelity: screen on the calling thread (the coarse pass is
-    // cheap), escalate survivors only. The incumbent/seed prefix is
-    // force-kept so PickWeighted's normalization is unchanged.
-    std::vector<size_t> sel;
-    if (opts_.fidelity.mode != FidelityMode::kOff) {
-      const bool want_io = opts_.preference.size() >= 3;
-      std::vector<ObjectiveVector> t0(cands.size());
-      for (size_t k = 0; k < cands.size(); ++k) {
-        const auto o = evaluator_->EvaluateScreen(
-            sq_id, context_, tp, cands[k], CardinalitySource::kEstimated,
-            done);
-        if (want_io) {
-          t0[k] = {o.analytical_latency, o.cost, o.io_bytes / 1e9};
-        } else {
-          t0[k] = {o.analytical_latency, o.cost};
-        }
-      }
-      SelectSurvivors2(t0, opts_.fidelity.survival_margin,
-                       opts_.fidelity.min_promote,
-                       opts_.fidelity.promote_frac,
-                       /*keep_prefix=*/cands.size() - samples.size(), &sel);
-      obs::Count("runtime.mf_tier0_evals", cands.size());
-      obs::Count("runtime.mf_tier1_evals", sel.size());
-    } else {
-      sel.resize(cands.size());
-      std::iota(sel.begin(), sel.end(), size_t{0});
-    }
     // The stage loop itself is sequential (shared rng; later stages may
     // rewrite the same theta_s slot), but the candidate evaluations are
     // independent — fan them out by index.
-    objs.assign(sel.size(), SubQObjectives{});
-    workers_.ParallelFor(sel.size(), [&](size_t k) {
-      objs[k] = evaluator_->Evaluate(sq_id, context_, tp, cands[sel[k]],
+    objs.assign(cands.size(), SubQObjectives{});
+    workers_.ParallelFor(cands.size(), [&](size_t k) {
+      objs[k] = evaluator_->Evaluate(sq_id, context_, tp, cands[k],
                                      CardinalitySource::kEstimated, done);
     });
     const size_t best = PickWeighted(objs, opts_.preference, /*hyst=*/0.12);
-    (*theta_s)[sq_id] = cands[sel[best]];
+    (*theta_s)[sq_id] = cands[best];
   }
 }
 

@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "exec/aqe.h"
 #include "model/subq_evaluator.h"
-#include "moo/problem.h"
 
 /// \file runtime_optimizer.h
 /// \brief Runtime optimization (Section 5.2): the AQE-side half of the
@@ -61,15 +60,6 @@ struct RuntimeOptimizerOptions {
   /// bitwise identical at any thread count (index-addressed outputs; RNG
   /// draws stay on the calling thread).
   int num_threads = 0;
-  /// Multi-fidelity screening of the candidate sets (DESIGN.md section
-  /// 13). Any mode other than kOff screens candidates with the analytic
-  /// SubQEvaluator::EvaluateScreen (distilled screens are a compile-time
-  /// artifact; the runtime always uses the coarse analytic tier) and
-  /// evaluates only the survivors at full fidelity. The incumbent and
-  /// compile-time seeds are always promoted, so the hysteresis
-  /// normalization is unaffected. kOff (default) keeps the re-solve
-  /// bitwise identical to the single-fidelity path.
-  FidelityOptions fidelity;
   uint64_t seed = 99;
 };
 

@@ -51,10 +51,6 @@ class CachedSubQModel : public SubQObjectiveModel {
   /// the work the cache saved.
   size_t eval_count() const override { return inner_->eval_count(); }
 
-  const SubQEvaluator* screen_evaluator() const override {
-    return inner_->screen_evaluator();
-  }
-
   uint64_t shared_hits() const {
     return shared_hits_.load(std::memory_order_relaxed);
   }

@@ -199,18 +199,6 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   // contract depends on it.
   HmoocOptions ho = snap->hmooc;
   ho.seed = HashCombine(opts_.seed, query->seed);
-  std::vector<Regressor> screens;
-  if (ho.fidelity.mode == FidelityMode::kDistilled &&
-      ho.fidelity.distilled == nullptr) {
-    auto trained =
-        TrainDistilledScreens(*model, ho.fidelity.distill_samples, ho.seed);
-    if (trained.ok()) {
-      screens = std::move(*trained);
-      ho.fidelity.distilled = &screens;
-    } else {
-      ho.fidelity.mode = FidelityMode::kOff;
-    }
-  }
 
   TuningServiceResult res;
   res.artifact_version = snap->version;

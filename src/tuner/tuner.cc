@@ -101,22 +101,6 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
       HmoocOptions ho = opts_.hmooc;
       ho.seed = HashCombine(opts_.seed, query.seed);
       if (opts_.num_threads >= 0) ho.num_threads = opts_.num_threads;
-      // FidelityMode::kDistilled needs per-subQ screens; train them here
-      // when the caller did not supply any. Training failures fall back
-      // to the single-fidelity path rather than failing the solve.
-      std::vector<Regressor> screens;
-      if (ho.fidelity.mode == FidelityMode::kDistilled &&
-          ho.fidelity.distilled == nullptr) {
-        obs::Span distill_span("tuner.distill_screens");
-        auto trained = TrainDistilledScreens(
-            *model, ho.fidelity.distill_samples, ho.seed);
-        if (trained.ok()) {
-          screens = std::move(*trained);
-          ho.fidelity.distilled = &screens;
-        } else {
-          ho.fidelity.mode = FidelityMode::kOff;
-        }
-      }
       HmoocSolver solver(model, ho);
       out.moo = solver.Solve();
       break;

@@ -41,9 +41,9 @@ std::vector<size_t> ReferenceKept(const std::vector<ObjectiveVector>& pts) {
   return kept;
 }
 
-// The recursive slicing hypervolume, kept verbatim from common/pareto.cc
-// as the bitwise oracle for FlatHypervolume3.
-double ReferenceHvRecursive(std::vector<ObjectiveVector> pts,
+// The recursive slicing hypervolume that common/pareto.cc used before the
+// flat kernel, kept as the bitwise oracle for FlatHypervolume3.
+double ReferenceHvSliced(std::vector<ObjectiveVector> pts,
                             const ObjectiveVector& ref) {
   const size_t k = ref.size();
   if (pts.empty()) return 0.0;
@@ -66,7 +66,7 @@ double ReferenceHvRecursive(std::vector<ObjectiveVector> pts,
     for (size_t j = 0; j <= i; ++j) {
       proj.emplace_back(pts[j].begin(), pts[j].end() - 1);
     }
-    hv += depth * ReferenceHvRecursive(std::move(proj), sub_ref);
+    hv += depth * ReferenceHvSliced(std::move(proj), sub_ref);
   }
   return hv;
 }
@@ -238,9 +238,9 @@ TEST_P(FlatKernel3PropertyTest, HypervolumeMatchesRecursiveBitwise) {
     // EXPECT_EQ, not NEAR: same terms in the same order.
     const double flat = FlatHypervolume3(x.data(), y.data(), z.data(), n,
                                          ref[0], ref[1], ref[2], &scratch);
-    EXPECT_EQ(flat, ReferenceHvRecursive(pts, ref)) << "seed " << GetParam();
-    // The k-generic shim must agree too.
-    EXPECT_EQ(Hypervolume(pts, ref), ReferenceHvRecursive(pts, ref));
+    EXPECT_EQ(flat, ReferenceHvSliced(pts, ref)) << "seed " << GetParam();
+    // The AoS shim must agree too.
+    EXPECT_EQ(Hypervolume(pts, ref), ReferenceHvSliced(pts, ref));
   }
 }
 

@@ -164,19 +164,7 @@ TEST_P(FlatKernelPropertyTest, ParetoInsertMatchesBatchFilter) {
   }
 }
 
-// k-D fallback (ParetoKD) against the quadratic reference.
-TEST_P(FlatKernelPropertyTest, KdFallbackMatchesReference) {
-  Rng rng(GetParam());
-  for (size_t k : {3, 4, 5}) {
-    std::vector<ObjectiveVector> pts(30, ObjectiveVector(k));
-    for (auto& p : pts) {
-      for (auto& v : p) v = std::floor(rng.Uniform(0, 6));
-    }
-    EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts)) << "k=" << k;
-  }
-}
-
-// k = 3 takes the naive merge path; its contract must match the flat one.
+// k = 3 runs FlatMerge3; its payload contract must match the k = 2 one.
 TEST_P(FlatKernelPropertyTest, ThreeObjectiveMergeContract) {
   Rng rng(GetParam());
   IndexedFront a, b;

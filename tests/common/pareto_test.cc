@@ -63,6 +63,13 @@ TEST(ParetoIndicesTest, ThreeObjectiveFront) {
   EXPECT_EQ(keep, (std::vector<size_t>{0, 1, 2, 4}));
 }
 
+// Nothing produces more than 3 objectives, so the Pareto primitives
+// reject any other count instead of carrying a k-D fallback.
+TEST(ParetoIndicesDeathTest, FourObjectivesAbort) {
+  const std::vector<ObjectiveVector> pts = {{1, 2, 3, 4}, {4, 3, 2, 1}};
+  EXPECT_DEATH(ParetoIndices(pts), "2 or 3 objectives, got 4");
+}
+
 // Property: no kept point is dominated by any input point, and every
 // dropped point is dominated by some kept point.
 class ParetoPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -129,22 +129,6 @@ TEST(SubQEvaluatorTest, DeterministicEvaluation) {
   EXPECT_DOUBLE_EQ(a.cost, b.cost);
 }
 
-TEST(SubQEvaluatorTest, EvaluateScreenSanity) {
-  Fixture fx;
-  for (int i = 0; i < fx.eval.num_subqs(); ++i) {
-    const auto a =
-        fx.eval.EvaluateScreen(i, fx.tc, fx.tp, fx.ts,
-                               CardinalitySource::kEstimated);
-    EXPECT_GT(a.analytical_latency, 0.0) << "subq " << i;
-    EXPECT_GT(a.cost, 0.0);
-    const auto b =
-        fx.eval.EvaluateScreen(i, fx.tc, fx.tp, fx.ts,
-                               CardinalitySource::kEstimated);
-    EXPECT_EQ(a.analytical_latency, b.analytical_latency) << "subq " << i;
-    EXPECT_EQ(a.cost, b.cost);
-  }
-}
-
 TEST(SubQEvaluatorTest, ShufflePartitionCountRespected) {
   Fixture fx;
   int join_subq = -1;

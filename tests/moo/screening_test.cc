@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/check.h"
 #include "common/pareto.h"
 #include "common/rng.h"
 #include "moo/hmooc.h"
@@ -22,10 +23,9 @@ namespace {
 
 std::set<size_t> Survivors(const std::vector<ObjectiveVector>& tier0,
                            double margin, int min_promote,
-                           double promote_frac, size_t keep_prefix = 0) {
+                           double promote_frac) {
   std::vector<size_t> out;
-  SelectSurvivors2(tier0, margin, min_promote, promote_frac, keep_prefix,
-                   &out);
+  SelectSurvivors2(tier0, margin, min_promote, promote_frac, &out);
   return {out.begin(), out.end()};
 }
 
@@ -41,7 +41,7 @@ std::vector<ObjectiveVector> ScatterPoints(size_t n) {
 TEST(SelectSurvivors2Test, OutputSortedUniqueAndNonEmpty) {
   const auto pts = ScatterPoints(40);
   std::vector<size_t> out;
-  SelectSurvivors2(pts, 0.1, 4, 0.1, 0, &out);
+  SelectSurvivors2(pts, 0.1, 4, 0.1, &out);
   ASSERT_FALSE(out.empty());
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   EXPECT_EQ(std::set<size_t>(out.begin(), out.end()).size(), out.size());
@@ -95,16 +95,6 @@ TEST(SelectSurvivors2Test, FloorPromotesAtLeastKCandidates) {
   EXPECT_EQ(Survivors(two, 0.0, 8, 0.0).size(), 2u);
 }
 
-TEST(SelectSurvivors2Test, KeepPrefixForceIncluded) {
-  // Index 0 is the runtime incumbent: terrible at tier 0, must survive.
-  std::vector<ObjectiveVector> pts = {{500.0, 500.0}};
-  for (int i = 0; i < 19; ++i) pts.push_back({1.0 + i * 0.01, 1.0 + i * 0.01});
-  const auto without = Survivors(pts, 0.0, 2, 0.0, /*keep_prefix=*/0);
-  EXPECT_FALSE(without.count(0));
-  const auto with = Survivors(pts, 0.0, 2, 0.0, /*keep_prefix=*/1);
-  EXPECT_TRUE(with.count(0));
-}
-
 // The extreme guarantee: a candidate that is near-best on one objective
 // but poor on the other scores a bad dominance ratio, yet the boundary
 // DAG aggregation consumes per-objective minima — the top
@@ -148,6 +138,26 @@ struct Fixture {
   }
 };
 
+// Distilled screens for the fixture's TPC-H Q3 (64 samples, seed 7 =
+// SmallOpts().seed), trained once per test binary.
+const std::vector<Regressor>& Q3Screens() {
+  static const std::vector<Regressor> screens = [] {
+    Fixture fx;
+    auto trained =
+        TrainDistilledScreens(fx.model, /*samples=*/64, /*seed=*/7);
+    SPARKOPT_CHECK(trained.ok()) << trained.status().message();
+    return std::move(*trained);
+  }();
+  return screens;
+}
+
+FidelityOptions DistilledFidelity() {
+  FidelityOptions fo;
+  fo.mode = FidelityMode::kDistilled;
+  fo.distilled = &Q3Screens();
+  return fo;
+}
+
 void ExpectSameFront(const MooRunResult& a, const MooRunResult& b,
                      const char* what) {
   ASSERT_EQ(a.pareto.size(), b.pareto.size()) << what;
@@ -179,7 +189,7 @@ TEST(ScreeningTest, UnboundedMarginBitwiseIdenticalToOff) {
   Fixture off_fx, scr_fx;
   const auto off = HmoocSolver(&off_fx.model, off_fx.SmallOpts()).Solve();
   auto opts = scr_fx.SmallOpts();
-  opts.fidelity.mode = FidelityMode::kAnalytic;
+  opts.fidelity = DistilledFidelity();
   opts.fidelity.survival_margin = 1e12;
   const auto scr = HmoocSolver(&scr_fx.model, opts).Solve();
   ExpectSameFront(off, scr, "unbounded-margin");
@@ -189,20 +199,18 @@ TEST(ScreeningTest, UnboundedMarginBitwiseIdenticalToOff) {
 // The screened solve keeps the repo's determinism contract: bitwise the
 // same front regardless of thread count, at fixed fidelity options.
 TEST(ScreeningTest, BitwiseIdenticalAcrossThreadCounts) {
-  for (auto mode : {FidelityMode::kAnalytic}) {
-    Fixture seq_fx, par_fx;  // separate models: fresh eval-cache state
-    auto seq_opts = seq_fx.SmallOpts();
-    seq_opts.fidelity.mode = mode;
-    seq_opts.fidelity.survival_margin = 0.05;
-    seq_opts.num_threads = 1;
-    auto par_opts = par_fx.SmallOpts();
-    par_opts.fidelity = seq_opts.fidelity;
-    par_opts.num_threads = 4;
-    const auto a = HmoocSolver(&seq_fx.model, seq_opts).Solve();
-    const auto b = HmoocSolver(&par_fx.model, par_opts).Solve();
-    ExpectSameFront(a, b, "threads 1 vs 4");
-    EXPECT_EQ(a.evaluations, b.evaluations);
-  }
+  Fixture seq_fx, par_fx;  // separate models: separate eval counters
+  auto seq_opts = seq_fx.SmallOpts();
+  seq_opts.fidelity = DistilledFidelity();
+  seq_opts.fidelity.survival_margin = 0.05;
+  seq_opts.num_threads = 1;
+  auto par_opts = par_fx.SmallOpts();
+  par_opts.fidelity = seq_opts.fidelity;
+  par_opts.num_threads = 4;
+  const auto a = HmoocSolver(&seq_fx.model, seq_opts).Solve();
+  const auto b = HmoocSolver(&par_fx.model, par_opts).Solve();
+  ExpectSameFront(a, b, "threads 1 vs 4");
+  EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
 // Final fronts must be built from tier-1 objectives only: every reported
@@ -210,7 +218,7 @@ TEST(ScreeningTest, BitwiseIdenticalAcrossThreadCounts) {
 TEST(ScreeningTest, FrontObjectivesMatchTier1ReEvaluation) {
   Fixture fx;
   auto opts = fx.SmallOpts();
-  opts.fidelity.mode = FidelityMode::kAnalytic;
+  opts.fidelity = DistilledFidelity();
   opts.fidelity.survival_margin = 0.02;
   const auto r = HmoocSolver(&fx.model, opts).Solve();
   ASSERT_FALSE(r.pareto.empty());
@@ -241,7 +249,7 @@ TEST(ScreeningTest, ScreenSavesEvaluationsWithBoundedHypervolumeLoss) {
   Fixture off_fx, scr_fx;
   const auto off = HmoocSolver(&off_fx.model, off_fx.SmallOpts()).Solve();
   auto opts = scr_fx.SmallOpts();
-  opts.fidelity.mode = FidelityMode::kAnalytic;
+  opts.fidelity = DistilledFidelity();
   opts.fidelity.survival_margin = 0.02;
   opts.fidelity.promote_frac = 0.05;
   const auto scr = HmoocSolver(&scr_fx.model, opts).Solve();
@@ -264,8 +272,7 @@ TEST(ScreeningTest, ScreenSavesEvaluationsWithBoundedHypervolumeLoss) {
 // bitwise tier-1 values, and the counters account for both tiers.
 TEST(ScreeningTest, WrapperPrunesToInfAndCountsTiers) {
   Fixture fx;
-  FidelityOptions fo;
-  fo.mode = FidelityMode::kAnalytic;
+  FidelityOptions fo = DistilledFidelity();
   fo.survival_margin = 0.02;
   fo.promote_frac = 0.05;
   fo.min_promote = 4;
@@ -297,9 +304,8 @@ TEST(ScreeningTest, WrapperPrunesToInfAndCountsTiers) {
 // screen cannot save anything there.
 TEST(ScreeningTest, SmallBatchesPassThroughUnscreened) {
   Fixture fx;
-  FidelityOptions fo;
-  fo.mode = FidelityMode::kAnalytic;
-  ScreeningSubQModel screen(&fx.model, fo);
+  ScreeningSubQModel screen(&fx.model, DistilledFidelity());
+  ASSERT_TRUE(screen.usable());
   Rng rng(11);
   const auto confs = SampleLatinHypercube(SparkParamSpace(), 4, &rng);
   std::vector<ObjectiveVector> out;
@@ -335,12 +341,14 @@ TEST(ScreeningTest, DistilledScreensTrainAndSolve) {
   }
 }
 
-// A kDistilled config without trained screens is unusable; the solver
+// A kDistilled config without trained screens is unusable, and when the
+// solve cannot train them (TrainDistilledScreens needs >= 16 samples) it
 // must silently fall back to the single-fidelity path.
 TEST(ScreeningTest, UnusableDistilledConfigFallsBackToOff) {
   Fixture fx;
   FidelityOptions fo;
   fo.mode = FidelityMode::kDistilled;  // distilled == nullptr
+  fo.distill_samples = 8;
   EXPECT_FALSE(ScreeningSubQModel(&fx.model, fo).usable());
 
   Fixture off_fx, bad_fx;
@@ -349,6 +357,23 @@ TEST(ScreeningTest, UnusableDistilledConfigFallsBackToOff) {
   opts.fidelity = fo;
   const auto bad = HmoocSolver(&bad_fx.model, opts).Solve();
   ExpectSameFront(off, bad, "unusable-fallback");
+  EXPECT_EQ(off.evaluations, bad.evaluations);
+}
+
+// A solve that trains its own screens (distilled == nullptr) seeds them
+// with HmoocOptions::seed, so it matches a solve given screens the caller
+// trained with the same samples and seed — and the training's tier-1
+// labeling stays out of MooRunResult::evaluations.
+TEST(ScreeningTest, SelfTrainedScreensMatchCallerTrainedScreens) {
+  Fixture self_fx, given_fx;
+  auto opts = self_fx.SmallOpts();
+  opts.fidelity.mode = FidelityMode::kDistilled;
+  opts.fidelity.distill_samples = 64;
+  const auto self = HmoocSolver(&self_fx.model, opts).Solve();
+  opts.fidelity.distilled = &Q3Screens();
+  const auto given = HmoocSolver(&given_fx.model, opts).Solve();
+  ExpectSameFront(self, given, "self-trained vs caller-trained");
+  EXPECT_EQ(self.evaluations, given.evaluations);
 }
 
 }  // namespace

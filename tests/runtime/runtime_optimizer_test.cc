@@ -195,39 +195,6 @@ TEST(RuntimeOptimizerTest, ResolvesBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(RuntimeOptimizerTest, ScreeningResolvesDeterministicallyAcrossThreads) {
-  // The runtime re-solve with analytic screening: survivors are selected
-  // on the calling thread, so the chosen parameters must stay
-  // thread-count independent (and the incumbent is always escalated via
-  // keep_prefix, so hysteresis normalization keeps its reference point).
-  auto resolve = [](int threads) {
-    Fixture fx(3);
-    RuntimeOptimizerOptions opts;
-    opts.enable_pruning = false;
-    opts.num_threads = threads;
-    opts.fidelity.mode = FidelityMode::kAnalytic;
-    opts.fidelity.survival_margin = 0.05;
-    RuntimeOptimizer opt(&fx.eval, opts);
-    opt.set_context(DecodeContext(DefaultSparkConfig()));
-    std::vector<PlanParams> theta_p = {DecodePlan(DefaultSparkConfig())};
-    std::vector<bool> completed(fx.eval.num_subqs(), false);
-    completed[0] = true;
-    opt.OnPlanCollapsed(fx.q.plan, fx.eval.subqueries(), completed,
-                        &theta_p);
-    return theta_p;
-  };
-  const auto seq = resolve(1);
-  const auto par = resolve(4);
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].shuffle_partitions, par[i].shuffle_partitions);
-    EXPECT_EQ(seq[i].broadcast_join_threshold_mb,
-              par[i].broadcast_join_threshold_mb);
-    EXPECT_EQ(seq[i].advisory_partition_size_mb,
-              par[i].advisory_partition_size_mb);
-  }
-}
-
 TEST(RequestStatsTest, PrunedFraction) {
   RequestStats s;
   s.lqp_sent = 2;
