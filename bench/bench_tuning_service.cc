@@ -2,9 +2,12 @@
 /// \brief Tuning-as-a-service throughput and tail latency (DESIGN.md
 /// section 15): a seeded Poisson open-loop load generator drives a
 /// TPC-H/TPC-DS query mix through the TuningService in two configs —
-/// "naive" (per-session solves: inference batching disabled, shared
-/// cross-query eval cache off) and "batched+shared" (both on) — on both
-/// the analytic and the learned objective-model axis.
+/// "naive" (shared cross-query eval cache off) and "batched+shared"
+/// (cache on) — on both the analytic and the learned objective-model
+/// axis. Sessions always predict directly; the "batched+shared" key now
+/// just means "shared cache on". It keeps its name because the tier-1
+/// gate baseline's rows are keyed on it; renaming it waits for a new
+/// gate baseline.
 ///
 /// Phase 1 (capacity): an overload-rate Poisson schedule with an
 /// unbounded-enough queue measures each config's sustained requests/sec.
@@ -88,14 +91,13 @@ struct RunStats {
 /// Submits `n` requests round-robin over the artifact's query mix at the
 /// pre-drawn Poisson arrival times, waits for every future, and reports
 /// sustained throughput plus the service-histogram latency percentiles.
-RunStats RunOpenLoop(ArtifactRegistry* registry, bool batched_shared,
+RunStats RunOpenLoop(ArtifactRegistry* registry, bool shared_cache,
                      int sessions, double offered_rps, size_t n,
                      size_t queue_capacity, uint64_t seed) {
   TuningServiceOptions opts;
   opts.sessions = sessions;
   opts.queue_capacity = queue_capacity;
-  opts.batcher.enabled = batched_shared;
-  opts.shared_cache_enabled = batched_shared;
+  opts.shared_cache_enabled = shared_cache;
   TuningService service(registry, opts);
 
   std::vector<std::string> mix;
@@ -139,7 +141,7 @@ RunStats RunOpenLoop(ArtifactRegistry* registry, bool batched_shared,
 }
 
 /// Exact per-query front identity between two runs: the determinism
-/// contract says the cache and the batcher must not move a single bit.
+/// contract says the cache must not move a single bit.
 bool FrontsIdentical(const RunStats& a, const RunStats& b) {
   if (a.fronts.size() != b.fronts.size()) return false;
   for (const auto& [name, front] : a.fronts) {
@@ -175,10 +177,10 @@ void RunAxis(const char* model, bool learned) {
   const double overload_rps = 50000.0;
 
   std::printf("==== model=%s: capacity under overload ====\n", model);
-  auto naive = RunOpenLoop(&registry, /*batched_shared=*/false, sessions,
+  auto naive = RunOpenLoop(&registry, /*shared_cache=*/false, sessions,
                            overload_rps, n_capacity,
                            /*queue_capacity=*/n_capacity, /*seed=*/101);
-  auto full = RunOpenLoop(&registry, /*batched_shared=*/true, sessions,
+  auto full = RunOpenLoop(&registry, /*shared_cache=*/true, sessions,
                           overload_rps, n_capacity,
                           /*queue_capacity=*/n_capacity, /*seed=*/101);
 
@@ -217,10 +219,10 @@ void RunAxis(const char* model, bool learned) {
   const double common_rps = 0.5 * naive.sustained_rps;
   std::printf("==== model=%s: latency at common offered load (%.1f rps) "
               "====\n", model, common_rps);
-  auto naive_lat = RunOpenLoop(&registry, /*batched_shared=*/false, sessions,
+  auto naive_lat = RunOpenLoop(&registry, /*shared_cache=*/false, sessions,
                                common_rps, n_latency,
                                /*queue_capacity=*/256, /*seed=*/202);
-  auto full_lat = RunOpenLoop(&registry, /*batched_shared=*/true, sessions,
+  auto full_lat = RunOpenLoop(&registry, /*shared_cache=*/true, sessions,
                               common_rps, n_latency,
                               /*queue_capacity=*/256, /*seed=*/202);
   struct Row {

@@ -69,11 +69,6 @@ ObjectiveVector LearnedSubQModel::Evaluate(
   const auto features = StageFeatures(
       evaluator_.query().plan, stage, conf, /*use_true_cards=*/false,
       /*beta=*/{}, /*gamma=*/{}, /*drop_theta_p=*/false);
-  if (sink_ != nullptr) {
-    std::vector<double> pred(model_->output_dim());
-    sink_->Predict(*model_, features.data(), 1, pred.data());
-    return DeriveObjectives(prices_, tc, pred.data(), num_objectives_);
-  }
   const auto pred = model_->Predict(features);
   return DeriveObjectives(prices_, tc, pred.data(), num_objectives_);
 }
@@ -104,12 +99,8 @@ void LearnedSubQModel::EvaluateBatch(
         /*beta=*/{}, /*gamma=*/{}, /*drop_theta_p=*/false);
     std::copy(row.begin(), row.end(), features.begin() + i * d);
   }
-  if (sink_ != nullptr) {
-    sink_->Predict(*model_, features.data(), confs.size(), preds.data());
-  } else {
-    model_->PredictBatchInto(features.data(), confs.size(), preds.data(),
-                             &scratch);
-  }
+  model_->PredictBatchInto(features.data(), confs.size(), preds.data(),
+                           &scratch);
   for (size_t i = 0; i < confs.size(); ++i) {
     (*out)[i] = DeriveObjectives(prices_, DecodeContext(confs[i]),
                                  preds.data() + i * k, num_objectives_);

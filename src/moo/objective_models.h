@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "model/features.h"
-#include "model/inference_sink.h"
 #include "model/mlp.h"
 #include "model/subq_evaluator.h"
 #include "moo/problem.h"
@@ -55,6 +54,8 @@ class AnalyticSubQModel : public SubQObjectiveModel {
 /// \brief Learned phi: features from the hypothesized stage, predictions
 /// from the trained subQ regressor; cost derived from predicted latency
 /// and IO via the price book (the paper's cost objective construction).
+/// Inference runs on the calling thread, in direct solves and tuning
+/// service sessions alike.
 class LearnedSubQModel : public SubQObjectiveModel {
  public:
   /// The trailing size_t is ignored; bench/suite/ still passes it.
@@ -77,8 +78,9 @@ class LearnedSubQModel : public SubQObjectiveModel {
 
   /// True batched path: per-conf feature extraction into one flat
   /// row-major buffer, a single Regressor::PredictBatchInto call, then
-  /// the per-row latency/cost derivation. Bitwise identical to the
-  /// per-call Evaluate loop.
+  /// the per-row latency/cost derivation. Every row is bitwise identical
+  /// to Evaluate on its conf, whatever else shares the batch, so a cache
+  /// layer may escalate any subset of a pool.
   void EvaluateBatch(int subq,
                      const std::vector<std::vector<double>>& confs,
                      std::vector<ObjectiveVector>* out) const override;
@@ -87,20 +89,11 @@ class LearnedSubQModel : public SubQObjectiveModel {
     return evals_.load(std::memory_order_relaxed);
   }
 
-  /// \brief Routes regressor inference through `sink` instead of calling
-  /// Regressor::PredictBatchInto directly (nullptr restores the direct
-  /// call). The sink contract (see model/inference_sink.h) guarantees
-  /// bitwise-identical predictions, so solver output is unchanged; the
-  /// tuning service uses this to coalesce rows across sessions.
-  void set_inference_sink(InferenceSink* sink) { sink_ = sink; }
-  InferenceSink* inference_sink() const { return sink_; }
-
  private:
   SubQEvaluator evaluator_;
   const Regressor* model_;
   PriceBook prices_;
   int num_objectives_ = 2;
-  InferenceSink* sink_ = nullptr;
   mutable std::atomic<size_t> evals_{0};
 };
 

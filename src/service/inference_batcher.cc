@@ -141,16 +141,4 @@ InferenceBatcher::Stats InferenceBatcher::stats() const {
   return s;
 }
 
-void InferenceBatcher::PublishGauges() const {
-  const Stats s = stats();
-  obs::GaugeSet("service.batcher_requests", static_cast<double>(s.requests));
-  obs::GaugeSet("service.batcher_rows", static_cast<double>(s.rows));
-  obs::GaugeSet("service.batcher_full_flushes",
-                static_cast<double>(s.full_flushes));
-  obs::GaugeSet("service.batcher_timeout_flushes",
-                static_cast<double>(s.timeout_flushes));
-  obs::GaugeSet("service.batcher_coalesced_batches",
-                static_cast<double>(s.coalesced_batches));
-}
-
 }  // namespace sparkopt

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/thread_safety.h"
-#include "model/inference_sink.h"
 #include "model/mlp.h"
 
 /// \file inference_batcher.h
@@ -29,6 +28,11 @@
 /// never change solver output — only when the kernel runs and over how
 /// many rows. Requests for different Regressor instances may share a
 /// window; the flusher groups rows by regressor before dispatch.
+///
+/// No solve calls it: TuningService sessions predict directly, because
+/// sessions rarely overlap and nearly every window would end in a
+/// timeout flush (DESIGN.md section 15). It remains only until the
+/// benchmark stops reading TuningService::batcher().
 
 namespace sparkopt {
 
@@ -39,19 +43,20 @@ struct InferenceBatcherOptions {
   size_t max_rows = 64;
   /// Longest a leader waits for co-scheduled sessions before flushing.
   int64_t max_wait_us = 50;
-  /// Disabled: every Predict call dispatches directly (the naive
-  /// configuration benchmarks compare against).
+  /// Disabled: every Predict call dispatches directly.
   bool enabled = true;
 };
 
-class InferenceBatcher : public InferenceSink {
+class InferenceBatcher {
  public:
   explicit InferenceBatcher(InferenceBatcherOptions opts = {});
 
-  /// InferenceSink: blocks until this request's rows are predicted
-  /// (possibly inside a coalesced batch). Thread-safe.
+  /// Predicts `rows` row-major feature rows of `reg.input_dim()` doubles
+  /// each into `out` (`rows * reg.output_dim()` doubles), bitwise as
+  /// `reg.PredictBatchInto` would. Blocks until this request's rows are
+  /// predicted (possibly inside a coalesced batch). Thread-safe.
   void Predict(const Regressor& reg, const double* x, size_t rows,
-               double* out) override;
+               double* out);
 
   struct Stats {
     uint64_t requests = 0;       ///< Predict calls through the batcher
@@ -63,9 +68,6 @@ class InferenceBatcher : public InferenceSink {
     uint64_t coalesced_rows = 0;     ///< rows in those flushes
   };
   Stats stats() const;
-
-  /// Publishes "service.batcher_*" obs gauges (no-op without a session).
-  void PublishGauges() const;
 
  private:
   struct Request {

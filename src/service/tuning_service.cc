@@ -1,6 +1,7 @@
 #include "service/tuning_service.h"
 
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/rng.h"
@@ -65,7 +66,6 @@ TuningService::TuningService(ArtifactRegistry* registry,
   if (opts_.shared_cache_enabled) {
     shared_cache_ = std::make_unique<SharedEvalCache>(opts_.shared_cache);
   }
-  batcher_ = std::make_unique<InferenceBatcher>(opts_.batcher);
   for (const auto& [tenant, q] : opts_.quotas) {
     quotas_.emplace(std::piecewise_construct,
                     std::forward_as_tuple(tenant),
@@ -174,9 +174,6 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
     learned = std::make_unique<LearnedSubQModel>(
         query, snap->cluster, snap->cost_params, &snap->subq_model,
         snap->prices);
-    // ...with inference routed through the cross-session batcher (a
-    // bitwise-transparent sink; see model/inference_sink.h)...
-    learned->set_inference_sink(batcher_.get());
     model = learned.get();
   }
   // ...topped by the shared cross-query cache, salted so identical
@@ -194,6 +191,17 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
     misses_before = cached->shared_misses();
     model = cached.get();
   }
+  // Reject a malformed preference before any solve work: WUN would
+  // return a valid-looking pick for NaN, infinite or negative weights.
+  if (pref.size() != static_cast<size_t>(model->num_objectives())) {
+    return Status::InvalidArgument("preference dimensionality mismatch");
+  }
+  for (const double w : pref) {
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::InvalidArgument(
+          "preference weights must be finite and non-negative");
+    }
+  }
 
   // Seed derivation identical to Tuner::Run — the bitwise-equivalence
   // contract depends on it.
@@ -209,9 +217,6 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   res.moo = solver.Solve();
   if (res.moo.pareto.empty()) {
     return Status::Internal("solver returned an empty Pareto set");
-  }
-  if (pref.size() != res.moo.pareto[0].objectives.size()) {
-    return Status::InvalidArgument("preference dimensionality mismatch");
   }
   res.chosen = res.moo.pareto[res.moo.Recommend(pref)];
   res.solve_seconds = res.moo.solve_seconds;
@@ -251,7 +256,6 @@ void TuningService::PublishGauges() const {
   obs::GaugeSet("service.queued",
                 static_cast<double>(queued_.load(std::memory_order_relaxed)));
   if (shared_cache_ != nullptr) shared_cache_->PublishGauges();
-  batcher_->PublishGauges();
 }
 
 }  // namespace sparkopt

@@ -28,18 +28,18 @@
 /// of N session workers. Each session snapshots the registry's current
 /// artifact version once, builds the same objective-model stack a
 /// standalone Tuner::Run would (analytic, or learned when the bundle's
-/// regressor is trained), layers the cross-query SharedEvalCache and
-/// cross-session InferenceBatcher on top, solves with HMOOC, and
-/// resolves the request's future with the Pareto front plus the
-/// WUN-chosen configuration.
+/// regressor is trained), layers the cross-query SharedEvalCache on
+/// top, solves with HMOOC, and resolves the request's future with the
+/// Pareto front plus the WUN-chosen configuration. A learned session
+/// runs its own regressor inference, as Tuner::Run does.
 ///
 /// Determinism: the solver seed is HashCombine(service seed, query seed)
-/// — exactly Tuner::Run's derivation — and both service layers are
-/// transparent (the cache memoizes a pure function; the batcher
-/// coalesces a bitwise-batch-invariant kernel). A service solve is
-/// therefore bitwise identical to a direct Tuner solve of the same
-/// (query, preference, artifact version) at any session concurrency,
-/// which tests/service/tuning_service_test.cc asserts.
+/// — exactly Tuner::Run's derivation — and the only layer between a
+/// session and its model is the cache, which memoizes a pure function.
+/// A service solve is therefore bitwise identical to a direct Tuner
+/// solve of the same (query, preference, artifact version) at any
+/// session concurrency, which tests/service/tuning_service_test.cc
+/// asserts.
 ///
 /// Shutdown: kDrain completes everything admitted; kAbort discards the
 /// backlog, failing each shed request's future with Unavailable (the
@@ -60,9 +60,6 @@ struct TuningServiceOptions {
   /// Admitted-but-unstarted request bound; Submit fails with
   /// ResourceExhausted beyond it (open-loop load shedding).
   size_t queue_capacity = 256;
-  /// Cross-session inference coalescing (enabled=false reproduces the
-  /// naive per-session dispatch the benchmark compares against).
-  InferenceBatcherOptions batcher;
   /// Cross-query shared evaluation cache (false = evaluate uncached).
   bool shared_cache_enabled = true;
   SharedEvalCacheOptions shared_cache;
@@ -144,14 +141,16 @@ class TuningService {
   /// queue wait + solve, the client-observed latency.
   const obs::Histogram& sojourn_us() const { return sojourn_us_; }
 
-  /// nullptr when the respective layer is disabled.
+  /// nullptr when the shared cache is disabled.
   const SharedEvalCache* shared_cache() const { return shared_cache_.get(); }
-  const InferenceBatcher& batcher() const { return *batcher_; }
+  /// Never called by a solve, so its stats stay 0; kept only because
+  /// bench/suite/svc_workload.cc still reads them.
+  const InferenceBatcher& batcher() const { return batcher_; }
 
   const TuningServiceOptions& options() const { return opts_; }
 
-  /// Publishes "service.*" gauges into the installed obs session (cache,
-  /// batcher, admission counters). No-op without a session.
+  /// Publishes "service.*" gauges into the installed obs session (cache
+  /// and admission counters). No-op without a session.
   void PublishGauges() const;
 
  private:
@@ -168,7 +167,7 @@ class TuningService {
   ArtifactRegistry* const registry_;
   const TuningServiceOptions opts_;
   std::unique_ptr<SharedEvalCache> shared_cache_;
-  std::unique_ptr<InferenceBatcher> batcher_;
+  InferenceBatcher batcher_;
   std::unique_ptr<ThreadPool> pool_;
 
   Mutex quota_mu_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "model/trainer.h"
+#include "params/sampler.h"
+#include "service/model_bootstrap.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -68,6 +70,55 @@ TEST(LearnedSubQModelTest, PredictsFiniteObjectives) {
     EXPECT_LT(f[1], 1e7);
   }
   EXPECT_GT(model.eval_count(), 0u);
+}
+
+// The tuning service and Tuner::Run both batch a solve's rows per call
+// and leave the shared cache to escalate only its misses, so every row of
+// EvaluateBatch must equal the single-conf Evaluate bit for bit, whatever
+// the batch size (around the kernel's 8-row tiles and 64-row batches) and
+// whichever rows share the batch.
+TEST(LearnedSubQModelTest, BatchRowsMatchSingleEvaluateBitwise) {
+  Fixture fx;
+  const Query q3 = *MakeTpchQuery(3, &fx.catalog);
+  PriceBook prices;
+  BootstrapOptions bo;
+  bo.samples_per_query = 12;
+  bo.hidden = {16, 8};
+  bo.epochs = 20;
+  const std::vector<const Query*> queries = {&q3, &fx.q};
+  auto reg = FitSubQRegressor(queries, fx.cluster, fx.cost, prices, bo);
+  ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+
+  Rng rng(11);
+  size_t compared = 0;
+  for (const Query* q : queries) {
+    LearnedSubQModel model(q, fx.cluster, fx.cost, &*reg, prices);
+    for (const size_t n : {1, 7, 8, 9, 63, 64, 65, 100}) {
+      const auto confs = SampleLatinHypercube(SparkParamSpace(), n, &rng);
+      std::vector<std::vector<double>> odd;
+      for (size_t i = 1; i < n; i += 2) odd.push_back(confs[i]);
+      for (int subq = 0; subq < model.num_subqs(); ++subq) {
+        std::vector<ObjectiveVector> batch, odd_batch;
+        model.EvaluateBatch(subq, confs, &batch);
+        ASSERT_EQ(batch.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+          // operator== on vector<double> is exact.
+          EXPECT_EQ(batch[i], model.Evaluate(subq, confs[i]))
+              << q->name << " subq " << subq << " n " << n << " row " << i;
+          ++compared;
+        }
+        model.EvaluateBatch(subq, odd, &odd_batch);
+        ASSERT_EQ(odd_batch.size(), odd.size());
+        for (size_t j = 0; j < odd.size(); ++j) {
+          EXPECT_EQ(odd_batch[j], batch[2 * j + 1])
+              << q->name << " subq " << subq << " n " << n << " row "
+              << 2 * j + 1;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 TEST(EvaluateQueryTest, SharesThetaCFromFirstArgument) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "service/model_bootstrap.h"
@@ -83,8 +84,8 @@ TEST(TuningServiceTest, SolvesAreBitwiseIdenticalToDirectTuner) {
       TuningServiceOptions opts;
       opts.sessions = sessions;
       TuningService service(&registry, opts);
-      // Several concurrent repeats per query: cache hits and coalesced
-      // inference batches must not perturb a single bit.
+      // Several concurrent repeats per query: cache hits and concurrent
+      // sessions must not perturb a single bit.
       std::vector<std::future<Result<TuningServiceResult>>> futures;
       for (int rep = 0; rep < 3; ++rep) {
         futures.push_back(service.Submit({"TPCH-Q3"}));
@@ -323,6 +324,26 @@ TEST(TuningServiceTest, PreferenceDimensionMismatchIsRejected) {
   auto res = service.Submit({"TPCH-Q3", "t", {1.0, 2.0, 3.0}}).get();
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  // Rejected before solving: not a single evaluation reached the cache.
+  ASSERT_NE(service.shared_cache(), nullptr);
+  EXPECT_EQ(service.shared_cache()->misses(), 0u);
+}
+
+TEST(TuningServiceTest, NonFinitePreferenceIsRejected) {
+  ArtifactRegistry registry;
+  registry.Publish(MakeArtifacts(/*learned=*/false));
+  TuningService service(&registry, {});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& pref : std::vector<std::vector<double>>{
+           {nan, 1.0}, {inf, 1.0}, {-1.0, 2.0}}) {
+    auto res = service.Submit({"TPCH-Q3", "t", pref}).get();
+    ASSERT_FALSE(res.ok()) << pref[0] << ", " << pref[1];
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  }
+  ASSERT_NE(service.shared_cache(), nullptr);
+  EXPECT_EQ(service.shared_cache()->misses(), 0u);
+  EXPECT_EQ(service.stats().failed, 3u);
 }
 
 }  // namespace

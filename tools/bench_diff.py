@@ -25,6 +25,12 @@ Both snapshot formats are accepted:
 Exit status: 0 when the gated set is clean, 1 on gated regressions or
 bound violations, 2 on usage/format errors.
 
+A ``WARNING`` line (and an ``nproc_warning`` field in ``--json-out``)
+flags a comparison across core counts: the two snapshots' ``meta.nproc``
+differ, or the baseline records none. Service throughput and the
+multi-thread rows scale with the core count, so such a diff compares
+hosts as much as code. The warning does not change the exit status.
+
 Usage:
     bench_diff.py --baseline BENCH_pr6.json --current BENCH_snapshot.json
                   [--schema tools/bench_schema.json]
@@ -64,6 +70,21 @@ def result_tables(snapshot):
     if "results" in snapshot and isinstance(snapshot["results"], dict):
         return snapshot["results"]
     return {k: v for k, v in snapshot.items() if not k.startswith("_")}
+
+
+def nproc_warning(base_snapshot, cur_snapshot):
+    """Returns the core-count warning for a diff, or None if they match."""
+    def nproc(snapshot):
+        meta = snapshot.get("meta") if isinstance(snapshot, dict) else None
+        return meta.get("nproc") if isinstance(meta, dict) else None
+
+    base, cur = nproc(base_snapshot), nproc(cur_snapshot)
+    if base is None:
+        return (f"baseline records no nproc (current: {cur}); "
+                f"cross-host numbers may differ by core count")
+    if base != cur:
+        return f"nproc differs: baseline {base}, current {cur}"
+    return None
 
 
 def as_stat(value):
@@ -222,20 +243,30 @@ def render(findings, failures, gate, gate_scale):
     return "\n".join(lines)
 
 
-def run_diff(baseline_path, current_path, schema, gate, gate_scale,
-             json_out=None):
-    base_tbl = result_tables(load_json(baseline_path))
-    cur_tbl = result_tables(load_json(current_path))
-    base_agg, base_skip = aggregate(base_tbl, schema)
-    cur_agg, cur_skip = aggregate(cur_tbl, schema)
+def compare(base_snapshot, cur_snapshot, schema, gate, gate_scale):
+    """Returns (findings, gated_failures, nproc warning or None)."""
+    base_agg, base_skip = aggregate(result_tables(base_snapshot), schema)
+    cur_agg, cur_skip = aggregate(result_tables(cur_snapshot), schema)
     for name in sorted(set(base_skip) | set(cur_skip)):
         print(f"bench_diff: warning: unregistered result name {name!r} "
               f"skipped (add it to tools/bench_schema.json)", file=sys.stderr)
     findings, failures = diff(base_agg, cur_agg, schema, gate, gate_scale)
+    return findings, failures, nproc_warning(base_snapshot, cur_snapshot)
+
+
+def run_diff(baseline_path, current_path, schema, gate, gate_scale,
+             json_out=None):
+    findings, failures, warning = compare(
+        load_json(baseline_path), load_json(current_path), schema, gate,
+        gate_scale)
+    if warning:
+        print(f"WARNING {warning}")
     print(render(findings, failures, gate, gate_scale))
     if json_out:
         payload = {"gate": gate, "gate_scale": gate_scale,
                    "gated_failures": failures, "findings": findings}
+        if warning:
+            payload["nproc_warning"] = warning
         with open(json_out, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=1)
             f.write("\n")
@@ -243,22 +274,24 @@ def run_diff(baseline_path, current_path, schema, gate, gate_scale,
 
 
 def selftest(baseline_path, schema):
-    """Proves the comparator's three contractual behaviours:
+    """Proves the comparator's four contractual behaviours:
 
     1. a snapshot diffed against itself is clean (no false positives),
     2. with the noise band removed, a 10% slowdown injected into every
        hmooc_solve solve_ms row is detected as a gated tier-1 regression
        (the threshold math works),
     3. the same 10% slowdown under a synthetic 10% stddev is NOT flagged
-       (the noise band works).
+       (the noise band works),
+    4. a baseline without meta.nproc draws the core-count warning but no
+       gated failure (the warning never changes the verdict).
 
     Contracts 2/3 run on stddev-overridden copies on purpose: they test
     the comparator's math, not the capture machine. A snapshot taken on
     a loud box records honest stddevs large enough to (correctly) mask a
     10% change — that must not fail the selftest.
     """
-    base = result_tables(load_json(baseline_path))
-    base_agg, _ = aggregate(base, schema)
+    base_snapshot = load_json(baseline_path)
+    base_agg, _ = aggregate(result_tables(base_snapshot), schema)
 
     _, clean_failures = diff(base_agg, copy.deepcopy(base_agg), schema,
                              gate="tier1", gate_scale=1.0)
@@ -301,9 +334,19 @@ def selftest(baseline_path, schema):
               "was flagged as a regression")
         return 1
 
+    no_nproc = {"meta": {}, "results": result_tables(base_snapshot)}
+    with_nproc = {"meta": {"nproc": 4}, "results": no_nproc["results"]}
+    _, nproc_failures, warning = compare(no_nproc, with_nproc, schema,
+                                         gate="tier1", gate_scale=1.0)
+    if not warning or nproc_failures:
+        print("selftest FAIL: a baseline without nproc must warn and add "
+              "no gated failure")
+        return 1
+
     print(f"selftest PASS: clean on identical snapshots; 10% hmooc_solve "
           f"slowdown detected on {len(detected)} row(s); same slowdown "
-          f"correctly masked by a 10% noise band")
+          f"correctly masked by a 10% noise band; missing baseline nproc "
+          f"warns without failing")
     return 0
 
 

@@ -18,8 +18,12 @@
 # key tuple (the config axes declared in tools/bench_schema.json) are
 # aggregated, every numeric metric becoming {"mean", "stddev", "runs"}.
 # Output shape:
-#   {"meta": {git_sha, git_dirty, date_utc, host, repeats, schema_version},
+#   {"meta": {git_sha, git_dirty, date_utc, host, nproc, repeats,
+#             schema_version},
 #    "results": {"<result name>": [aggregated record, ...], ...}}
+# nproc is the host's core count: service throughput and the
+# multi-thread rows scale with it, so bench_diff.py warns when two
+# snapshots disagree on it.
 set -euo pipefail
 
 ALLOW_DIRTY=0
@@ -71,15 +75,17 @@ SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_runtime_overhead" \
 
 GIT_SHA=$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || echo unknown)
 GIT_DIRTY=$(git -C "$(dirname "$0")/.." status --porcelain 2>/dev/null | grep -q . && echo true || echo false)
+NPROC=$(nproc)
 
-python3 - "${tmp}" "${OUT}" "${SCHEMA}" "${REPEATS}" "${GIT_SHA}" "${GIT_DIRTY}" <<'EOF'
+python3 - "${tmp}" "${OUT}" "${SCHEMA}" "${REPEATS}" "${GIT_SHA}" "${GIT_DIRTY}" "${NPROC}" <<'EOF'
 import datetime
 import json
 import math
 import socket
 import sys
 
-lines_path, out_path, schema_path, repeats, git_sha, git_dirty = sys.argv[1:7]
+(lines_path, out_path, schema_path, repeats, git_sha, git_dirty,
+ nproc) = sys.argv[1:8]
 with open(schema_path, encoding="utf-8") as f:
     schema = json.load(f)["results"]
 
@@ -121,6 +127,7 @@ snapshot = {
         "date_utc": datetime.datetime.now(datetime.timezone.utc)
                     .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "host": socket.gethostname(),
+        "nproc": int(nproc),
         "repeats": int(repeats),
         "schema_version": 1,
     },
