@@ -72,8 +72,8 @@ TEST(LearnedSubQModelTest, PredictsFiniteObjectives) {
   EXPECT_GT(model.eval_count(), 0u);
 }
 
-// The tuning service and Tuner::Run both batch a solve's rows per call
-// and leave the shared cache to escalate only its misses, so every row of
+// Tuner::Run and tuning-service sessions call EvaluateBatch directly, and
+// the service's shared cache escalates only its misses, so every row of
 // EvaluateBatch must equal the single-conf Evaluate bit for bit, whatever
 // the batch size (around the kernel's 8-row tiles and 64-row batches) and
 // whichever rows share the batch.

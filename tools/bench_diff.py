@@ -75,7 +75,7 @@ def result_tables(snapshot):
 def nproc_warning(base_snapshot, cur_snapshot):
     """Returns the core-count warning for a diff, or None if they match."""
     def nproc(snapshot):
-        meta = snapshot.get("meta") if isinstance(snapshot, dict) else None
+        meta = snapshot.get("meta")
         return meta.get("nproc") if isinstance(meta, dict) else None
 
     base, cur = nproc(base_snapshot), nproc(cur_snapshot)
