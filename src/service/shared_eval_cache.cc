@@ -4,6 +4,36 @@
 
 namespace sparkopt {
 
+// ---- StripedCounter ----------------------------------------------------
+
+namespace {
+
+size_t ThisThreadStripe() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t stripe =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return stripe;
+}
+
+}  // namespace
+
+void StripedCounter::Add(uint64_t n) {
+  stripes_[ThisThreadStripe() % kStripes].n.fetch_add(
+      n, std::memory_order_relaxed);
+}
+
+uint64_t StripedCounter::value() const {
+  uint64_t total = 0;
+  for (const Stripe& s : stripes_) {
+    total += s.n.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void StripedCounter::Reset() {
+  for (Stripe& s : stripes_) s.n.store(0, std::memory_order_relaxed);
+}
+
 // ---- EvalCache ---------------------------------------------------------
 
 EvalCache::EvalCache(size_t capacity) {
@@ -31,7 +61,11 @@ bool EvalCache::Lookup(uint64_t key, SubQObjectives* out) {
       out->analytical_latency = latency;
       out->io_bytes = io;
       out->cost = cost;
-      slot.ref.store(1, std::memory_order_relaxed);
+      // Set the bit only when clear: a store on every hit would take the
+      // line away from every other session reading the same entry.
+      if (slot.ref.load(std::memory_order_relaxed) == 0) {
+        slot.ref.store(1, std::memory_order_relaxed);
+      }
       return true;
     }
     if (tag == kEmpty) return false;
@@ -59,7 +93,7 @@ void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
     if (slot.tag.compare_exchange_strong(expected, kBusy,
                                          std::memory_order_acq_rel)) {
       publish(slot);
-      size_.fetch_add(1, std::memory_order_relaxed);
+      size_.Add(1);
       return;
     }
     if (expected == key) return;
@@ -82,7 +116,7 @@ void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
       if (slot.tag.compare_exchange_strong(tag, kBusy,
                                            std::memory_order_acq_rel)) {
         publish(slot);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+        evictions_.Add(1);
         return;
       }
       // Raced with another evictor on this slot; move on.
@@ -90,7 +124,7 @@ void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
   }
   // Every slot in the window was mid-write or repeatedly raced: give up
   // (the value is recomputable) but count it.
-  drops_.fetch_add(1, std::memory_order_relaxed);
+  drops_.Add(1);
 }
 
 void EvalCache::Clear() {
@@ -98,9 +132,9 @@ void EvalCache::Clear() {
     slots_[i].tag.store(kEmpty, std::memory_order_relaxed);
     slots_[i].ref.store(0, std::memory_order_relaxed);
   }
-  size_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  drops_.store(0, std::memory_order_relaxed);
+  size_.Reset();
+  evictions_.Reset();
+  drops_.Reset();
 }
 
 // ---- SharedEvalCache ---------------------------------------------------
@@ -117,7 +151,7 @@ SharedEvalCache::SharedEvalCache(SharedEvalCacheOptions opts) {
 
 bool SharedEvalCache::Lookup(uint64_t key, SubQObjectives* out) {
   const bool hit = shards_[ShardOf(key)]->Lookup(key, out);
-  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  (hit ? hits_ : misses_).Add(1);
   return hit;
 }
 
@@ -127,8 +161,8 @@ void SharedEvalCache::Insert(uint64_t key, const SubQObjectives& value) {
 
 void SharedEvalCache::Clear() {
   for (auto& s : shards_) s->Clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  hits_.Reset();
+  misses_.Reset();
 }
 
 size_t SharedEvalCache::capacity() const {

@@ -26,6 +26,32 @@
 
 namespace sparkopt {
 
+/// \brief Event counter that concurrent threads bump without sharing a
+/// cache line: each thread adds to a stripe of its own (threads take
+/// stripes round-robin on first use) and value() sums the stripes.
+///
+/// The cache counts every lookup and every insert. With one plain atomic
+/// per count, two sessions looking up at once moved that counter's line,
+/// and the read-only table pointer beside it, between their cores on
+/// nearly every call: on a 4-vCPU Xeon host an all-hit lookup took about
+/// 18 ns from one thread and 90-150 ns each from two, so a session's
+/// solve time depended on whether the other was busy. Striped, it takes
+/// about 20 ns either way.
+class StripedCounter {
+ public:
+  void Add(uint64_t n);
+  uint64_t value() const;
+  /// Not thread-safe against concurrent Add.
+  void Reset();
+
+ private:
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> n{0};
+  };
+  static constexpr size_t kStripes = 8;
+  Stripe stripes_[kStripes];
+};
+
 /// \brief Capacity-bounded, thread-safe open-addressing memo table for
 /// evaluation results, with second-chance eviction. One shard of
 /// SharedEvalCache.
@@ -66,16 +92,14 @@ class EvalCache {
 
   size_t capacity() const { return mask_ + 1; }
   /// Slots currently holding a published entry.
-  size_t occupancy() const { return size_.load(std::memory_order_relaxed); }
+  size_t occupancy() const { return size_.value(); }
   /// Entries displaced by second-chance replacement. A high eviction
   /// rate means the working set exceeds the table; hit rate degrades
   /// gracefully instead of freezing the first-inserted entries.
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t evictions() const { return evictions_.value(); }
   /// Inserts abandoned because every slot in the probe window was
   /// mid-write or repeatedly raced — rare; the value is recomputable.
-  uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
+  uint64_t drops() const { return drops_.value(); }
 
  private:
   struct Slot {
@@ -94,9 +118,9 @@ class EvalCache {
 
   std::unique_ptr<Slot[]> slots_;
   size_t mask_ = 0;
-  std::atomic<uint64_t> size_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> drops_{0};
+  StripedCounter size_;
+  StripedCounter evictions_;
+  StripedCounter drops_;
 };
 
 struct SharedEvalCacheOptions {
@@ -120,8 +144,8 @@ class SharedEvalCache {
   size_t num_shards() const { return shards_.size(); }
   size_t capacity() const;
   size_t occupancy() const;
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t misses() const { return misses_.value(); }
   uint64_t evictions() const;
   uint64_t drops() const;
   double hit_rate() const;
@@ -139,8 +163,8 @@ class SharedEvalCache {
   // EvalCache holds atomics (not movable), hence by-pointer shards.
   std::vector<std::unique_ptr<EvalCache>> shards_;
   size_t shard_mask_ = 0;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  StripedCounter hits_;
+  StripedCounter misses_;
 };
 
 }  // namespace sparkopt

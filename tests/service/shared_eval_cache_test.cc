@@ -187,6 +187,11 @@ TEST(SharedEvalCacheTest, ConcurrentStressNeverTearsValues) {
   EXPECT_EQ(torn.load(), 0u);
   // Sanity: the workload actually exercised the cache.
   EXPECT_GT(hits.load(), 0u);
+  // The per-thread counter stripes lose no lookup.
+  EXPECT_EQ(cache.hits(), hits.load());
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<uint64_t>(kThreads) *
+                (kOpsPerThread - (kOpsPerThread + 2) / 3));
   EXPECT_GT(cache.occupancy(), 0u);
   EXPECT_LE(cache.occupancy(), cache.capacity());
 }
