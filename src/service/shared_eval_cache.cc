@@ -24,9 +24,7 @@ void StripedCounter::Add(uint64_t n) {
 
 uint64_t StripedCounter::value() const {
   uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    total += s.n.load(std::memory_order_relaxed);
-  }
+  for (const Stripe& s : stripes_) total += s.n.load(std::memory_order_relaxed);
   return total;
 }
 
