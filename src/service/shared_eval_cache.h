@@ -30,13 +30,13 @@ namespace sparkopt {
 /// cache line: each thread adds to a stripe of its own (threads take
 /// stripes round-robin on first use) and value() sums the stripes.
 ///
-/// The cache counts every lookup and every insert. With one plain atomic
-/// per count, two sessions looking up at once moved that counter's line,
-/// and the read-only table pointer beside it, between their cores on
-/// nearly every call: on a 4-vCPU Xeon host an all-hit lookup took about
-/// 18 ns from one thread and 90-150 ns each from two, so a session's
-/// solve time depended on whether the other was busy. Striped, it takes
-/// about 20 ns either way.
+/// The cache counts every lookup and every insert. One plain atomic per
+/// count would move its line, and the read-only table pointer beside it,
+/// between the cores of two sessions looking up at once on nearly every
+/// call, so a session's solve time would depend on whether the other is
+/// busy: on a 4-vCPU Xeon host an all-hit lookup measured about 18 ns
+/// from one thread and 90-150 ns each from two that way, and about 20 ns
+/// either way striped.
 class StripedCounter {
  public:
   void Add(uint64_t n);
