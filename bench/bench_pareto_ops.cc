@@ -2,7 +2,8 @@
 /// \brief Micro-benchmarks of the Pareto primitives every MOO solver sits
 /// on: non-dominated filtering (the O(n log n) 2D and 3D paths),
 /// hypervolume, WUN recommendation, and the Minkowski merge of HMOOC1's
-/// divide-and-conquer aggregation.
+/// divide-and-conquer aggregation — on distinct-point fronts and on the
+/// capped, duplicate-heavy fronts HMOOC1 actually merges.
 
 #include <benchmark/benchmark.h>
 
@@ -231,6 +232,54 @@ void EmitMerge3Results() {
   }
 }
 
+// HMOOC1's own merge traffic: an effective set repeats one objective
+// vector per tied pool conf, so its divide-and-conquer merges see a few
+// distinct points, each repeated up to dc_front_cap (192) times, and thin
+// the kept multiset back to the cap. Both fronts hold `distinct`
+// staircase points, 192 / distinct copies each, spaced so that no two
+// run pairs sum to the same point, as in HMOOC1's merges.
+void EmitRunMergeResults() {
+  constexpr size_t kCap = 192;
+  const bool fast = benchutil::FastMode();
+  const int reps = fast ? 3 : 10;
+  const int merges = fast ? 200 : 1000;
+  for (const int k : {2, 3}) {
+    for (const size_t distinct : {size_t{1}, size_t{4}}) {
+      Front2 a2, b2, out2;
+      Front3 a3, b3, out3;
+      for (size_t p = 0; p < kCap; ++p) {
+        const double d = static_cast<double>(p % distinct);
+        a2.Append(d, 8.0 - d, p);
+        b2.Append(2.5 * d, 8.0 - 2.5 * d, p);
+        a3.Append(d, 8.0 - d, d, p);
+        b3.Append(2.5 * d, 8.0 - 2.5 * d, 0.5 * d, p);
+      }
+      ParetoScratch scratch;
+      double best_s = 1e300;
+      size_t out_size = 0;
+      for (int r = 0; r < reps; ++r) {
+        benchutil::Timer timer;
+        for (int m = 0; m < merges; ++m) {
+          if (k == 3) {
+            FlatMerge3(a3, b3, &out3, &scratch, kCap);
+          } else {
+            FlatMerge2(a2, b2, &out2, &scratch, kCap);
+          }
+        }
+        best_s = std::min(best_s, timer.Seconds() / merges);
+        out_size = k == 3 ? out3.size() : out2.size();
+      }
+      obs::JsonObject o;
+      o.emplace_back("k", obs::Json(static_cast<uint64_t>(k)));
+      o.emplace_back("distinct", obs::Json(static_cast<uint64_t>(distinct)));
+      o.emplace_back("in_points", obs::Json(static_cast<uint64_t>(kCap)));
+      o.emplace_back("out_size", obs::Json(static_cast<uint64_t>(out_size)));
+      o.emplace_back("us_per_merge", obs::Json(best_s * 1e6));
+      benchutil::EmitJson("pareto_merge_runs", obs::Json(std::move(o)));
+    }
+  }
+}
+
 }  // namespace sparkopt
 
 int main(int argc, char** argv) {
@@ -240,5 +289,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   sparkopt::EmitMergeResults();
   sparkopt::EmitMerge3Results();
+  sparkopt::EmitRunMergeResults();
   return 0;
 }

@@ -184,7 +184,7 @@ IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
     fb.reserve(b.size());
     for (const auto& p : a.points) fa.Append(p[0], p[1], p[2], 0);
     for (const auto& p : b.points) fb.Append(p[0], p[1], p[2], 0);
-    FlatMerge3(fa, fb, &merged, &scratch);
+    FlatMerge3(fa, fb, &merged, &scratch, /*cap=*/0);
 
     const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
     IndexedFront out;
@@ -210,7 +210,7 @@ IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
   fb.reserve(b.size());
   for (const auto& p : a.points) fa.Append(p[0], p[1], 0);
   for (const auto& p : b.points) fb.Append(p[0], p[1], 0);
-  FlatMerge2(fa, fb, &merged, &scratch);
+  FlatMerge2(fa, fb, &merged, &scratch, /*cap=*/0);
 
   const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
   IndexedFront out;

@@ -94,89 +94,188 @@ bool IsMonotoneStaircase(const std::vector<double>& ys) {
   return true;
 }
 
+// Stages n points, whose (x, y[, z], position) order is `order`: exact
+// duplicates sort adjacently, and each run of them becomes one entry of
+// rx/ry[/rz] whose sorted positions start at start[u]. `z` and `rz` are
+// null for k = 2.
+void StageRuns(const double* x, const double* y, const double* z, size_t n,
+               const std::vector<uint32_t>& order, std::vector<double>* rx,
+               std::vector<double>* ry, std::vector<double>* rz,
+               std::vector<uint32_t>* start, std::vector<uint32_t>* map) {
+  rx->clear();
+  ry->clear();
+  if (rz != nullptr) rz->clear();
+  start->clear();
+  map->resize(n);
+  for (size_t s = 0; s < n; ++s) {
+    const uint32_t src = order[s];
+    (*map)[s] = src;
+    if (s == 0 || x[src] != rx->back() || y[src] != ry->back() ||
+        (z != nullptr && z[src] != rz->back())) {
+      rx->push_back(x[src]);
+      ry->push_back(y[src]);
+      if (z != nullptr) rz->push_back(z[src]);
+      start->push_back(static_cast<uint32_t>(s));
+    }
+  }
+  start->push_back(static_cast<uint32_t>(n));
+}
+
+// Number of identical cells run pair (u, v) stands for.
+uint64_t RunCells(const ParetoScratch& s, uint32_t u, uint32_t v) {
+  return static_cast<uint64_t>(s.arun[u + 1] - s.arun[u]) *
+         (s.brun[v + 1] - s.brun[v]);
+}
+
+// Appends the cross-product keys (original i * bn + j) of run pair
+// (u, v)'s cells to scratch->keys.
+void AppendKeys(ParetoScratch* s, uint32_t u, uint32_t v, size_t bn) {
+  for (uint32_t i = s->arun[u]; i < s->arun[u + 1]; ++i) {
+    const uint64_t row = static_cast<uint64_t>(s->amap[i]) * bn;
+    for (uint32_t j = s->brun[v]; j < s->brun[v + 1]; ++j) {
+      s->keys.push_back(row + s->bmap[j]);
+    }
+  }
+}
+
+// Fills scratch->pairs from the kept run pairs `kept`, listed in
+// (x, y[, z]) order so that equal points are adjacent (`same` tells
+// them apart). Their n cells form the kept multiset. When n <= cap or
+// cap < 2 every cell is emitted in cross-product order; otherwise the
+// cells at ranks t * (n - 1) / (cap - 1) of (x, y[, z], key) order.
+template <typename Cell, typename SamePoint>
+void SelectPairs(const std::vector<Cell>& kept, size_t bn, size_t cap,
+                 SamePoint same, ParetoScratch* s) {
+  auto& keys = s->keys;
+  auto& pairs = s->pairs;
+  uint64_t n = 0;
+  for (const Cell& c : kept) n += RunCells(*s, c.i, c.j);
+  if (cap < 2 || n <= cap) {
+    keys.clear();
+    for (const Cell& c : kept) AppendKeys(s, c.i, c.j, bn);
+    std::sort(keys.begin(), keys.end());
+    pairs.reserve(keys.size());
+    for (uint64_t key : keys) {
+      pairs.push_back({static_cast<uint32_t>(key / bn),
+                       static_cast<uint32_t>(key % bn)});
+    }
+    return;
+  }
+  // Walk the classes of equal points in order: a class of m cells holds
+  // ranks [base, base + m) and emits the targets that fall there.
+  pairs.reserve(cap);
+  uint64_t t = 0;
+  uint64_t rank = 0;
+  uint64_t base = 0;
+  auto next_rank = [&] {
+    ++t;
+    rank = t * (n - 1) / (cap - 1);
+  };
+  for (size_t c0 = 0; c0 < kept.size() && t < cap;) {
+    size_t c1 = c0 + 1;
+    uint64_t m = RunCells(*s, kept[c0].i, kept[c0].j);
+    while (c1 < kept.size() && same(kept[c0], kept[c1])) {
+      m += RunCells(*s, kept[c1].i, kept[c1].j);
+      ++c1;
+    }
+    if (c1 - c0 == 1) {
+      // One run pair: sorting broke position ties, so map ascends along
+      // each run and the cells' keys ascend row-major — rank q is cell
+      // (q / cols, q % cols) of the run pair, no sort needed.
+      const uint32_t i0 = s->arun[kept[c0].i];
+      const uint32_t j0 = s->brun[kept[c0].j];
+      const uint32_t cols = s->brun[kept[c0].j + 1] - j0;
+      for (; t < cap && rank < base + m; next_rank()) {
+        const uint64_t q = rank - base;
+        pairs.push_back({s->amap[i0 + q / cols], s->bmap[j0 + q % cols]});
+      }
+    } else if (rank < base + m) {
+      // Coinciding sums from several run pairs: order their keys.
+      keys.clear();
+      for (size_t c = c0; c < c1; ++c) AppendKeys(s, kept[c].i, kept[c].j, bn);
+      std::sort(keys.begin(), keys.end());
+      for (; t < cap && rank < base + m; next_rank()) {
+        const uint64_t key = keys[rank - base];
+        pairs.push_back({static_cast<uint32_t>(key / bn),
+                         static_cast<uint32_t>(key % bn)});
+      }
+    }
+    base += m;
+    c0 = c1;
+  }
+}
+
 }  // namespace
 
 void FlatMerge2(const Front2& a, const Front2& b, Front2* out,
-                ParetoScratch* scratch) {
+                ParetoScratch* scratch, size_t cap) {
   out->clear();
   scratch->pairs.clear();
   const size_t an = a.size();
   const size_t bn = b.size();
   if (an == 0 || bn == 0) return;
 
-  // Stage both inputs sorted by (x, y, position) into contiguous scratch,
-  // remembering sorted-position -> original-position maps.
+  // Stage both inputs sorted by (x, y, position), one entry per run of
+  // exact duplicates.
   SortByXY(a.x.data(), a.y.data(), an, &scratch->order);
-  scratch->ax.resize(an);
-  scratch->ay.resize(an);
-  scratch->amap.resize(an);
-  for (size_t i = 0; i < an; ++i) {
-    const uint32_t src = scratch->order[i];
-    scratch->ax[i] = a.x[src];
-    scratch->ay[i] = a.y[src];
-    scratch->amap[i] = src;
-  }
+  StageRuns(a.x.data(), a.y.data(), nullptr, an, scratch->order, &scratch->ax,
+            &scratch->ay, nullptr, &scratch->arun, &scratch->amap);
   SortByXY(b.x.data(), b.y.data(), bn, &scratch->order);
-  scratch->bx.resize(bn);
-  scratch->by.resize(bn);
-  scratch->bmap.resize(bn);
-  for (size_t j = 0; j < bn; ++j) {
-    const uint32_t src = scratch->order[j];
-    scratch->bx[j] = b.x[src];
-    scratch->by[j] = b.y[src];
-    scratch->bmap[j] = src;
-  }
+  StageRuns(b.x.data(), b.y.data(), nullptr, bn, scratch->order, &scratch->bx,
+            &scratch->by, nullptr, &scratch->brun, &scratch->bmap);
   const double* ax = scratch->ax.data();
   const double* ay = scratch->ay.data();
   const double* bx = scratch->bx.data();
   const double* by = scratch->by.data();
+  const uint32_t arn = static_cast<uint32_t>(scratch->ax.size());
+  const uint32_t brn = static_cast<uint32_t>(scratch->bx.size());
   // A front's staircase has y monotone in sorted order; only then can a
-  // row binary-search past cells that can no longer survive. Non-front
-  // inputs (never produced by the solvers) still merge correctly, one
-  // cell at a time.
+  // row binary-search past run pairs that can no longer survive.
+  // Non-front inputs (never produced by the solvers) still merge
+  // correctly, one run pair at a time.
   const bool can_skip = IsMonotoneStaircase(scratch->by);
 
   auto& heap = scratch->heap;
   auto& group = scratch->group;
-  auto& keys = scratch->keys;
+  auto& kept = scratch->kept_pairs;
   heap.clear();
-  keys.clear();
+  kept.clear();
 
-  // The sum matrix M[i][j] = sorted_a[i] + sorted_b[j] is monotone in x
-  // along both axes, so popping a min-heap of per-row frontier cells
-  // enumerates cells in nondecreasing sum-x. best_y is the minimum sum-y
-  // over all cells with strictly smaller sum-x; a cell whose sum-y
-  // reaches best_y can never be kept later (kept y values only
+  // The sum matrix M[u][v] = run_a[u] + run_b[v] is monotone in x along
+  // both axes, so popping a min-heap of per-row frontier run pairs
+  // enumerates them in nondecreasing sum-x. best_y is the minimum sum-y
+  // over all run pairs with strictly smaller sum-x; a run pair whose
+  // sum-y reaches best_y can never be kept later (kept y values only
   // decrease), which is what the row skip exploits.
   double best_y = kInf;
 
-  // Pushes row i's next viable cell at position >= j, or retires the row.
-  auto push_row = [&](uint32_t i, uint32_t j) {
-    if (can_skip && j < bn && ay[i] + by[j] >= best_y) {
-      // First j' with sum-y < best_y; sum-y is non-increasing in j.
-      size_t lo = j + 1, hi = bn;
+  // Pushes row u's next viable run pair at b-run >= v, or retires the row.
+  auto push_row = [&](uint32_t u, uint32_t v) {
+    if (can_skip && v < brn && ay[u] + by[v] >= best_y) {
+      // First v' with sum-y < best_y; sum-y is non-increasing in v.
+      size_t lo = v + 1, hi = brn;
       while (lo < hi) {
         const size_t mid = lo + (hi - lo) / 2;
-        if (ay[i] + by[mid] < best_y) {
+        if (ay[u] + by[mid] < best_y) {
           hi = mid;
         } else {
           lo = mid + 1;
         }
       }
-      j = static_cast<uint32_t>(lo);
+      v = static_cast<uint32_t>(lo);
     }
-    if (j >= bn) return;
-    heap.push_back({ax[i] + bx[j], ay[i] + by[j], i, j});
+    if (v >= brn) return;
+    heap.push_back({ax[u] + bx[v], ay[u] + by[v], u, v});
     std::push_heap(heap.begin(), heap.end(), CellGreater{});
   };
 
-  for (uint32_t i = 0; i < an; ++i) push_row(i, 0);
+  for (uint32_t u = 0; u < arn; ++u) push_row(u, 0);
 
   while (!heap.empty()) {
-    // Drain the equal-sum-x group: within it, survivors are the cells
-    // achieving the group minimum sum-y (there may be several — exact
-    // duplicates are kept), provided they beat best_y from strictly
-    // smaller x.
+    // Drain the equal-sum-x group: within it, survivors are the run
+    // pairs achieving the group minimum sum-y (there may be several —
+    // exact duplicates are kept), provided they beat best_y from strictly
+    // smaller x. Survivors of one group are all the same point.
     const double gx = heap.front().x;
     group.clear();
     double gmin = kInf;
@@ -190,25 +289,24 @@ void FlatMerge2(const Front2& a, const Front2& b, Front2* out,
     }
     if (gmin < best_y) {
       for (const auto& cell : group) {
-        if (cell.y == gmin) {
-          keys.push_back(static_cast<uint64_t>(scratch->amap[cell.i]) * bn +
-                         scratch->bmap[cell.j]);
-        }
+        if (cell.y == gmin) kept.push_back(cell);
       }
       best_y = gmin;
     }
   }
 
-  // Emit in cross-product order — the order the naive path's stable
-  // filter produces — recomputing each sum with the same expression.
-  std::sort(keys.begin(), keys.end());
-  out->reserve(keys.size());
-  scratch->pairs.reserve(keys.size());
-  for (uint64_t key : keys) {
-    const uint32_t i = static_cast<uint32_t>(key / bn);
-    const uint32_t j = static_cast<uint32_t>(key % bn);
-    out->Append(a.x[i] + b.x[j], a.y[i] + b.y[j], out->size());
-    scratch->pairs.push_back({i, j});
+  // Groups pop in ascending x, so `kept` is already in (x, y) order.
+  SelectPairs(
+      kept, bn, cap,
+      [](const ParetoScratch::HeapCell& p, const ParetoScratch::HeapCell& q) {
+        return p.x == q.x;
+      },
+      scratch);
+  // Recompute each sum with the naive path's expression.
+  out->reserve(scratch->pairs.size());
+  for (const MergePair& pair : scratch->pairs) {
+    out->Append(a.x[pair.i] + b.x[pair.j], a.y[pair.i] + b.y[pair.j],
+                out->size());
   }
   // Merge-size distributions for the profiler (worker-thread safe; one
   // relaxed load each when no session is installed).
@@ -396,65 +494,53 @@ struct Cell3Greater {
 }  // namespace
 
 void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
-                ParetoScratch* scratch) {
+                ParetoScratch* scratch, size_t cap) {
   out->clear();
   scratch->pairs.clear();
   const size_t an = a.size();
   const size_t bn = b.size();
   if (an == 0 || bn == 0) return;
 
-  // Stage both inputs sorted by (x, y, z, position).
+  // Stage both inputs sorted by (x, y, z, position), one entry per run of
+  // exact duplicates.
   SortByXYZ(a.x.data(), a.y.data(), a.z.data(), an, &scratch->order);
-  scratch->ax.resize(an);
-  scratch->ay.resize(an);
-  scratch->az.resize(an);
-  scratch->amap.resize(an);
-  for (size_t i = 0; i < an; ++i) {
-    const uint32_t src = scratch->order[i];
-    scratch->ax[i] = a.x[src];
-    scratch->ay[i] = a.y[src];
-    scratch->az[i] = a.z[src];
-    scratch->amap[i] = src;
-  }
+  StageRuns(a.x.data(), a.y.data(), a.z.data(), an, scratch->order,
+            &scratch->ax, &scratch->ay, &scratch->az, &scratch->arun,
+            &scratch->amap);
   SortByXYZ(b.x.data(), b.y.data(), b.z.data(), bn, &scratch->order);
-  scratch->bx.resize(bn);
-  scratch->by.resize(bn);
-  scratch->bz.resize(bn);
-  scratch->bmap.resize(bn);
-  for (size_t j = 0; j < bn; ++j) {
-    const uint32_t src = scratch->order[j];
-    scratch->bx[j] = b.x[src];
-    scratch->by[j] = b.y[src];
-    scratch->bz[j] = b.z[src];
-    scratch->bmap[j] = src;
-  }
+  StageRuns(b.x.data(), b.y.data(), b.z.data(), bn, scratch->order,
+            &scratch->bx, &scratch->by, &scratch->bz, &scratch->brun,
+            &scratch->bmap);
   const double* ax = scratch->ax.data();
   const double* ay = scratch->ay.data();
   const double* az = scratch->az.data();
   const double* bx = scratch->bx.data();
   const double* by = scratch->by.data();
   const double* bz = scratch->bz.data();
+  const uint32_t arn = static_cast<uint32_t>(scratch->ax.size());
+  const uint32_t brn = static_cast<uint32_t>(scratch->bx.size());
 
   auto& heap = scratch->heap3;
   auto& group = scratch->group3;
-  auto& keys = scratch->keys;
+  auto& kept = scratch->kept_pairs3;
   auto& sy = scratch->sy;
   auto& sz = scratch->sz;
   heap.clear();
-  keys.clear();
+  kept.clear();
   sy.clear();
   sz.clear();
 
-  // Per-row frontier cells on a min-heap keyed by sum-x: row i's cells
-  // (i, 0..bn) have nondecreasing sum-x, so popping the heap enumerates
-  // the whole product grouped by nondecreasing sum-x — without the 2-D
-  // kernel's binary-search row skip (no single scalar prunes a 3-D row).
-  auto push_row = [&](uint32_t i, uint32_t j) {
-    if (j >= bn) return;
-    heap.push_back({ax[i] + bx[j], ay[i] + by[j], az[i] + bz[j], i, j});
+  // Per-row frontier run pairs on a min-heap keyed by sum-x: row u's run
+  // pairs (u, 0..brn) have nondecreasing sum-x, so popping the heap
+  // enumerates the whole run product grouped by nondecreasing sum-x —
+  // without the 2-D kernel's binary-search row skip (no single scalar
+  // prunes a 3-D row).
+  auto push_row = [&](uint32_t u, uint32_t v) {
+    if (v >= brn) return;
+    heap.push_back({ax[u] + bx[v], ay[u] + by[v], az[u] + bz[v], u, v});
     std::push_heap(heap.begin(), heap.end(), Cell3Greater{});
   };
-  for (uint32_t i = 0; i < an; ++i) push_row(i, 0);
+  for (uint32_t u = 0; u < arn; ++u) push_row(u, 0);
 
   auto& gy = scratch->gy;
   auto& gz = scratch->gz;
@@ -480,35 +566,40 @@ void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
     }
     FlatParetoPositions(gy.data(), gz.data(), group.size(), &scratch->kept,
                         scratch);
-    // Survivors must also escape every kept cell from strictly smaller
-    // sum-x: weak (y, z)-coverage there is strict 3-D dominance. Query
-    // all survivors first, then insert — same-group survivors with equal
-    // (y, z) are duplicates, not dominators.
-    size_t new_from = keys.size();
+    // Survivors must also escape every kept run pair from strictly
+    // smaller sum-x: weak (y, z)-coverage there is strict 3-D dominance.
+    // Query all survivors first, then insert — same-group survivors with
+    // equal (y, z) are duplicates, not dominators.
+    const size_t new_from = kept.size();
     for (uint32_t g : scratch->kept) {
-      if (StairCovers(sy, sz, group[g].y, group[g].z)) continue;
-      keys.push_back(static_cast<uint64_t>(scratch->amap[group[g].i]) * bn +
-                     scratch->bmap[group[g].j]);
-      // Stash the staircase coordinates after the key so the insert pass
-      // below does not re-derive them: reuse gy/gz slots indexed from 0.
-      gy[keys.size() - 1 - new_from] = group[g].y;
-      gz[keys.size() - 1 - new_from] = group[g].z;
+      if (!StairCovers(sy, sz, group[g].y, group[g].z)) {
+        kept.push_back(group[g]);
+      }
     }
-    for (size_t p = 0; p < keys.size() - new_from; ++p) {
-      StairInsert(&sy, &sz, gy[p], gz[p]);
+    for (size_t p = new_from; p < kept.size(); ++p) {
+      StairInsert(&sy, &sz, kept[p].y, kept[p].z);
     }
+    // Groups pop in ascending x; ordering each group by (y, z) leaves
+    // `kept` in (x, y, z) order with equal points adjacent.
+    std::sort(kept.begin() + new_from, kept.end(),
+              [](const ParetoScratch::HeapCell3& p,
+                 const ParetoScratch::HeapCell3& q) {
+                if (p.y != q.y) return p.y < q.y;
+                return p.z < q.z;
+              });
   }
 
-  // Emit in cross-product order with the naive path's exact sums.
-  std::sort(keys.begin(), keys.end());
-  out->reserve(keys.size());
-  scratch->pairs.reserve(keys.size());
-  for (uint64_t key : keys) {
-    const uint32_t i = static_cast<uint32_t>(key / bn);
-    const uint32_t j = static_cast<uint32_t>(key % bn);
-    out->Append(a.x[i] + b.x[j], a.y[i] + b.y[j], a.z[i] + b.z[j],
-                out->size());
-    scratch->pairs.push_back({i, j});
+  SelectPairs(
+      kept, bn, cap,
+      [](const ParetoScratch::HeapCell3& p, const ParetoScratch::HeapCell3& q) {
+        return p.x == q.x && p.y == q.y && p.z == q.z;
+      },
+      scratch);
+  // Recompute each sum with the naive path's expression.
+  out->reserve(scratch->pairs.size());
+  for (const MergePair& pair : scratch->pairs) {
+    out->Append(a.x[pair.i] + b.x[pair.j], a.y[pair.i] + b.y[pair.j],
+                a.z[pair.i] + b.z[pair.j], out->size());
   }
   obs::Observe("pareto.merge_in_points", static_cast<double>(an + bn));
   obs::Observe("pareto.merge_out_points", static_cast<double>(out->size()));

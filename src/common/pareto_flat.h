@@ -20,9 +20,9 @@
 /// Semantics contract (shared with common/pareto.h): all objectives are
 /// minimized; a "front" is the *non-dominated multiset* of its input —
 /// exact duplicates of a non-dominated point are all kept — and every
-/// operation preserves the caller's point order (for the merge: the
-/// cross-product order i * |b| + j). These are exactly the semantics of
-/// the naive `ParetoIndices` / `MergeFronts` path, so the two paths
+/// operation preserves the caller's point order (for an uncapped merge:
+/// the cross-product order i * |b| + j). These are exactly the semantics
+/// of the naive `ParetoIndices` / `MergeFronts` path, so the two paths
 /// produce bitwise-identical fronts; `tests/common/pareto_flat_test.cc`
 /// pins the equivalence property.
 
@@ -105,36 +105,47 @@ struct MergePair {
 /// that uses them (`pairs` in particular: consume it before the next
 /// FlatMerge2 on the same scratch).
 struct ParetoScratch {
-  /// Output of the last FlatMerge2: one (i, j) position pair per kept
-  /// point, aligned with the output front, in cross-product order.
+  /// Output of the last FlatMerge2/FlatMerge3: one (i, j) position pair
+  /// per emitted point, aligned with the output front — in cross-product
+  /// order when the merge kept every point, in the thinned front's
+  /// (x, y[, z], cross-product) order when `cap` thinned it.
   std::vector<MergePair> pairs;
 
   // -- internal buffers -------------------------------------------------
+  /// A pair of runs in a merge sweep, standing for the identical cells
+  /// of their cross product.
   struct HeapCell {
     double x = 0.0;  ///< sum x (heap key)
     double y = 0.0;  ///< sum y
-    uint32_t i = 0;  ///< sorted position in a
-    uint32_t j = 0;  ///< sorted position in b
+    uint32_t i = 0;  ///< run index in a
+    uint32_t j = 0;  ///< run index in b
   };
   std::vector<HeapCell> heap;
   std::vector<HeapCell> group;
+  std::vector<HeapCell> kept_pairs;  ///< kept run pairs, in sweep order
   std::vector<uint32_t> order;    ///< generic index-sort buffer
   std::vector<uint32_t> kept;     ///< kept positions buffer
-  std::vector<uint64_t> keys;     ///< kept cross-product keys
-  std::vector<double> ax, ay;     ///< a sorted into SoA staging
-  std::vector<double> bx, by;     ///< b sorted into SoA staging
+  std::vector<uint64_t> keys;     ///< expanded cross-product keys
+  /// SoA staging. A merge sorts each input by (x, y[, z], position) and
+  /// collapses every run of exact duplicates to one entry here.
+  std::vector<double> ax, ay;
+  std::vector<double> bx, by;
   std::vector<uint32_t> amap, bmap;  ///< sorted position -> original
+  /// Merge run bounds: run u of a spans sorted positions
+  /// [arun[u], arun[u + 1]); likewise brun for b.
+  std::vector<uint32_t> arun, brun;
 
   // -- k = 3 buffers ----------------------------------------------------
   struct HeapCell3 {
     double x = 0.0;  ///< sum x (heap key)
     double y = 0.0;  ///< sum y
     double z = 0.0;  ///< sum z
-    uint32_t i = 0;  ///< sorted position in a
-    uint32_t j = 0;  ///< sorted position in b
+    uint32_t i = 0;  ///< run index in a
+    uint32_t j = 0;  ///< run index in b
   };
   std::vector<HeapCell3> heap3;
   std::vector<HeapCell3> group3;
+  std::vector<HeapCell3> kept_pairs3;  ///< kept run pairs, (x, y, z) order
   std::vector<double> az, bz;  ///< third-axis staging
   /// (y, z) minima staircase of kept points: sy strictly ascending, sz
   /// strictly descending. Shared by the 3-D filter and merge.
@@ -156,26 +167,32 @@ void FlatParetoPositions(const double* x, const double* y, size_t n,
 void FlatPareto2(Front2* front, ParetoScratch* scratch);
 
 /// \brief Output-sensitive Minkowski-sum merge (Algorithm 3 without the
-/// cross product).
+/// cross product), optionally thinned.
 ///
-/// Writes to `*out` (cleared first) the non-dominated multiset of
-/// {(a.x[i] + b.x[j], a.y[i] + b.y[j])} in cross-product order
-/// (i * b.size() + j ascending), with `out->payload[p] = p`;
-/// `scratch->pairs[p]` holds the originating (i, j) positions. The sums
-/// and the kept set/order are bitwise identical to materializing the
-/// product and filtering with `ParetoIndices`.
+/// The kept set K is the non-dominated multiset of
+/// {(a.x[i] + b.x[j], a.y[i] + b.y[j])}. When |K| <= cap or cap < 2,
+/// writes all of K to `*out` (cleared first) in cross-product order
+/// (i * b.size() + j ascending) — bitwise identical to materializing the
+/// product and filtering with `ParetoIndices`. Otherwise writes the
+/// `cap` points at ranks t * (|K| - 1) / (cap - 1), t = 0..cap-1, of K
+/// sorted by (x, y, cross-product order): evenly spaced, extremes kept.
+/// Either way `out->payload[p] = p` and `scratch->pairs[p]` holds point
+/// p's originating (i, j) positions; every sum is recomputed from the
+/// inputs with the naive path's expression.
 ///
-/// The sweep sorts both inputs by (x, y), pushes each a-row's first
-/// viable cell into a min-heap keyed on sum-x, and pops cells in sum-x
-/// groups, advancing each row past provably-dominated cells by binary
-/// search (a front's y is monotone in its sorted x). With Pareto-front
-/// inputs of sizes n = |a|, m = |b| and output size r this performs
-/// O((n + m + r + d) log(n + m)) work, where d — the dominated cells the
-/// heap still surfaces — is small in practice instead of n * m. Inputs
+/// The sweep sorts both inputs by (x, y) and collapses each run of exact
+/// duplicates to one entry, pushes each a-run's first viable b-run into a
+/// min-heap keyed on sum-x, and pops run pairs in sum-x groups, advancing
+/// each row past provably-dominated run pairs by binary search (a
+/// front's y is monotone in its sorted x). With Pareto-front inputs of
+/// n and m distinct points and r distinct output points this performs
+/// O((n + m + r + d) log(n + m)) heap work, where d — the dominated run
+/// pairs the heap still surfaces — is small in practice instead of n * m;
+/// duplicates cost only the staging sort and the points emitted. Inputs
 /// that are not fronts are still merged correctly (the binary-search
 /// skip just disables itself on the non-monotone side).
 void FlatMerge2(const Front2& a, const Front2& b, Front2* out,
-                ParetoScratch* scratch);
+                ParetoScratch* scratch, size_t cap);
 
 /// \brief Exact hypervolume dominated by the staircase of {(x, y)} and
 /// bounded by (ref_x, ref_y). Accepts any point multiset (dominated
@@ -221,25 +238,25 @@ void FlatParetoPositions3(const double* x, const double* y, const double* z,
 /// \brief Filters `*front` in place to its non-dominated multiset.
 void FlatPareto3(Front3* front, ParetoScratch* scratch);
 
-/// \brief Output-sensitive 3-D Minkowski-sum merge.
+/// \brief Output-sensitive 3-D Minkowski-sum merge, optionally thinned.
 ///
-/// Writes to `*out` (cleared first) the non-dominated multiset of
-/// {(a.x[i]+b.x[j], a.y[i]+b.y[j], a.z[i]+b.z[j])} in cross-product
-/// order (i * b.size() + j ascending), with `out->payload[p] = p`;
-/// `scratch->pairs[p]` holds the originating (i, j) positions — the
-/// same contract as FlatMerge2, bitwise identical to materializing the
-/// product and filtering with `ParetoIndices`.
+/// The same contract as FlatMerge2 on the non-dominated multiset of
+/// {(a.x[i]+b.x[j], a.y[i]+b.y[j], a.z[i]+b.z[j])}: all of it in
+/// cross-product order when it has at most `cap` points (or cap < 2),
+/// else the `cap` evenly spaced ranks of its (x, y, z, cross-product)
+/// order; `scratch->pairs` aligned with the output.
 ///
-/// The sweep enumerates cells grouped by nondecreasing sum-x via a
-/// per-row min-heap; each equal-sum-x group is filtered internally with
-/// the 2-D kernel on (sum-y, sum-z) (equal first coordinates reduce
-/// dominance to the remaining two), then checked against the kd
-/// staircase of all kept cells from strictly smaller sum-x (weak
-/// (y, z)-dominance there is strict overall). Never materializes the
-/// |a| x |b| product; O(nm log(n+m)) worst case but output-sensitive in
-/// the staircase pruning for front-shaped inputs.
+/// The sweep collapses each input's runs of exact duplicates, then
+/// enumerates run pairs grouped by nondecreasing sum-x via a per-row
+/// min-heap; each equal-sum-x group is filtered internally with the 2-D
+/// kernel on (sum-y, sum-z) (equal first coordinates reduce dominance to
+/// the remaining two), then checked against the kd staircase of all kept
+/// run pairs from strictly smaller sum-x (weak (y, z)-dominance there is
+/// strict overall). Never materializes the |a| x |b| product; O(nm
+/// log(n+m)) worst case in the distinct points n and m, but
+/// output-sensitive in the staircase pruning for front-shaped inputs.
 void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
-                ParetoScratch* scratch);
+                ParetoScratch* scratch, size_t cap);
 
 /// \brief Exact 3-D hypervolume dominated by {(x, y, z)} and bounded by
 /// (ref_x, ref_y, ref_z): a z-sorted sweep of slabs, each contributing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
@@ -57,7 +56,14 @@ int DagAggregator::Leaf(const std::vector<SubQEntry>& set, int k) {
   return idx;
 }
 
-int DagAggregator::Merge(int a, int b, int k) {
+// Merges two nodes' fronts, thinned to at most `cap` points: the extremes
+// and evenly spaced interior points of the lexicographically sorted
+// front (ties broken by the remaining axes, then cross-product position,
+// for determinism). The kernel picks them without sorting the full
+// front. Exact divide-and-conquer merging can otherwise grow
+// multiplicatively with the number of subQs (the "total complexity could
+// be high" caveat in Appendix B.2).
+int DagAggregator::Merge(int a, int b, int k, size_t cap) {
   // Acquire before taking references: the pool vector may grow here.
   const int idx = AcquireNode();
   Node& out = nodes_[idx];
@@ -65,9 +71,9 @@ int DagAggregator::Merge(int a, int b, int k) {
   const Node& nb = nodes_[b];
   out.width = na.width + nb.width;
   if (k == 3) {
-    FlatMerge3(na.f3, nb.f3, &out.f3, &scratch_);
+    FlatMerge3(na.f3, nb.f3, &out.f3, &scratch_, cap);
   } else {
-    FlatMerge2(na.f2, nb.f2, &out.f2, &scratch_);
+    FlatMerge2(na.f2, nb.f2, &out.f2, &scratch_, cap);
   }
   const size_t n = NodePoints(out, k);
   int* rows = arena_.AllocArray<int>(n * static_cast<size_t>(out.width));
@@ -98,72 +104,13 @@ int DagAggregator::Merge(int a, int b, int k) {
   return idx;
 }
 
-// Thins a front to at most `cap` points, keeping the extremes and evenly
-// spaced interior points along the lexicographically sorted order (ties
-// broken by the remaining axes, then position, for determinism). Exact
-// divide-and-conquer merging can otherwise grow multiplicatively with
-// the number of subQs (the "total complexity could be high" caveat in
-// Appendix B.2).
-void DagAggregator::Thin(int node_idx, int k, size_t cap) {
-  Node& node = nodes_[node_idx];
-  const size_t n = NodePoints(node, k);
-  if (n <= cap || cap < 2) return;
-  auto& order = scratch_.order;
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0u);
-  if (k == 3) {
-    const double* x = node.f3.x.data();
-    const double* y = node.f3.y.data();
-    const double* z = node.f3.z.data();
-    std::sort(order.begin(), order.end(), [&](uint32_t p, uint32_t q) {
-      if (x[p] != x[q]) return x[p] < x[q];
-      if (y[p] != y[q]) return y[p] < y[q];
-      if (z[p] != z[q]) return z[p] < z[q];
-      return p < q;
-    });
-  } else {
-    const double* x = node.f2.x.data();
-    const double* y = node.f2.y.data();
-    std::sort(order.begin(), order.end(), [&](uint32_t p, uint32_t q) {
-      if (x[p] != x[q]) return x[p] < x[q];
-      if (y[p] != y[q]) return y[p] < y[q];
-      return p < q;
-    });
-  }
-  const int w = node.width;
-  int* rows = arena_.AllocArray<int>(cap * static_cast<size_t>(w));
-  tmp2_.clear();
-  tmp3_.clear();
-  for (size_t i = 0; i < cap; ++i) {
-    const uint32_t src = order[i * (n - 1) / (cap - 1)];
-    if (k == 3) {
-      tmp3_.Append(node.f3.x[src], node.f3.y[src], node.f3.z[src],
-                   tmp3_.size());
-    } else {
-      tmp2_.Append(node.f2.x[src], node.f2.y[src], tmp2_.size());
-    }
-    const int* row = node.choice + static_cast<size_t>(src) * w;
-    std::copy(row, row + w, rows + i * static_cast<size_t>(w));
-  }
-  // O(1) buffer swaps: the node takes the thinned front, tmp keeps the
-  // (cleared next call) old buffers at their high-water capacity.
-  if (k == 3) {
-    std::swap(node.f3, tmp3_);
-  } else {
-    std::swap(node.f2, tmp2_);
-  }
-  node.choice = rows;
-}
-
 int DagAggregator::Recurse(const std::vector<std::vector<SubQEntry>>& sets,
                            int lo, int hi, int k, size_t cap) {
   if (lo == hi) return Leaf(sets[lo], k);
   const int mid = (lo + hi) / 2;
   const int left = Recurse(sets, lo, mid, k, cap);
   const int right = Recurse(sets, mid + 1, hi, k, cap);
-  const int merged = Merge(left, right, k);
-  Thin(merged, k, cap);
-  return merged;
+  return Merge(left, right, k, cap);
 }
 
 void DagAggregator::AggregateDc(

@@ -60,8 +60,8 @@ class DagAggregator {
  public:
   /// HMOOC1: exact divide-and-conquer Minkowski merging (Algorithms 2-3)
   /// on the flat kernel. `cap` bounds each merge node's front (evenly
-  /// spaced thinning, extremes kept). Emits nothing when any subQ set is
-  /// empty.
+  /// spaced thinning, extremes kept, done inside the kernel's merge);
+  /// cap < 2 keeps every point. Emits nothing when any subQ set is empty.
   void AggregateDc(const std::vector<std::vector<SubQEntry>>& sets, int k,
                    size_t cap, AggregatedBatch* out);
 
@@ -100,8 +100,7 @@ class DagAggregator {
   }
 
   int Leaf(const std::vector<SubQEntry>& set, int k);
-  int Merge(int a, int b, int k);
-  void Thin(int node, int k, size_t cap);
+  int Merge(int a, int b, int k, size_t cap);
   int Recurse(const std::vector<std::vector<SubQEntry>>& sets, int lo, int hi,
               int k, size_t cap);
 
@@ -109,8 +108,6 @@ class DagAggregator {
   ParetoScratch scratch_;
   std::vector<Node> nodes_;
   std::vector<int> free_;
-  Front2 tmp2_;  ///< thinning staging (buffers recycled)
-  Front3 tmp3_;
 };
 
 }  // namespace sparkopt

@@ -48,8 +48,9 @@ struct HmoocOptions {
   double search_margin = 0.08;
   DagAggregation aggregation = DagAggregation::kBoundary;
   /// HMOOC1 only: cap on each intermediate divide-and-conquer front. When
-  /// a merged front exceeds the cap it is thinned to the points closest
-  /// to the weighted utopia, keeping the extremes (see ThinFront).
+  /// a merged front exceeds the cap it is thinned to `dc_front_cap`
+  /// evenly spaced ranks of its lexicographic order, extremes kept
+  /// (DagAggregator::AggregateDc; the merge kernel picks them).
   int dc_front_cap = 192;
   int ws_pairs = 11;           ///< weight pairs for HMOOC2
   /// HMOOC2 only: normalize objectives per subQ before the weighted pick

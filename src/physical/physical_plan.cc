@@ -250,7 +250,7 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   };
   // subQ-level producer -> consumer edges, for the cycle guard below.
   std::vector<std::vector<int>> subq_consumers(m);
-  for (int id = 0; id < plan.num_ops(); ++id) {
+  for (int id = 0; id < static_cast<int>(plan.num_ops()); ++id) {
     for (int c : plan.op(id).children) {
       if (subq_of[c] != subq_of[id]) {
         subq_consumers[subq_of[c]].push_back(subq_of[id]);

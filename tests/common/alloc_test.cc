@@ -98,9 +98,9 @@ TEST(SteadyStateAllocTest, Merge2IsAllocationFreeAfterWarmup) {
   const Front2 a = Staircase2(48, 1.0, 100.0);
   const Front2 b = Staircase2(32, 0.5, 80.0);
   Front2 out;
-  for (int r = 0; r < 2; ++r) FlatMerge2(a, b, &out, &scratch);
+  for (int r = 0; r < 2; ++r) FlatMerge2(a, b, &out, &scratch, /*cap=*/0);
   AllocProbe probe;
-  for (int r = 0; r < 16; ++r) FlatMerge2(a, b, &out, &scratch);
+  for (int r = 0; r < 16; ++r) FlatMerge2(a, b, &out, &scratch, /*cap=*/0);
   EXPECT_EQ(probe.allocations(), 0u);
   EXPECT_GT(out.size(), 0u);
 }
@@ -110,9 +110,9 @@ TEST(SteadyStateAllocTest, Merge3IsAllocationFreeAfterWarmup) {
   const Front3 a = Staircase3(48, 1.0, 100.0, 13);
   const Front3 b = Staircase3(32, 0.5, 80.0, 11);
   Front3 out;
-  for (int r = 0; r < 2; ++r) FlatMerge3(a, b, &out, &scratch);
+  for (int r = 0; r < 2; ++r) FlatMerge3(a, b, &out, &scratch, /*cap=*/0);
   AllocProbe probe;
-  for (int r = 0; r < 16; ++r) FlatMerge3(a, b, &out, &scratch);
+  for (int r = 0; r < 16; ++r) FlatMerge3(a, b, &out, &scratch, /*cap=*/0);
   EXPECT_EQ(probe.allocations(), 0u);
   EXPECT_GT(out.size(), 0u);
 }
@@ -187,6 +187,39 @@ TEST_P(DagAggregatorAllocTest, AggregateDcIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(probe.allocations(), 0u);
   EXPECT_GT(batch.size(), 0u);
   EXPECT_EQ(batch.k, k);
+#endif
+}
+
+// HMOOC1's real traffic: every subQ set repeats a few distinct points,
+// so merges run on runs of exact duplicates, often over the cap, and
+// some sums coincide across run pairs.
+TEST_P(DagAggregatorAllocTest, AggregateDcOnDuplicateRunsIsAllocationFree) {
+#ifdef SPARKOPT_VERIFY
+  GTEST_SKIP() << "verify builds allocate in DagAggregator's front checks";
+#else
+  const int k = GetParam();
+  std::vector<std::vector<SubQEntry>> sets(6);
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 40; ++j) {
+      SubQEntry e;
+      e.pool_idx = i * 40 + j;
+      e.f[0] = (j + i) % 3 == 0 ? 1.0 : 0.0;
+      e.f[1] = 1.0 - e.f[0];
+      if (k == 3) e.f[2] = e.f[0];
+      sets[i].push_back(e);
+    }
+  }
+  DagAggregator aggregator;
+  AggregatedBatch batch;
+  for (int r = 0; r < 2; ++r) {
+    aggregator.AggregateDc(sets, k, /*cap=*/64, &batch);
+  }
+  AllocProbe probe;
+  for (int r = 0; r < 16; ++r) {
+    aggregator.AggregateDc(sets, k, /*cap=*/64, &batch);
+  }
+  EXPECT_EQ(probe.allocations(), 0u);
+  EXPECT_EQ(batch.size(), 64u);
 #endif
 }
 

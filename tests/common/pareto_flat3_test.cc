@@ -143,7 +143,7 @@ TEST_P(FlatKernel3PropertyTest, MergeMatchesMaterializedProduct) {
     const auto pa = RandomPoints3(&rng, 1 + rng.NextBounded(14), ties);
     const auto pb = RandomPoints3(&rng, 1 + rng.NextBounded(14), ties);
     Front3 a = ToFront3(pa), b = ToFront3(pb), out;
-    FlatMerge3(a, b, &out, &scratch);
+    FlatMerge3(a, b, &out, &scratch, /*cap=*/0);
 
     std::vector<ObjectiveVector> product;
     for (size_t i = 0; i < pa.size(); ++i) {
@@ -276,15 +276,15 @@ TEST(FlatMerge3Test, EmptyAndSingletonFronts) {
   Front3 empty, single, out;
   single.Append(2.0, 3.0, 4.0, 0);
 
-  FlatMerge3(empty, single, &out, &scratch);
+  FlatMerge3(empty, single, &out, &scratch, /*cap=*/0);
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(scratch.pairs.empty());
-  FlatMerge3(single, empty, &out, &scratch);
+  FlatMerge3(single, empty, &out, &scratch, /*cap=*/0);
   EXPECT_TRUE(out.empty());
 
   Front3 other;
   other.Append(5.0, 7.0, 1.0, 0);
-  FlatMerge3(single, other, &out, &scratch);
+  FlatMerge3(single, other, &out, &scratch, /*cap=*/0);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.x[0], 7.0);
   EXPECT_EQ(out.y[0], 10.0);
@@ -305,7 +305,7 @@ TEST(FlatMerge3Test, CrossProductOrderAndAlignedPairs) {
   b.Append(1, 1, 0, 0);
   b.Append(3, 0, 2, 1);
   ParetoScratch scratch;
-  FlatMerge3(a, b, &out, &scratch);
+  FlatMerge3(a, b, &out, &scratch, /*cap=*/0);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out.x, (std::vector<double>{1, 3, 5}));
   EXPECT_EQ(out.y, (std::vector<double>{5, 1, 0}));
@@ -313,6 +313,42 @@ TEST(FlatMerge3Test, CrossProductOrderAndAlignedPairs) {
   ASSERT_EQ(scratch.pairs.size(), 3u);
   EXPECT_EQ(scratch.pairs[1].i, 1u);
   EXPECT_EQ(scratch.pairs[1].j, 0u);
+}
+
+// The k = 3 twin of FlatMergeTest.CappedMergeThinsAcrossRunPairs, with
+// z = x: the kept multiset is (0,2,0) x9, (1,1,1) x12 and (2,0,2) x4, and
+// cap = 8 picks the same cells.
+TEST(FlatMerge3Test, CappedMergeThinsAcrossRunPairs) {
+  Front3 a;
+  for (double x : {1.0, 0.0, 1.0, 0.0, 0.0}) a.Append(x, 1.0 - x, x, 0);
+  ParetoScratch scratch;
+  Front3 out;
+  FlatMerge3(a, a, &out, &scratch, /*cap=*/8);
+  const std::vector<std::pair<uint32_t, uint32_t>> want = {
+      {1, 1}, {3, 1}, {4, 1}, {0, 3}, {1, 2}, {3, 0}, {4, 2}, {2, 2}};
+  ASSERT_EQ(out.size(), want.size());
+  ASSERT_EQ(scratch.pairs.size(), want.size());
+  for (size_t p = 0; p < want.size(); ++p) {
+    EXPECT_EQ(scratch.pairs[p].i, want[p].first) << "point " << p;
+    EXPECT_EQ(scratch.pairs[p].j, want[p].second) << "point " << p;
+    EXPECT_EQ(out.payload[p], p);
+  }
+  EXPECT_EQ(out.x, (std::vector<double>{0, 0, 0, 1, 1, 1, 1, 2}));
+  EXPECT_EQ(out.y, (std::vector<double>{2, 2, 2, 1, 1, 1, 1, 0}));
+  EXPECT_EQ(out.z, (std::vector<double>{0, 0, 0, 1, 1, 1, 1, 2}));
+
+  Front3 full;
+  ParetoScratch full_scratch;
+  FlatMerge3(a, a, &full, &full_scratch, /*cap=*/0);
+  FlatMerge3(a, a, &out, &scratch, /*cap=*/25);
+  ASSERT_EQ(full.size(), 25u);
+  EXPECT_EQ(out.x, full.x);
+  EXPECT_EQ(out.y, full.y);
+  EXPECT_EQ(out.z, full.z);
+  for (size_t p = 0; p < full.size(); ++p) {
+    EXPECT_EQ(scratch.pairs[p].i, full_scratch.pairs[p].i);
+    EXPECT_EQ(scratch.pairs[p].j, full_scratch.pairs[p].j);
+  }
 }
 
 TEST(ParetoInsert3Test, RejectsDominatedKeepsDuplicates) {

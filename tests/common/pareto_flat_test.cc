@@ -200,15 +200,15 @@ TEST(FlatMergeTest, EmptyAndSingletonFronts) {
   Front2 empty, single, out;
   single.Append(2.0, 3.0, 0);
 
-  FlatMerge2(empty, single, &out, &scratch);
+  FlatMerge2(empty, single, &out, &scratch, /*cap=*/0);
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(scratch.pairs.empty());
-  FlatMerge2(single, empty, &out, &scratch);
+  FlatMerge2(single, empty, &out, &scratch, /*cap=*/0);
   EXPECT_TRUE(out.empty());
 
   Front2 other;
   other.Append(5.0, 7.0, 0);
-  FlatMerge2(single, other, &out, &scratch);
+  FlatMerge2(single, other, &out, &scratch, /*cap=*/0);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.x[0], 7.0);
   EXPECT_EQ(out.y[0], 10.0);
@@ -231,13 +231,51 @@ TEST(FlatMergeTest, CrossProductOrderAndAlignedPairs) {
   b.Append(1, 1, 0);
   b.Append(3, 0, 1);
   ParetoScratch scratch;
-  FlatMerge2(a, b, &out, &scratch);
+  FlatMerge2(a, b, &out, &scratch, /*cap=*/0);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out.x, (std::vector<double>{1, 3, 5}));
   EXPECT_EQ(out.y, (std::vector<double>{5, 1, 0}));
   ASSERT_EQ(scratch.pairs.size(), 3u);
   EXPECT_EQ(scratch.pairs[1].i, 1u);
   EXPECT_EQ(scratch.pairs[1].j, 0u);
+}
+
+// A capped merge of duplicate-heavy fronts: a = b = (0,1) three times
+// and (1,0) twice, interleaved. The kept multiset is (0,2) x9, (1,1) x12
+// and (2,0) x4; the (1,1) cells come from two run pairs whose
+// cross-product keys interleave. cap = 8 picks ranks 0, 3, 6, 10, 13,
+// 17, 20, 24 of the (x, y, cross-product) order.
+TEST(FlatMergeTest, CappedMergeThinsAcrossRunPairs) {
+  Front2 a;
+  for (double x : {1.0, 0.0, 1.0, 0.0, 0.0}) a.Append(x, 1.0 - x, 0);
+  ParetoScratch scratch;
+  Front2 out;
+  FlatMerge2(a, a, &out, &scratch, /*cap=*/8);
+  const std::vector<std::pair<uint32_t, uint32_t>> want = {
+      {1, 1}, {3, 1}, {4, 1}, {0, 3}, {1, 2}, {3, 0}, {4, 2}, {2, 2}};
+  ASSERT_EQ(out.size(), want.size());
+  ASSERT_EQ(scratch.pairs.size(), want.size());
+  for (size_t p = 0; p < want.size(); ++p) {
+    EXPECT_EQ(scratch.pairs[p].i, want[p].first) << "point " << p;
+    EXPECT_EQ(scratch.pairs[p].j, want[p].second) << "point " << p;
+    EXPECT_EQ(out.payload[p], p);
+  }
+  EXPECT_EQ(out.x, (std::vector<double>{0, 0, 0, 1, 1, 1, 1, 2}));
+  EXPECT_EQ(out.y, (std::vector<double>{2, 2, 2, 1, 1, 1, 1, 0}));
+
+  // A cap the kept multiset fits under keeps all of it, in cross-product
+  // order, exactly as the uncapped merge does.
+  Front2 full;
+  ParetoScratch full_scratch;
+  FlatMerge2(a, a, &full, &full_scratch, /*cap=*/0);
+  FlatMerge2(a, a, &out, &scratch, /*cap=*/25);
+  ASSERT_EQ(full.size(), 25u);
+  EXPECT_EQ(out.x, full.x);
+  EXPECT_EQ(out.y, full.y);
+  for (size_t p = 0; p < full.size(); ++p) {
+    EXPECT_EQ(scratch.pairs[p].i, full_scratch.pairs[p].i);
+    EXPECT_EQ(scratch.pairs[p].j, full_scratch.pairs[p].j);
+  }
 }
 
 // Chained merges over one combination table: each merge appends its

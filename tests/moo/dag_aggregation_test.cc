@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/pareto.h"
@@ -58,6 +60,84 @@ std::vector<ObjectiveVector> BruteForceFront(
 ObjectiveVector PointOf(const AggregatedBatch& b, size_t p) {
   return ObjectiveVector(b.obj.begin() + p * b.k,
                          b.obj.begin() + (p + 1) * b.k);
+}
+
+// Effective sets shaped like HMOOC1's real traffic: each subQ set repeats
+// 1-4 distinct points (one copy per tied pool conf) on a 0.25 grid, so
+// runs of exact duplicates and coincident sums are both common. Half the
+// sets put their points on the line x + y = 2, where sums from different
+// run pairs coincide most often.
+std::vector<std::vector<SubQEntry>> DuplicateHeavySets(Rng* rng, int k) {
+  std::vector<std::vector<SubQEntry>> sets(2 + rng->NextBounded(9));
+  int pool = 0;
+  for (auto& set : sets) {
+    std::vector<SubQEntry> distinct(1 + rng->NextBounded(4));
+    const bool diagonal = rng->NextBounded(2) == 0;
+    for (auto& e : distinct) {
+      for (int d = 0; d < k; ++d) e.f[d] = 0.25 * rng->NextBounded(8);
+      if (diagonal) e.f[1] = 2.0 - e.f[0];
+    }
+    const size_t n = 1 + rng->NextBounded(40);
+    for (size_t j = 0; j < n; ++j) {
+      SubQEntry e = distinct[rng->NextBounded(distinct.size())];
+      e.pool_idx = pool++;
+      set.push_back(e);
+    }
+  }
+  return sets;
+}
+
+// HMOOC1 spelled out on the naive path: the same divide-and-conquer split
+// as DagAggregator, each merge a materialized cross product filtered in
+// cross-product order, each over-cap front thinned to the ranks
+// t * (n - 1) / (cap - 1) of a stable (x, y[, z], position) sort.
+struct OracleNode {
+  std::vector<ObjectiveVector> points;
+  std::vector<std::vector<int>> rows;  ///< per-point pool choices
+};
+
+void OracleThin(OracleNode* node, size_t cap) {
+  const size_t n = node->points.size();
+  if (n <= cap || cap < 2) return;
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t p, size_t q) {
+    return node->points[p] < node->points[q];
+  });
+  OracleNode thin;
+  for (size_t t = 0; t < cap; ++t) {
+    const size_t src = order[t * (n - 1) / (cap - 1)];
+    thin.points.push_back(node->points[src]);
+    thin.rows.push_back(node->rows[src]);
+  }
+  *node = std::move(thin);
+}
+
+OracleNode OracleDc(const std::vector<std::vector<SubQEntry>>& sets, int lo,
+                    int hi, int k, size_t cap) {
+  OracleNode out;
+  if (lo == hi) {
+    for (const SubQEntry& e : sets[lo]) {
+      out.points.emplace_back(e.f, e.f + k);
+      out.rows.push_back({e.pool_idx});
+    }
+    return out;
+  }
+  const int mid = (lo + hi) / 2;
+  const OracleNode left = OracleDc(sets, lo, mid, k, cap);
+  const OracleNode right = OracleDc(sets, mid + 1, hi, k, cap);
+  IndexedFront a, b;
+  a.points = left.points;
+  b.points = right.points;
+  std::vector<std::pair<size_t, size_t>> combos;
+  out.points = MergeFrontsNaive(a, b, &combos).points;
+  for (const auto& [i, j] : combos) {
+    std::vector<int> row = left.rows[i];
+    row.insert(row.end(), right.rows[j].begin(), right.rows[j].end());
+    out.rows.push_back(std::move(row));
+  }
+  OracleThin(&out, cap);
+  return out;
 }
 
 class DagAggregationTest : public ::testing::TestWithParam<int> {};
@@ -142,6 +222,38 @@ TEST_P(DagAggregationTest, DcThinningCapsTheFrontWithValidPoints) {
     }
     EXPECT_TRUE(covered) << "thinned point " << p
                          << " beats the exact front";
+  }
+}
+
+// Pins HMOOC1's output bit for bit — objectives, point order and choice
+// rows — against the oracle, capped and (when the product of the set
+// sizes is small enough to materialize) uncapped.
+TEST_P(DagAggregationTest, DcMatchesThinningOracleBitwise) {
+  const int k = GetParam();
+  Rng rng(2024 + k);
+  DagAggregator aggregator;
+  AggregatedBatch batch;
+  for (int draw = 0; draw < 16; ++draw) {
+    const auto sets = DuplicateHeavySets(&rng, k);
+    const int m = static_cast<int>(sets.size());
+    std::vector<size_t> caps = {2, 3, 8, 64, 192};
+    double product = 1.0;
+    for (const auto& s : sets) product *= static_cast<double>(s.size());
+    if (product <= 4096.0) caps.push_back(0);
+    for (const size_t cap : caps) {
+      aggregator.AggregateDc(sets, k, cap, &batch);
+      const OracleNode want = OracleDc(sets, 0, m - 1, k, cap);
+      ASSERT_EQ(batch.size(), want.points.size())
+          << "draw " << draw << " cap " << cap;
+      for (size_t p = 0; p < batch.size(); ++p) {
+        ASSERT_EQ(PointOf(batch, p), want.points[p])
+            << "draw " << draw << " cap " << cap << " point " << p;
+        const std::vector<int> row(batch.choice.begin() + p * m,
+                                   batch.choice.begin() + (p + 1) * m);
+        ASSERT_EQ(row, want.rows[p])
+            << "draw " << draw << " cap " << cap << " point " << p;
+      }
+    }
   }
 }
 
