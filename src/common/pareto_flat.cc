@@ -138,14 +138,24 @@ void AppendKeys(ParetoScratch* s, uint32_t u, uint32_t v, size_t bn) {
   }
 }
 
+// True when two run pairs sum to the same point.
+bool SamePoint(const ParetoScratch::HeapCell& p,
+               const ParetoScratch::HeapCell& q) {
+  return p.x == q.x && p.y == q.y;
+}
+bool SamePoint(const ParetoScratch::HeapCell3& p,
+               const ParetoScratch::HeapCell3& q) {
+  return p.x == q.x && p.y == q.y && p.z == q.z;
+}
+
 // Fills scratch->pairs from the kept run pairs `kept`, listed in
-// (x, y[, z]) order so that equal points are adjacent (`same` tells
-// them apart). Their n cells form the kept multiset. When n <= cap or
-// cap < 2 every cell is emitted in cross-product order; otherwise the
-// cells at ranks t * (n - 1) / (cap - 1) of (x, y[, z], key) order.
-template <typename Cell, typename SamePoint>
+// (x, y[, z]) order so that equal points are adjacent. Their n cells
+// form the kept multiset. When n <= cap or cap < 2 every cell is
+// emitted in cross-product order; otherwise the cells at ranks
+// t * (n - 1) / (cap - 1) of (x, y[, z], key) order.
+template <typename Cell>
 void SelectPairs(const std::vector<Cell>& kept, size_t bn, size_t cap,
-                 SamePoint same, ParetoScratch* s) {
+                 ParetoScratch* s) {
   auto& keys = s->keys;
   auto& pairs = s->pairs;
   uint64_t n = 0;
@@ -174,7 +184,7 @@ void SelectPairs(const std::vector<Cell>& kept, size_t bn, size_t cap,
   for (size_t c0 = 0; c0 < kept.size() && t < cap;) {
     size_t c1 = c0 + 1;
     uint64_t m = RunCells(*s, kept[c0].i, kept[c0].j);
-    while (c1 < kept.size() && same(kept[c0], kept[c1])) {
+    while (c1 < kept.size() && SamePoint(kept[c0], kept[c1])) {
       m += RunCells(*s, kept[c1].i, kept[c1].j);
       ++c1;
     }
@@ -296,12 +306,7 @@ void FlatMerge2(const Front2& a, const Front2& b, Front2* out,
   }
 
   // Groups pop in ascending x, so `kept` is already in (x, y) order.
-  SelectPairs(
-      kept, bn, cap,
-      [](const ParetoScratch::HeapCell& p, const ParetoScratch::HeapCell& q) {
-        return p.x == q.x;
-      },
-      scratch);
+  SelectPairs(kept, bn, cap, scratch);
   // Recompute each sum with the naive path's expression.
   out->reserve(scratch->pairs.size());
   for (const MergePair& pair : scratch->pairs) {
@@ -589,12 +594,7 @@ void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
               });
   }
 
-  SelectPairs(
-      kept, bn, cap,
-      [](const ParetoScratch::HeapCell3& p, const ParetoScratch::HeapCell3& q) {
-        return p.x == q.x && p.y == q.y && p.z == q.z;
-      },
-      scratch);
+  SelectPairs(kept, bn, cap, scratch);
   // Recompute each sum with the naive path's expression.
   out->reserve(scratch->pairs.size());
   for (const MergePair& pair : scratch->pairs) {
