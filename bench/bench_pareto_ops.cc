@@ -59,6 +59,20 @@ std::vector<ObjectiveVector> StaircaseFront3(size_t n, uint64_t seed) {
   return pts;
 }
 
+Front2 ToFront2(const std::vector<ObjectiveVector>& pts) {
+  Front2 f;
+  for (size_t i = 0; i < pts.size(); ++i) f.Append(pts[i][0], pts[i][1], i);
+  return f;
+}
+
+Front3 ToFront3(const std::vector<ObjectiveVector>& pts) {
+  Front3 f;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    f.Append(pts[i][0], pts[i][1], pts[i][2], i);
+  }
+  return f;
+}
+
 void BM_ParetoFilter2D(benchmark::State& state) {
   const auto pts = RandomPoints(state.range(0), 2, 42);
   for (auto _ : state) {
@@ -97,11 +111,14 @@ void BM_WunRecommendation(benchmark::State& state) {
 BENCHMARK(BM_WunRecommendation)->Range(64, 16384);
 
 void BM_MinkowskiMerge(benchmark::State& state) {
-  IndexedFront a, b;
-  a.points = ParetoFilter(RandomPoints(state.range(0), 2, 3));
-  b.points = ParetoFilter(RandomPoints(state.range(0), 2, 5));
+  const Front2 a = ToFront2(ParetoFilter(RandomPoints(state.range(0), 2, 3)));
+  const Front2 b = ToFront2(ParetoFilter(RandomPoints(state.range(0), 2, 5)));
+  Front2 out;
+  ParetoScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MergeFronts(a, b, nullptr));
+    FlatMerge2(a, b, &out, &scratch, /*cap=*/0);
+    benchmark::DoNotOptimize(out.x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * a.size() * b.size());
 }
@@ -110,11 +127,14 @@ BENCHMARK(BM_MinkowskiMerge)->Range(256, 16384);
 // Dense staircase fronts: the output-sensitive path vs the materialized
 // cross product, on inputs shaped like HMOOC1's capped intermediates.
 void BM_MinkowskiMergeFront(benchmark::State& state) {
-  IndexedFront a, b;
-  a.points = StaircaseFront(state.range(0), 3);
-  b.points = StaircaseFront(state.range(0), 5);
+  const Front2 a = ToFront2(StaircaseFront(state.range(0), 3));
+  const Front2 b = ToFront2(StaircaseFront(state.range(0), 5));
+  Front2 out;
+  ParetoScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MergeFronts(a, b, nullptr));
+    FlatMerge2(a, b, &out, &scratch, /*cap=*/0);
+    benchmark::DoNotOptimize(out.x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * a.size() * b.size());
 }
@@ -123,22 +143,25 @@ BENCHMARK(BM_MinkowskiMergeFront)->Range(256, 8192);
 // 3-objective staircase merge: the kd-staircase path of FlatMerge3
 // against inputs shaped like HMOOC1's 3-objective intermediates.
 void BM_MinkowskiMerge3Front(benchmark::State& state) {
-  IndexedFront a, b;
-  a.points = StaircaseFront3(state.range(0), 3);
-  b.points = StaircaseFront3(state.range(0), 5);
+  const Front3 a = ToFront3(StaircaseFront3(state.range(0), 3));
+  const Front3 b = ToFront3(StaircaseFront3(state.range(0), 5));
+  Front3 out;
+  ParetoScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MergeFronts(a, b, nullptr));
+    FlatMerge3(a, b, &out, &scratch, /*cap=*/0);
+    benchmark::DoNotOptimize(out.x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * a.size() * b.size());
 }
 BENCHMARK(BM_MinkowskiMerge3Front)->Range(256, 4096);
 
 void BM_MinkowskiMergeFrontNaive(benchmark::State& state) {
-  IndexedFront a, b;
-  a.points = StaircaseFront(state.range(0), 3);
-  b.points = StaircaseFront(state.range(0), 5);
+  const auto a = StaircaseFront(state.range(0), 3);
+  const auto b = StaircaseFront(state.range(0), 5);
+  std::vector<MergePair> pairs;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MergeFrontsNaive(a, b, nullptr));
+    benchmark::DoNotOptimize(MergeFrontsNaive(a, b, &pairs));
   }
   state.SetItemsProcessed(state.iterations() * a.size() * b.size());
 }
@@ -147,24 +170,26 @@ BENCHMARK(BM_MinkowskiMergeFrontNaive)->Range(256, 2048);
 }  // namespace
 
 // RESULT-line JSON for the driver's perf trajectory: merge ns per output
-// point, flat kernel vs the naive cross-product oracle, on staircase
-// fronts. Runs after the google-benchmark loops (and alone in CI, where
-// the loops are filtered out).
+// point, FlatMerge2 on a reused scratch vs the naive cross-product
+// oracle, on staircase fronts. Runs after the google-benchmark loops
+// (and alone in CI, where the loops are filtered out).
 void EmitMergeResults() {
   const bool fast = benchutil::FastMode();
   const int reps = fast ? 3 : 10;
+  ParetoScratch scratch;
+  Front2 merged;
+  std::vector<MergePair> pairs;
   for (const size_t n : {size_t{256}, size_t{1024}, size_t{4096}}) {
-    IndexedFront a, b;
-    a.points = StaircaseFront(n, 3);
-    b.points = StaircaseFront(n, 5);
+    const auto pa = StaircaseFront(n, 3);
+    const auto pb = StaircaseFront(n, 5);
+    const Front2 a = ToFront2(pa), b = ToFront2(pb);
     double flat_s = 1e300;
-    size_t out_size = 0;
     for (int r = 0; r < reps; ++r) {
       benchutil::Timer timer;
-      const auto merged = MergeFronts(a, b, nullptr);
+      FlatMerge2(a, b, &merged, &scratch, /*cap=*/0);
       flat_s = std::min(flat_s, timer.Seconds());
-      out_size = merged.size();
     }
+    const size_t out_size = merged.size();
     // The naive oracle materializes n^2 points; keep it to sizes where
     // that is still measurable in seconds, not minutes.
     double naive_s = -1.0;
@@ -173,7 +198,7 @@ void EmitMergeResults() {
       const int naive_reps = n <= 1024 ? reps : 1;
       for (int r = 0; r < naive_reps; ++r) {
         benchutil::Timer timer;
-        const auto merged = MergeFrontsNaive(a, b, nullptr);
+        const auto naive = MergeFrontsNaive(pa, pb, &pairs);
         naive_s = std::min(naive_s, timer.Seconds());
       }
     }
@@ -191,30 +216,32 @@ void EmitMergeResults() {
   }
 }
 
-// Same contract for the 3-objective kernel: flat kd-staircase merge vs
-// the naive materialized cross product, on 3-D staircase fronts.
+// Same contract for the 3-objective kernel: FlatMerge3 vs the naive
+// materialized cross product, on 3-D staircase fronts.
 void EmitMerge3Results() {
   const bool fast = benchutil::FastMode();
   const int reps = fast ? 3 : 10;
+  ParetoScratch scratch;
+  Front3 merged;
+  std::vector<MergePair> pairs;
   for (const size_t n : {size_t{256}, size_t{1024}, size_t{4096}}) {
-    IndexedFront a, b;
-    a.points = StaircaseFront3(n, 3);
-    b.points = StaircaseFront3(n, 5);
+    const auto pa = StaircaseFront3(n, 3);
+    const auto pb = StaircaseFront3(n, 5);
+    const Front3 a = ToFront3(pa), b = ToFront3(pb);
     double flat_s = 1e300;
-    size_t out_size = 0;
     for (int r = 0; r < reps; ++r) {
       benchutil::Timer timer;
-      const auto merged = MergeFronts(a, b, nullptr);
+      FlatMerge3(a, b, &merged, &scratch, /*cap=*/0);
       flat_s = std::min(flat_s, timer.Seconds());
-      out_size = merged.size();
     }
+    const size_t out_size = merged.size();
     double naive_s = -1.0;
     if (n <= (fast ? 1024u : 4096u)) {
       naive_s = 1e300;
       const int naive_reps = n <= 1024 ? reps : 1;
       for (int r = 0; r < naive_reps; ++r) {
         benchutil::Timer timer;
-        const auto merged = MergeFrontsNaive(a, b, nullptr);
+        const auto naive = MergeFrontsNaive(pa, pb, &pairs);
         naive_s = std::min(naive_s, timer.Seconds());
       }
     }

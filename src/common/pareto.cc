@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/pareto_flat.h"
@@ -160,105 +161,24 @@ size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,
   return best;
 }
 
-IndexedFront FilterDominated(IndexedFront front) {
-  auto keep = ParetoIndices(front.points);
-  IndexedFront out;
-  out.points.reserve(keep.size());
-  out.payloads.reserve(keep.size());
-  for (size_t i : keep) {
-    out.points.push_back(std::move(front.points[i]));
-    if (i < front.payloads.size()) out.payloads.push_back(front.payloads[i]);
-  }
-  return out;
-}
-
-IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
-                         std::vector<std::pair<size_t, size_t>>* combo_out) {
-  if (a.empty() || b.empty()) return {};
-  const size_t k = a.points[0].size();
-  CheckObjectiveCount(k, "MergeFronts");
-  if (k == 3) {
-    ParetoScratch& scratch = TlsScratch();
-    Front3 fa, fb, merged;
-    fa.reserve(a.size());
-    fb.reserve(b.size());
-    for (const auto& p : a.points) fa.Append(p[0], p[1], p[2], 0);
-    for (const auto& p : b.points) fb.Append(p[0], p[1], p[2], 0);
-    FlatMerge3(fa, fb, &merged, &scratch, /*cap=*/0);
-
-    const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
-    IndexedFront out;
-    out.points.reserve(merged.size());
-    out.payloads.reserve(merged.size());
-    if (combo_out != nullptr) combo_out->reserve(combo_base + merged.size());
-    for (size_t p = 0; p < merged.size(); ++p) {
-      out.points.push_back({merged.x[p], merged.y[p], merged.z[p]});
-      out.payloads.push_back(combo_base + p);
-      if (combo_out != nullptr) {
-        const MergePair& pair = scratch.pairs[p];
-        combo_out->emplace_back(
-            a.payloads.empty() ? pair.i : a.payloads[pair.i],
-            b.payloads.empty() ? pair.j : b.payloads[pair.j]);
-      }
-    }
-    return out;
-  }
-
-  ParetoScratch& scratch = TlsScratch();
-  Front2 fa, fb, merged;
-  fa.reserve(a.size());
-  fb.reserve(b.size());
-  for (const auto& p : a.points) fa.Append(p[0], p[1], 0);
-  for (const auto& p : b.points) fb.Append(p[0], p[1], 0);
-  FlatMerge2(fa, fb, &merged, &scratch, /*cap=*/0);
-
-  const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
-  IndexedFront out;
-  out.points.reserve(merged.size());
-  out.payloads.reserve(merged.size());
-  if (combo_out != nullptr) combo_out->reserve(combo_base + merged.size());
-  for (size_t p = 0; p < merged.size(); ++p) {
-    out.points.push_back({merged.x[p], merged.y[p]});
-    out.payloads.push_back(combo_base + p);
-    if (combo_out != nullptr) {
-      const MergePair& pair = scratch.pairs[p];
-      combo_out->emplace_back(
-          a.payloads.empty() ? pair.i : a.payloads[pair.i],
-          b.payloads.empty() ? pair.j : b.payloads[pair.j]);
+std::vector<ObjectiveVector> MergeFrontsNaive(
+    const std::vector<ObjectiveVector>& a,
+    const std::vector<ObjectiveVector>& b, std::vector<MergePair>* pairs) {
+  std::vector<ObjectiveVector> product;
+  product.reserve(a.size() * b.size());
+  for (const ObjectiveVector& pa : a) {
+    for (const ObjectiveVector& pb : b) {
+      ObjectiveVector sum(pa.size());
+      for (size_t d = 0; d < sum.size(); ++d) sum[d] = pa[d] + pb[d];
+      product.push_back(std::move(sum));
     }
   }
-  return out;
-}
-
-IndexedFront MergeFrontsNaive(
-    const IndexedFront& a, const IndexedFront& b,
-    std::vector<std::pair<size_t, size_t>>* combo_out) {
-  IndexedFront combined;
-  std::vector<std::pair<size_t, size_t>> combos;
-  combined.points.reserve(a.size() * b.size());
-  combos.reserve(a.size() * b.size());
-  const size_t k = a.empty() ? 0 : a.points[0].size();
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < b.size(); ++j) {
-      ObjectiveVector sum(k);
-      for (size_t d = 0; d < k; ++d) {
-        sum[d] = a.points[i][d] + b.points[j][d];
-      }
-      combined.points.push_back(std::move(sum));
-      combos.emplace_back(a.payloads.empty() ? i : a.payloads[i],
-                          b.payloads.empty() ? j : b.payloads[j]);
-    }
-  }
-  auto keep = ParetoIndices(combined.points);
-  const size_t combo_base = combo_out != nullptr ? combo_out->size() : 0;
-  IndexedFront out;
-  out.points.reserve(keep.size());
-  out.payloads.reserve(keep.size());
-  if (combo_out != nullptr) combo_out->reserve(combo_base + keep.size());
-  for (size_t idx : keep) {
-    out.points.push_back(std::move(combined.points[idx]));
-    out.payloads.push_back(combo_base + (out.points.size() - 1));
-    if (combo_out != nullptr) combo_out->push_back(combos[idx]);
+  std::vector<ObjectiveVector> out;
+  pairs->clear();
+  for (size_t idx : ParetoIndices(product)) {
+    out.push_back(std::move(product[idx]));
+    pairs->push_back({static_cast<uint32_t>(idx / b.size()),
+                      static_cast<uint32_t>(idx % b.size())});
   }
   return out;
 }

@@ -1,27 +1,28 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
+
+#include "common/pareto_flat.h"
 
 /// \file pareto.h
 /// \brief Pareto-set primitives used across the optimizer: dominance
 /// checks, non-dominated filtering (Kung et al. sort-based algorithm for
-/// 2D, staircase sweep for 3D), hypervolume, Weighted-Utopia-Nearest (WUN)
-/// recommendation, and the Minkowski-sum merge that underlies HMOOC's
-/// divide-and-conquer DAG aggregation (Algorithm 3 in the paper).
+/// 2D, staircase sweep for 3D), hypervolume, and Weighted-Utopia-Nearest
+/// (WUN) recommendation, plus the reference Minkowski-sum merge of
+/// HMOOC's divide-and-conquer DAG aggregation (Algorithm 3 in the paper).
 ///
 /// All objectives are minimized. A point with k objectives is a
 /// std::vector<double> of size k. Every model and solver produces k = 2
-/// or k = 3, and ParetoIndices, Hypervolume and MergeFronts abort on any
-/// other k (empty input is always legal).
+/// or k = 3, and ParetoIndices and Hypervolume abort on any other k
+/// (empty input is always legal).
 ///
 /// This header is the AoS shim over the flat kernel in pareto_flat.h:
-/// ParetoIndices, Hypervolume, and MergeFronts delegate to the
-/// structure-of-arrays kernel and are bitwise identical — same points,
-/// same payload mapping, same stable tie order — to the naive
-/// formulations they replaced (the naive merge survives as
-/// MergeFrontsNaive, the oracle of the property tests).
+/// ParetoIndices and Hypervolume delegate to the structure-of-arrays
+/// kernel and are bitwise identical — same points, same stable tie
+/// order — to the naive formulations they replaced. Production merges
+/// call FlatMerge2/FlatMerge3 directly; MergeFrontsNaive is the
+/// reference they are tested and benchmarked against.
 
 namespace sparkopt {
 
@@ -69,53 +70,21 @@ double Hypervolume(const std::vector<ObjectiveVector>& front,
 size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,
                              const std::vector<double>& weights);
 
-/// \brief A Pareto front where each point carries an opaque payload id
-/// (e.g. an index into a configuration table). Used by DAG aggregation.
-struct IndexedFront {
-  std::vector<ObjectiveVector> points;
-  /// payloads[i] identifies the configuration(s) behind points[i]. For
-  /// merged fronts this is an index into a caller-maintained combination
-  /// table.
-  std::vector<size_t> payloads;
-
-  size_t size() const { return points.size(); }
-  bool empty() const { return points.empty(); }
-};
-
-/// \brief Keeps only the non-dominated entries of `front` (points and
-/// payloads filtered consistently).
-IndexedFront FilterDominated(IndexedFront front);
-
-/// \brief Minkowski-sum merge of two fronts (Algorithm 3): sums every
-/// |a| x |b| combination of objective vectors and keeps the Pareto front
-/// (the non-dominated multiset, duplicates included), ordered by
-/// cross-product index i * |b| + j. The output-sensitive flat kernel
-/// (pareto_flat.h) does the work, so the product is never materialized.
-/// Either front empty: returns an empty front; otherwise k must be 2 or
-/// 3.
+/// \brief Reference Minkowski-sum merge (Algorithm 3) that materializes
+/// the full |a| x |b| cross product before filtering.
 ///
-/// Payload contract: each surviving point originates from one
-/// (a-point, b-point) combination. When `combo_out` is non-null the pair
-/// (a.payloads[i], b.payloads[j]) of the p-th survivor is **appended**
-/// to `*combo_out` (empty input payloads degrade to positions), and
-/// `out.payloads[p]` is the index of that row in the grown table — i.e.
-/// combo_out->size() before the call, plus p. Appending (rather than
-/// overwriting) lets a caller chain merges over one combination table:
-/// a payload always resolves to the table row that reconstructs its
-/// full combination. With `combo_out == nullptr` the payloads still
-/// number survivors 0..n-1 against an imaginary empty table.
+/// Returns the non-dominated multiset of {a[i] + b[j]} (exact
+/// duplicates kept) in cross-product order, i * |b| + j ascending, and
+/// sets `*pairs` (cleared first) to one (i, j) position pair per
+/// returned point: the contract an uncapped FlatMerge2/FlatMerge3 keeps
+/// through `ParetoScratch::pairs`. The sums are taken for any k; the
+/// filter is ParetoIndices, so k must be 2 or 3. Either input empty
+/// gives an empty result.
 ///
 /// By Proposition B.1, Pf(Pf(F) ⊕ Pf(G)) = Pf(F x G), so merging the
 /// children's fronts loses no query-level Pareto solution.
-IndexedFront MergeFronts(const IndexedFront& a, const IndexedFront& b,
-                         std::vector<std::pair<size_t, size_t>>* combo_out);
-
-/// \brief Reference implementation of MergeFronts that materializes the
-/// full cross product before filtering. Identical output contract; the
-/// sums are taken for any k, the filter is ParetoIndices (so k = 2 or
-/// 3). Kept as the oracle for the flat kernel's bitwise-equivalence
-/// property tests; production call sites use MergeFronts.
-IndexedFront MergeFrontsNaive(const IndexedFront& a, const IndexedFront& b,
-                              std::vector<std::pair<size_t, size_t>>* combo_out);
+std::vector<ObjectiveVector> MergeFrontsNaive(
+    const std::vector<ObjectiveVector>& a,
+    const std::vector<ObjectiveVector>& b, std::vector<MergePair>* pairs);
 
 }  // namespace sparkopt

@@ -57,22 +57,6 @@ void FlatParetoPositions(const double* x, const double* y, size_t n,
   std::sort(kept->begin(), kept->end());
 }
 
-void FlatPareto2(Front2* front, ParetoScratch* scratch) {
-  FlatParetoPositions(front->x.data(), front->y.data(), front->size(),
-                      &scratch->kept, scratch);
-  const std::vector<uint32_t>& keep = scratch->kept;
-  if (keep.size() == front->size()) return;
-  for (size_t p = 0; p < keep.size(); ++p) {
-    const uint32_t src = keep[p];
-    front->x[p] = front->x[src];
-    front->y[p] = front->y[src];
-    front->payload[p] = front->payload[src];
-  }
-  front->x.resize(keep.size());
-  front->y.resize(keep.size());
-  front->payload.resize(keep.size());
-}
-
 namespace {
 
 // Min-heap on sum-x. std::push_heap builds a max-heap, so the
@@ -467,24 +451,6 @@ void FlatParetoPositions3(const double* x, const double* y, const double* z,
     }
   }
   std::sort(kept->begin(), kept->end());
-}
-
-void FlatPareto3(Front3* front, ParetoScratch* scratch) {
-  FlatParetoPositions3(front->x.data(), front->y.data(), front->z.data(),
-                       front->size(), &scratch->kept, scratch);
-  const std::vector<uint32_t>& keep = scratch->kept;
-  if (keep.size() == front->size()) return;
-  for (size_t p = 0; p < keep.size(); ++p) {
-    const uint32_t src = keep[p];
-    front->x[p] = front->x[src];
-    front->y[p] = front->y[src];
-    front->z[p] = front->z[src];
-    front->payload[p] = front->payload[src];
-  }
-  front->x.resize(keep.size());
-  front->y.resize(keep.size());
-  front->z.resize(keep.size());
-  front->payload.resize(keep.size());
 }
 
 namespace {

@@ -21,10 +21,11 @@
 /// minimized; a "front" is the *non-dominated multiset* of its input —
 /// exact duplicates of a non-dominated point are all kept — and every
 /// operation preserves the caller's point order (for an uncapped merge:
-/// the cross-product order i * |b| + j). These are exactly the semantics
-/// of the naive `ParetoIndices` / `MergeFronts` path, so the two paths
-/// produce bitwise-identical fronts; `tests/common/pareto_flat_test.cc`
-/// pins the equivalence property.
+/// the cross-product order i * |b| + j). FlatMerge2/FlatMerge3 are the
+/// only merge: an uncapped one is bitwise identical to the reference
+/// `MergeFrontsNaive` (common/pareto.h), points and (i, j) pairs alike,
+/// which `tests/common/pareto_flat_test.cc` and
+/// `tests/common/pareto_flat3_test.cc` pin.
 
 namespace sparkopt {
 
@@ -162,10 +163,6 @@ struct ParetoScratch {
 void FlatParetoPositions(const double* x, const double* y, size_t n,
                          std::vector<uint32_t>* kept, ParetoScratch* scratch);
 
-/// \brief Filters `*front` in place to its non-dominated multiset
-/// (points and payloads compacted consistently, input order preserved).
-void FlatPareto2(Front2* front, ParetoScratch* scratch);
-
 /// \brief Output-sensitive Minkowski-sum merge (Algorithm 3 without the
 /// cross product), optionally thinned.
 ///
@@ -234,9 +231,6 @@ bool ParetoInsert(Front2* front, double px, double py, size_t id);
 void FlatParetoPositions3(const double* x, const double* y, const double* z,
                           size_t n, std::vector<uint32_t>* kept,
                           ParetoScratch* scratch);
-
-/// \brief Filters `*front` in place to its non-dominated multiset.
-void FlatPareto3(Front3* front, ParetoScratch* scratch);
 
 /// \brief Output-sensitive 3-D Minkowski-sum merge, optionally thinned.
 ///

@@ -21,7 +21,8 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
 #endif
   const size_t m = subqs_.size();
   std::vector<bool> completed(m, false);
-  PhysicalPlanner planner(plan_, subqs_);
+  const PhysicalPlanner planner(plan_, subqs_);
+  const std::vector<int>& subq_of = planner.subq_of_op();
 
   AqeHooks default_hooks;
   if (hooks == nullptr) hooks = &default_hooks;
@@ -59,10 +60,6 @@ Result<AqeResult> AqeDriver::Run(const ContextParams& theta_c,
     ++result.replans;
 
     // A stage is completed when every subQ of its member operators is.
-    std::vector<int> subq_of(plan_->num_ops(), -1);
-    for (const auto& sq : subqs_) {
-      for (int op : sq.op_ids) subq_of[op] = sq.id;
-    }
     for (const auto& st : pplan.stages) {
       for (int op : st.op_ids) {
         SPARKOPT_DCHECK_GE(subq_of[op], 0)

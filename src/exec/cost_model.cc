@@ -9,16 +9,30 @@ namespace sparkopt {
 
 namespace {
 constexpr double kMb = 1024.0 * 1024.0;
+
+// Bytes read by task `task_idx`.
+double TaskBytes(const QueryStage& stage, int task_idx) {
+  return task_idx < static_cast<int>(stage.partition_bytes.size())
+             ? stage.partition_bytes[task_idx]
+             : std::max(stage.input_bytes, 1.0) /
+                   std::max(stage.num_partitions, 1);
 }
+
+// Memory a task reading `part_bytes` holds: joins and sorts keep a
+// working set ~1.6x the partition, plus the resident broadcast table.
+double WorkingSetMb(const QueryStage& stage, double part_bytes) {
+  double working_mb = part_bytes / kMb;
+  if (stage.has_join || stage.sort_work > 0.0) working_mb *= 1.6;
+  working_mb += stage.broadcast_bytes / kMb;
+  return working_mb;
+}
+}  // namespace
 
 double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
                                   const ContextParams& theta_c,
                                   uint64_t seed) const {
   const double stage_bytes = std::max(stage.input_bytes, 1.0);
-  const double part_bytes =
-      task_idx < static_cast<int>(stage.partition_bytes.size())
-          ? stage.partition_bytes[task_idx]
-          : stage_bytes / std::max(stage.num_partitions, 1);
+  const double part_bytes = TaskBytes(stage, task_idx);
   const double share = part_bytes / stage_bytes;
 
   // ---- CPU ---------------------------------------------------------------
@@ -73,11 +87,8 @@ double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
   }
 
   // ---- Memory pressure -------------------------------------------------
-  // Hash joins and aggregates hold a working set ~1.6x the partition; a
-  // partition exceeding the per-task execution memory spills.
-  double working_mb = part_bytes / kMb;
-  if (stage.has_join || stage.sort_work > 0.0) working_mb *= 1.6;
-  working_mb += stage.broadcast_bytes / kMb;  // resident broadcast table
+  // A working set exceeding the per-task execution memory spills.
+  const double working_mb = WorkingSetMb(stage, part_bytes);
   const double mem_mb = std::max(theta_c.MemoryPerTaskMb(), 64.0);
   double spill_mult = 1.0;
   if (working_mb > mem_mb) {
@@ -98,17 +109,8 @@ double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
 
 bool TaskCostModel::TaskSpills(const QueryStage& stage, int task_idx,
                                const ContextParams& theta_c) const {
-  const double stage_bytes = std::max(stage.input_bytes, 1.0);
-  const double part_bytes =
-      task_idx < static_cast<int>(stage.partition_bytes.size())
-          ? stage.partition_bytes[task_idx]
-          : stage_bytes / std::max(stage.num_partitions, 1);
-  // Must mirror the memory-pressure rule in TaskLatency.
-  double working_mb = part_bytes / kMb;
-  if (stage.has_join || stage.sort_work > 0.0) working_mb *= 1.6;
-  working_mb += stage.broadcast_bytes / kMb;
   const double mem_mb = std::max(theta_c.MemoryPerTaskMb(), 64.0);
-  return working_mb > mem_mb;
+  return WorkingSetMb(stage, TaskBytes(stage, task_idx)) > mem_mb;
 }
 
 double TaskCostModel::StageSetupLatency(const QueryStage& stage,

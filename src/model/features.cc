@@ -117,16 +117,11 @@ std::vector<double> StageFeatures(
   off += FeatureLayout::kPredicateHash;
 
   // ---- cardinality block ----
-  double in_rows = stage.input_rows, in_bytes = stage.input_bytes;
-  double out_rows = stage.output_rows, out_bytes = stage.output_bytes;
-  if (!use_true_cards) {
-    // The caller built `stage` with the matching cardinality source, so
-    // the fields are already estimate-based; nothing to redo here.
-  }
-  f[off + 0] = Log1p(in_rows);
-  f[off + 1] = Log1p(in_bytes);
-  f[off + 2] = Log1p(out_rows);
-  f[off + 3] = Log1p(out_bytes);
+  // The caller built `stage` with the matching cardinality source.
+  f[off + 0] = Log1p(stage.input_rows);
+  f[off + 1] = Log1p(stage.input_bytes);
+  f[off + 2] = Log1p(stage.output_rows);
+  f[off + 3] = Log1p(stage.output_bytes);
   f[off + 4] = Log1p(stage.shuffle_read_bytes);
   f[off + 5] = Log1p(stage.broadcast_bytes);
   f[off + 6] = Log1p(stage.cpu_work);

@@ -37,19 +37,7 @@ QueryStage SubQEvaluator::BuildStage(
     const std::vector<bool>* completed_subqs) const {
   const auto& plan = query_->plan;
   const auto& sq = subqs_[subq_id];
-  auto known = [&](int id) {
-    if (source == CardinalitySource::kTrue) return true;
-    if (completed_subqs == nullptr) return false;
-    const int sqi = subq_of_op_[id];
-    return sqi >= 0 && sqi < static_cast<int>(completed_subqs->size()) &&
-           (*completed_subqs)[sqi];
-  };
-  auto rows = [&](int id) {
-    return known(id) ? plan.op(id).true_rows : plan.op(id).est_rows;
-  };
-  auto bytes = [&](int id) {
-    return known(id) ? plan.op(id).true_bytes : plan.op(id).est_bytes;
-  };
+  const BelievedCardinality card(plan, subq_of_op_, source, completed_subqs);
 
   QueryStage st;
   st.id = subq_id;
@@ -61,39 +49,29 @@ QueryStage SubQEvaluator::BuildStage(
     const auto& op = plan.op(id);
     if (op.type == OpType::kScan) {
       st.is_scan_stage = true;
-      st.input_rows += rows(id) / std::max(op.selectivity, 1e-9);
-      st.input_bytes += bytes(id) / std::max(op.selectivity, 1e-9);
+      st.input_rows += card.rows(id) / std::max(op.selectivity, 1e-9);
+      st.input_bytes += card.bytes(id) / std::max(op.selectivity, 1e-9);
     }
     skew = std::max(skew, op.shuffle_skew);
 
     // Inputs from other subQs. For joins, decide the algorithm first.
     if (op.type == OpType::kJoin && op.children.size() >= 2) {
-      int build = op.children[0];
-      int probe = op.children[1];
-      if (bytes(build) > bytes(probe)) std::swap(build, probe);
-      const double build_mb = bytes(build) / kMb;
-      const double non_empty_ratio = std::min(
-          1.0, rows(build) / std::max(1.0, double(tp.shuffle_partitions)));
-      JoinAlgo algo = JoinAlgo::kSortMergeJoin;
-      if (build_mb <= tp.broadcast_join_threshold_mb &&
-          non_empty_ratio >= tp.non_empty_partition_ratio) {
-        algo = JoinAlgo::kBroadcastHashJoin;
-      } else if (build_mb <= tp.shuffled_hash_join_threshold_mb) {
-        algo = JoinAlgo::kShuffledHashJoin;
-      }
+      const JoinDecision decision = ChooseJoin(op, tp, card);
+      const int build = decision.build_op;
+      const JoinAlgo algo = decision.algo;
       st.has_join = true;
       st.join_algo = algo;
 
       double build_rows = 0.0, probe_rows = 0.0;
       for (int c : op.children) {
-        (c == build ? build_rows : probe_rows) += rows(c);
+        (c == build ? build_rows : probe_rows) += card.rows(c);
         if (subq_of_op_[c] == subq_id) continue;
         if (algo == JoinAlgo::kBroadcastHashJoin && c == build) {
-          st.broadcast_bytes += bytes(c);
+          st.broadcast_bytes += card.bytes(c);
         } else {
-          st.shuffle_read_bytes += bytes(c);
-          st.input_rows += rows(c);
-          st.input_bytes += bytes(c);
+          st.shuffle_read_bytes += card.bytes(c);
+          st.input_rows += card.rows(c);
+          st.input_bytes += card.bytes(c);
         }
       }
       switch (algo) {
@@ -112,18 +90,18 @@ QueryStage SubQEvaluator::BuildStage(
           st.cpu_work += 0.4 * probe_rows;
           break;
       }
-      st.cpu_work += 0.15 * rows(id);
+      st.cpu_work += 0.15 * card.rows(id);
       continue;
     }
 
     // Non-join operators: shuffle-read any out-of-subQ children.
     for (int c : op.children) {
       if (subq_of_op_[c] == subq_id) continue;
-      st.shuffle_read_bytes += bytes(c);
-      st.input_rows += rows(c);
-      st.input_bytes += bytes(c);
+      st.shuffle_read_bytes += card.bytes(c);
+      st.input_rows += card.rows(c);
+      st.input_bytes += card.bytes(c);
     }
-    const double out_rows = rows(id);
+    const double out_rows = card.rows(id);
     switch (op.type) {
       case OpType::kSort: {
         const double sw = 0.5 * NLogN(out_rows) / std::log2(1e6);
@@ -132,7 +110,7 @@ QueryStage SubQEvaluator::BuildStage(
         break;
       }
       case OpType::kScan:
-        st.cpu_work += 1.0 * rows(id) / std::max(op.selectivity, 1e-9);
+        st.cpu_work += 1.0 * card.rows(id) / std::max(op.selectivity, 1e-9);
         break;
       case OpType::kFilter:
         st.cpu_work += 0.25 * out_rows / std::max(op.selectivity, 1e-9);
@@ -142,7 +120,7 @@ QueryStage SubQEvaluator::BuildStage(
         break;
       default: {
         double in_rows = 0.0;
-        for (int c : op.children) in_rows += rows(c);
+        for (int c : op.children) in_rows += card.rows(c);
         st.cpu_work += 0.15 * std::max(in_rows, out_rows);
         break;
       }
@@ -150,36 +128,11 @@ QueryStage SubQEvaluator::BuildStage(
   }
 
   const int root_op = sq.root_op;
-  st.output_rows = rows(root_op);
-  st.output_bytes = bytes(root_op);
+  st.output_rows = card.rows(root_op);
+  st.output_bytes = card.bytes(root_op);
   st.exchanges_output = root_op != plan.root();
 
-  // Partitioning (mirrors the physical planner).
-  if (st.is_scan_stage) {
-    const double total = std::max(st.input_bytes, 1.0);
-    const double split =
-        std::min(tp.max_partition_bytes_mb * kMb,
-                 std::max(tp.file_open_cost_mb * kMb,
-                          total / std::max(theta_c.default_parallelism, 1)));
-    st.num_partitions = std::max(
-        1, static_cast<int>(std::ceil(total / std::max(split, 1.0))));
-  } else {
-    st.num_partitions = std::max(1, tp.shuffle_partitions);
-  }
-  st.num_partitions = std::min(st.num_partitions, 4096);
-  st.partition_bytes =
-      SkewedPartitionSizes(st.input_bytes, st.num_partitions, skew);
-  if (!st.is_scan_stage) {
-    if (st.has_join) {
-      st.partition_bytes = ApplySkewSplit(
-          std::move(st.partition_bytes), tp.skewed_partition_threshold_mb,
-          tp.skewed_partition_factor, tp.advisory_partition_size_mb);
-    }
-    st.partition_bytes = ApplyCoalesce(
-        std::move(st.partition_bytes), tp.advisory_partition_size_mb,
-        ts.rebalance_small_factor, ts.coalesce_min_partition_size_mb);
-    st.num_partitions = static_cast<int>(st.partition_bytes.size());
-  }
+  PartitionStage(theta_c, tp, ts, skew, &st);
   return st;
 }
 
@@ -220,22 +173,6 @@ SubQObjectives SubQEvaluator::Evaluate(
   obj.cost = CloudCost(prices_, cores, mem_gb, obj.analytical_latency,
                        obj.io_bytes / (1024.0 * kMb));
   return obj;
-}
-
-SubQObjectives SubQEvaluator::EvaluateQuery(
-    const ContextParams& theta_c, const std::vector<PlanParams>& theta_p,
-    const std::vector<StageParams>& theta_s,
-    CardinalitySource source) const {
-  SubQObjectives total;
-  for (int i = 0; i < num_subqs(); ++i) {
-    const auto& tp = theta_p[theta_p.size() == 1 ? 0 : i];
-    const auto& ts = theta_s[theta_s.size() == 1 ? 0 : i];
-    const auto o = Evaluate(i, theta_c, tp, ts, source);
-    total.analytical_latency += o.analytical_latency;
-    total.io_bytes += o.io_bytes;
-    total.cost += o.cost;
-  }
-  return total;
 }
 
 }  // namespace sparkopt

@@ -40,10 +40,15 @@ class SubQEvaluator {
 
   int num_subqs() const { return static_cast<int>(subqs_.size()); }
   const std::vector<SubQuery>& subqueries() const { return subqs_; }
+  /// SubQ id of each logical operator, indexed by op id.
+  const std::vector<int>& subq_of_op() const { return subq_of_op_; }
   const Query& query() const { return *query_; }
 
   /// \brief Builds the query stage this subQ becomes under the given
   /// parameters (used both for costing and for feature extraction).
+  /// The join choice, the believed cardinalities and the partitioning
+  /// are the planner's rules (`ChooseJoin`, `BelievedCardinality`,
+  /// `PartitionStage`); only the CPU-work weights are the evaluator's.
   ///
   /// `completed_subqs`, if non-null, marks subQs whose true statistics
   /// are known at runtime: operators inside them read true cardinalities
@@ -65,12 +70,6 @@ class SubQEvaluator {
                           CardinalitySource source,
                           const std::vector<bool>* completed_subqs =
                               nullptr) const;
-
-  /// Query-level objectives = sum over subQs (the Lambda aggregator).
-  SubQObjectives EvaluateQuery(const ContextParams& theta_c,
-                               const std::vector<PlanParams>& theta_p,
-                               const std::vector<StageParams>& theta_s,
-                               CardinalitySource source) const;
 
   const TaskCostModel& cost_model() const { return cost_model_; }
 

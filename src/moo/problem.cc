@@ -13,24 +13,6 @@ void SubQObjectiveModel::EvaluateBatch(
   }
 }
 
-ObjectiveVector SubQObjectiveModel::EvaluateQuery(
-    const std::vector<double>& theta_c_conf,
-    const std::vector<std::vector<double>>& per_subq_conf) const {
-  const size_t k = static_cast<size_t>(num_objectives());
-  ObjectiveVector total(k, 0.0);
-  for (int i = 0; i < num_subqs(); ++i) {
-    // Each per-subQ conf shares theta_c from theta_c_conf.
-    std::vector<double> conf =
-        per_subq_conf[per_subq_conf.size() == 1 ? 0 : i];
-    for (size_t j = 0; j < 8 && j < theta_c_conf.size(); ++j) {
-      conf[j] = theta_c_conf[j];
-    }
-    const auto f = Evaluate(i, conf);
-    for (size_t d = 0; d < k; ++d) total[d] += f[d];
-  }
-  return total;
-}
-
 size_t MooRunResult::Recommend(const std::vector<double>& weights) const {
   std::vector<ObjectiveVector> pts;
   pts.reserve(pareto.size());

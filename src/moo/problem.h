@@ -96,12 +96,6 @@ class SubQObjectiveModel {
 
   /// Unused by the solvers; kept only because bench/suite/ overrides it.
   virtual const SubQEvaluator* screen_evaluator() const { return nullptr; }
-
-  /// Query-level objectives: sum over subQs with shared theta_c and
-  /// per-subQ theta_p/theta_s (defaults to a loop over Evaluate).
-  ObjectiveVector EvaluateQuery(
-      const std::vector<double>& theta_c_conf,
-      const std::vector<std::vector<double>>& per_subq_conf) const;
 };
 
 /// \brief Monolithic objective over a normalized decision vector in

@@ -127,6 +127,61 @@ std::vector<double> ApplyCoalesce(std::vector<double> partition_bytes,
   return out;
 }
 
+JoinDecision ChooseJoin(const LogicalOperator& join, const PlanParams& tp,
+                        const BelievedCardinality& card) {
+  const double mb = 1024.0 * 1024.0;
+  int build = join.children[0];
+  int probe = join.children[1];
+  if (card.bytes(build) > card.bytes(probe)) std::swap(build, probe);
+  const double build_mb = card.bytes(build) / mb;
+  JoinAlgo algo = JoinAlgo::kSortMergeJoin;
+  // Non-empty partition ratio of the build side under the planned
+  // shuffle partition count: demote BHJ when too few partitions are
+  // non-empty relative to s2 (AQE demotion rule).
+  const double non_empty_ratio = std::min(
+      1.0, card.rows(build) / std::max(1.0, double(tp.shuffle_partitions)));
+  if (build_mb <= tp.broadcast_join_threshold_mb &&
+      non_empty_ratio >= tp.non_empty_partition_ratio) {
+    algo = JoinAlgo::kBroadcastHashJoin;
+  } else if (build_mb <= tp.shuffled_hash_join_threshold_mb) {
+    algo = JoinAlgo::kShuffledHashJoin;
+  }
+  return {join.id, algo, build_mb, build};
+}
+
+void PartitionStage(const ContextParams& theta_c, const PlanParams& tp,
+                    const StageParams& ts, double skew, QueryStage* st) {
+  const double mb = 1024.0 * 1024.0;
+  if (st->is_scan_stage) {
+    // Spark's file-split formula: maxSplitBytes = min(s8,
+    // max(s9, total/defaultParallelism)).
+    const double total = std::max(st->input_bytes, 1.0);
+    const double split =
+        std::min(tp.max_partition_bytes_mb * mb,
+                 std::max(tp.file_open_cost_mb * mb,
+                          total / std::max(theta_c.default_parallelism, 1)));
+    st->num_partitions = std::max(
+        1, static_cast<int>(std::ceil(total / std::max(split, 1.0))));
+  } else {
+    st->num_partitions = std::max(1, tp.shuffle_partitions);
+  }
+  st->num_partitions = std::min(st->num_partitions, 4096);
+  st->partition_bytes =
+      SkewedPartitionSizes(st->input_bytes, st->num_partitions, skew);
+  if (!st->is_scan_stage) {
+    // AQE post-shuffle optimizations on this stage's input partitions.
+    if (st->has_join) {
+      st->partition_bytes = ApplySkewSplit(
+          std::move(st->partition_bytes), tp.skewed_partition_threshold_mb,
+          tp.skewed_partition_factor, tp.advisory_partition_size_mb);
+    }
+    st->partition_bytes = ApplyCoalesce(
+        std::move(st->partition_bytes), tp.advisory_partition_size_mb,
+        ts.rebalance_small_factor, ts.coalesce_min_partition_size_mb);
+    st->num_partitions = static_cast<int>(st->partition_bytes.size());
+  }
+}
+
 namespace {
 
 // Per-row CPU weight by operator type (arbitrary but fixed units; the
@@ -151,6 +206,18 @@ double NLogN(double n) {
 
 }  // namespace
 
+PhysicalPlanner::PhysicalPlanner(const LogicalPlan* plan,
+                                 std::vector<SubQuery> subqs)
+    : plan_(plan), subqs_(std::move(subqs)), subq_of_(plan->num_ops(), -1) {
+  for (const auto& sq : subqs_) {
+    for (int op : sq.op_ids) subq_of_[op] = sq.id;
+  }
+  for (size_t i = 0; i < subq_of_.size(); ++i) {
+    SPARKOPT_DCHECK_GE(subq_of_[i], 0)
+        << "op " << i << " is not covered by the subQ decomposition";
+  }
+}
+
 Result<PhysicalPlan> PhysicalPlanner::Plan(
     const ContextParams& theta_c,
     const std::vector<PlanParams>& theta_p_per_subq,
@@ -173,34 +240,7 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
                                 : std::min<size_t>(subq, m - 1)];
   };
 
-  // subq id of each operator.
-  std::vector<int> subq_of(plan.num_ops(), -1);
-  for (const auto& sq : subqs_) {
-    for (int op : sq.op_ids) subq_of[op] = sq.id;
-  }
-  for (size_t i = 0; i < subq_of.size(); ++i) {
-    SPARKOPT_DCHECK_GE(subq_of[i], 0)
-        << "op " << i << " is not covered by the subQ decomposition";
-  }
-
-  auto believed_rows = [&](int op_id) {
-    const auto& op = plan.op(op_id);
-    const bool truth =
-        source == CardinalitySource::kTrue ||
-        (subq_of[op_id] < static_cast<int>(completed_subqs.size()) &&
-         completed_subqs[subq_of[op_id]]);
-    return truth ? op.true_rows : op.est_rows;
-  };
-  auto believed_bytes = [&](int op_id) {
-    const auto& op = plan.op(op_id);
-    const bool truth =
-        source == CardinalitySource::kTrue ||
-        (subq_of[op_id] < static_cast<int>(completed_subqs.size()) &&
-         completed_subqs[subq_of[op_id]]);
-    return truth ? op.true_bytes : op.est_bytes;
-  };
-
-  const double mb = 1024.0 * 1024.0;
+  const BelievedCardinality card(plan, subq_of_, source, &completed_subqs);
 
   // ---- 1. Join algorithm decisions ------------------------------------
   PhysicalPlan result;
@@ -209,28 +249,10 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   for (int id : plan.TopologicalOrder()) {
     const auto& op = plan.op(id);
     if (op.type != OpType::kJoin || op.children.size() < 2) continue;
-    const auto& tp = theta_p_of(subq_of[id]);
-    // Build side = smaller believed side.
-    int build = op.children[0];
-    int probe = op.children[1];
-    if (believed_bytes(build) > believed_bytes(probe)) std::swap(build, probe);
-    const double build_mb = believed_bytes(build) / mb;
-    JoinAlgo algo = JoinAlgo::kSortMergeJoin;
-    // Non-empty partition ratio of the build side under the planned
-    // shuffle partition count: demote BHJ when too few partitions are
-    // non-empty relative to s2 (AQE demotion rule).
-    const double non_empty_ratio =
-        std::min(1.0, believed_rows(build) /
-                          std::max(1.0, double(tp.shuffle_partitions)));
-    if (build_mb <= tp.broadcast_join_threshold_mb &&
-        non_empty_ratio >= tp.non_empty_partition_ratio) {
-      algo = JoinAlgo::kBroadcastHashJoin;
-    } else if (build_mb <= tp.shuffled_hash_join_threshold_mb) {
-      algo = JoinAlgo::kShuffledHashJoin;
-    }
-    algo_of_op[id] = algo;
-    build_child_of[id] = build;
-    result.join_decisions.push_back({id, algo, build_mb, build});
+    const JoinDecision jd = ChooseJoin(op, theta_p_of(subq_of_[id]), card);
+    algo_of_op[id] = jd.algo;
+    build_child_of[id] = jd.build_op;
+    result.join_decisions.push_back(jd);
   }
 
   // ---- 2. Stage formation: merge BHJ subQs into their probe stage -----
@@ -252,8 +274,8 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   std::vector<std::vector<int>> subq_consumers(m);
   for (int id = 0; id < static_cast<int>(plan.num_ops()); ++id) {
     for (int c : plan.op(id).children) {
-      if (subq_of[c] != subq_of[id]) {
-        subq_consumers[subq_of[c]].push_back(subq_of[id]);
+      if (subq_of_[c] != subq_of_[id]) {
+        subq_consumers[subq_of_[c]].push_back(subq_of_[id]);
       }
     }
   }
@@ -300,11 +322,11 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
       // never into a stage that has already executed (AQE re-planning
       // cannot rewrite completed stages; the BHJ then runs in its own
       // stage reading the probe side's materialized shuffle output).
-      if (subq_completed(subq_of[id]) || subq_completed(subq_of[c])) {
+      if (subq_completed(subq_of_[id]) || subq_completed(subq_of_[c])) {
         continue;
       }
-      const int gj = find(subq_of[id]);
-      const int gp = find(subq_of[c]);
+      const int gj = find(subq_of_[id]);
+      const int gp = find(subq_of_[c]);
       if (gj == gp || would_cycle(gp, gj)) continue;
       uf[gj] = gp;
     }
@@ -325,7 +347,7 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   }
   // Fill member ops in topological order.
   for (int id : plan.TopologicalOrder()) {
-    auto& st = result.stages[stage_of_subq[subq_of[id]]];
+    auto& st = result.stages[stage_of_subq[subq_of_[id]]];
     st.op_ids.push_back(id);
     const auto& op = plan.op(id);
     if (op.type == OpType::kScan) st.is_scan_stage = true;
@@ -341,12 +363,12 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
     for (int id : st.op_ids) {
       const auto& op = plan.op(id);
       if (op.type == OpType::kScan && op.table_id >= 0) {
-        st.input_rows += believed_rows(id) / std::max(op.selectivity, 1e-9);
-        st.input_bytes += believed_bytes(id) / std::max(op.selectivity, 1e-9);
+        st.input_rows += card.rows(id) / std::max(op.selectivity, 1e-9);
+        st.input_bytes += card.bytes(id) / std::max(op.selectivity, 1e-9);
       }
       skew = std::max(skew, op.shuffle_skew);
       for (int c : op.children) {
-        const int child_stage = stage_of_subq[subq_of[c]];
+        const int child_stage = stage_of_subq[subq_of_[c]];
         if (child_stage == st.id) continue;
         const bool is_broadcast =
             op.type == OpType::kJoin &&
@@ -357,25 +379,25 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
                         child_stage) == st.broadcast_deps.end()) {
             st.broadcast_deps.push_back(child_stage);
           }
-          st.broadcast_bytes += believed_bytes(c);
+          st.broadcast_bytes += card.bytes(c);
         } else {
           if (std::find(st.deps.begin(), st.deps.end(), child_stage) ==
               st.deps.end()) {
             st.deps.push_back(child_stage);
           }
-          st.shuffle_read_bytes += believed_bytes(c);
-          st.input_rows += believed_rows(c);
-          st.input_bytes += believed_bytes(c);
+          st.shuffle_read_bytes += card.bytes(c);
+          st.input_rows += card.rows(c);
+          st.input_bytes += card.bytes(c);
         }
       }
       // CPU work by operator type / join algorithm.
-      const double out_rows = believed_rows(id);
+      const double out_rows = card.rows(id);
       switch (op.type) {
         case OpType::kJoin: {
           const int build = build_child_of[id];
           double build_rows = 0.0, probe_rows = 0.0;
           for (int c : op.children) {
-            (c == build ? build_rows : probe_rows) += believed_rows(c);
+            (c == build ? build_rows : probe_rows) += card.rows(c);
           }
           switch (algo_of_op[id]) {
             case JoinAlgo::kSortMergeJoin:
@@ -402,9 +424,9 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
         default: {
           double in_rows = 0.0;
           if (op.type == OpType::kScan) {
-            in_rows = believed_rows(id) / std::max(op.selectivity, 1e-9);
+            in_rows = card.rows(id) / std::max(op.selectivity, 1e-9);
           } else {
-            for (int c : op.children) in_rows += believed_rows(c);
+            for (int c : op.children) in_rows += card.rows(c);
           }
           st.cpu_work += OpWeight(op.type) * std::max(in_rows, out_rows);
           break;
@@ -413,41 +435,13 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
     }
     const int root_op = st.op_ids.empty() ? -1 : st.op_ids.back();
     if (root_op >= 0) {
-      st.output_rows = believed_rows(root_op);
-      st.output_bytes = believed_bytes(root_op);
+      st.output_rows = card.rows(root_op);
+      st.output_bytes = card.bytes(root_op);
     }
 
     // ---- 4. Partitioning ------------------------------------------------
-    const auto& tp = theta_p_of(st.subq_id);
-    const auto& ts = theta_s_of(st.subq_id);
-    if (st.is_scan_stage) {
-      // Spark's file-split formula: maxSplitBytes = min(s8,
-      // max(s9, total/defaultParallelism)).
-      const double total = std::max(st.input_bytes, 1.0);
-      const double split =
-          std::min(tp.max_partition_bytes_mb * mb,
-                   std::max(tp.file_open_cost_mb * mb,
-                            total / std::max(theta_c.default_parallelism, 1)));
-      st.num_partitions = std::max(1, static_cast<int>(std::ceil(
-                                          total / std::max(split, 1.0))));
-    } else {
-      st.num_partitions = std::max(1, tp.shuffle_partitions);
-    }
-    st.num_partitions = std::min(st.num_partitions, 4096);
-    st.partition_bytes =
-        SkewedPartitionSizes(st.input_bytes, st.num_partitions, skew);
-    if (!st.is_scan_stage) {
-      // AQE post-shuffle optimizations on this stage's input partitions.
-      if (st.has_join) {
-        st.partition_bytes = ApplySkewSplit(
-            std::move(st.partition_bytes), tp.skewed_partition_threshold_mb,
-            tp.skewed_partition_factor, tp.advisory_partition_size_mb);
-      }
-      st.partition_bytes = ApplyCoalesce(
-          std::move(st.partition_bytes), tp.advisory_partition_size_mb,
-          ts.rebalance_small_factor, ts.coalesce_min_partition_size_mb);
-      st.num_partitions = static_cast<int>(st.partition_bytes.size());
-    }
+    PartitionStage(theta_c, theta_p_of(st.subq_id), theta_s_of(st.subq_id),
+                   skew, &st);
     SPARKOPT_DCHECK_EQ(st.num_partitions,
                        static_cast<int>(st.partition_bytes.size()))
         << "stage " << st.id;
@@ -455,7 +449,7 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
   }
 
   // Root stage does not write a shuffle.
-  const int root_stage = stage_of_subq[subq_of[plan.root()]];
+  const int root_stage = stage_of_subq[subq_of_[plan.root()]];
   for (auto& st : result.stages) {
     st.exchanges_output = st.id != root_stage;
   }

@@ -85,6 +85,46 @@ enum class CardinalitySource {
   kTrue        ///< runtime/oracle: observed cardinalities
 };
 
+/// \brief The cardinality each operator shows the planning rules: the
+/// observed one under kTrue or once its subQ has completed (AQE
+/// re-planning), otherwise the CBO estimate.
+///
+/// `subq_of_op` maps operator id to subQ id. `completed_subqs` may be
+/// null or shorter than the subQ count; a missing entry has not
+/// completed. The view holds references to all three.
+class BelievedCardinality {
+ public:
+  BelievedCardinality(const LogicalPlan& plan,
+                      const std::vector<int>& subq_of_op,
+                      CardinalitySource source,
+                      const std::vector<bool>* completed_subqs)
+      : plan_(plan),
+        subq_of_op_(subq_of_op),
+        source_(source),
+        completed_(completed_subqs) {}
+
+  double rows(int op) const {
+    return observed(op) ? plan_.op(op).true_rows : plan_.op(op).est_rows;
+  }
+  double bytes(int op) const {
+    return observed(op) ? plan_.op(op).true_bytes : plan_.op(op).est_bytes;
+  }
+
+ private:
+  bool observed(int op) const {
+    if (source_ == CardinalitySource::kTrue) return true;
+    if (completed_ == nullptr) return false;
+    const int sq = subq_of_op_[op];
+    return sq >= 0 && sq < static_cast<int>(completed_->size()) &&
+           (*completed_)[sq];
+  }
+
+  const LogicalPlan& plan_;
+  const std::vector<int>& subq_of_op_;
+  CardinalitySource source_;
+  const std::vector<bool>* completed_;
+};
+
 /// \brief Applies the parametric physical-planning rules.
 ///
 /// `theta_p_per_subq` supplies one PlanParams per canonical subQ
@@ -95,8 +135,7 @@ enum class CardinalitySource {
 /// true stats regardless of `source`.
 class PhysicalPlanner {
  public:
-  PhysicalPlanner(const LogicalPlan* plan, std::vector<SubQuery> subqs)
-      : plan_(plan), subqs_(std::move(subqs)) {}
+  PhysicalPlanner(const LogicalPlan* plan, std::vector<SubQuery> subqs);
 
   Result<PhysicalPlan> Plan(const ContextParams& theta_c,
                             const std::vector<PlanParams>& theta_p_per_subq,
@@ -105,11 +144,34 @@ class PhysicalPlanner {
                             const std::vector<bool>& completed_subqs = {}) const;
 
   const std::vector<SubQuery>& subqueries() const { return subqs_; }
+  /// SubQ id of each logical operator, indexed by op id.
+  const std::vector<int>& subq_of_op() const { return subq_of_; }
 
  private:
   const LogicalPlan* plan_;
   std::vector<SubQuery> subqs_;
+  std::vector<int> subq_of_;
 };
+
+/// \brief Spark's join selection for `join` (at least two children)
+/// under `theta_p`. The build side is the child with the smaller believed
+/// bytes (the first on ties). The join broadcasts (BHJ) when that side
+/// fits s4 and its believed rows fill enough of s5's partitions for s2,
+/// hashes (SHJ) when it fits s3, and sort-merges (SMJ) otherwise.
+JoinDecision ChooseJoin(const LogicalOperator& join,
+                        const PlanParams& theta_p,
+                        const BelievedCardinality& card);
+
+/// \brief Spark's partitioning of one stage, from its `input_bytes`,
+/// `is_scan_stage` and `has_join`: the file-scan split (s8/s9) on scan
+/// stages, otherwise s5's shuffle partitions, capped at 4096; the input
+/// spread over them with key skew `skew` (SkewedPartitionSizes); then,
+/// on shuffle stages, AQE's skew split (s6/s7, join stages only) and
+/// coalescing (s1/s10/s11). Writes `num_partitions` and
+/// `partition_bytes`.
+void PartitionStage(const ContextParams& theta_c, const PlanParams& theta_p,
+                    const StageParams& theta_s, double skew,
+                    QueryStage* stage);
 
 /// \brief Builds the per-partition byte distribution for `total_bytes`
 /// split into `n` partitions with Zipf-like skew `z` in [0,1] (0 =

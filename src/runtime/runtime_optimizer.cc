@@ -118,6 +118,7 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
   // Pruning (Appendix C.2.2): LQP parametric rules decide join
   // algorithms, so a request is useful only when some remaining subQ
   // contains a join whose inputs are now all completed.
+  const std::vector<int>& subq_of = evaluator_->subq_of_op();
   std::vector<int> actionable;
   for (const auto& sq : subqs) {
     if (completed[sq.id]) continue;
@@ -127,13 +128,8 @@ void RuntimeOptimizer::OnPlanCollapsed(const LogicalPlan& plan,
       if (op.type != OpType::kJoin) continue;
       bool inputs_ready = true;
       for (int c : op.children) {
-        // Find the child's subQ.
-        for (const auto& csq : subqs) {
-          if (std::find(csq.op_ids.begin(), csq.op_ids.end(), c) !=
-              csq.op_ids.end()) {
-            if (csq.id != sq.id && !completed[csq.id]) inputs_ready = false;
-            break;
-          }
+        if (subq_of[c] != sq.id && !completed[subq_of[c]]) {
+          inputs_ready = false;
         }
       }
       if (inputs_ready) has_ready_join = true;

@@ -179,7 +179,6 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   // ...topped by the shared cross-query cache, salted so identical
   // (subq, conf) keys can never collide across queries or versions.
   std::unique_ptr<CachedSubQModel> cached;
-  uint64_t hits_before = 0, misses_before = 0;
   if (shared_cache_ != nullptr) {
     const uint64_t salt = HashCombine(
         snap->version,
@@ -187,8 +186,6 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
                     query->seed));
     cached = std::make_unique<CachedSubQModel>(model, shared_cache_.get(),
                                                salt);
-    hits_before = cached->shared_hits();
-    misses_before = cached->shared_misses();
     model = cached.get();
   }
   // Reject a malformed preference before any solve work: WUN would
@@ -221,8 +218,8 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
   res.chosen = res.moo.pareto[res.moo.Recommend(pref)];
   res.solve_seconds = res.moo.solve_seconds;
   if (cached != nullptr) {
-    res.shared_cache_hits = cached->shared_hits() - hits_before;
-    res.shared_cache_misses = cached->shared_misses() - misses_before;
+    res.shared_cache_hits = cached->shared_hits();
+    res.shared_cache_misses = cached->shared_misses();
   }
   return res;
 }

@@ -11,9 +11,9 @@
 
 // Property suite for the k = 3 flat Pareto kernel, mirroring
 // pareto_flat_test.cc: every primitive must be bitwise identical — same
-// points, same payloads, same stable order — to the naive formulation.
-// Random fronts are drawn with floored coordinates so duplicate points
-// and ties occur constantly.
+// points, same (i, j) pairs, same stable order — to the naive
+// formulation. Random fronts are drawn with floored coordinates so
+// duplicate points and ties occur constantly.
 
 namespace sparkopt {
 namespace {
@@ -71,18 +71,6 @@ double ReferenceHvSliced(std::vector<ObjectiveVector> pts,
   return hv;
 }
 
-IndexedFront MakeFront(std::vector<ObjectiveVector> pts, bool with_payloads,
-                       size_t payload_base) {
-  IndexedFront f;
-  f.points = std::move(pts);
-  if (with_payloads) {
-    for (size_t i = 0; i < f.points.size(); ++i) {
-      f.payloads.push_back(payload_base + i);
-    }
-  }
-  return f;
-}
-
 Front3 ToFront3(const std::vector<ObjectiveVector>& pts) {
   Front3 f;
   for (size_t i = 0; i < pts.size(); ++i) {
@@ -111,25 +99,6 @@ TEST_P(FlatKernel3PropertyTest, ParetoPositionsMatchReference) {
     EXPECT_EQ(got, ReferenceKept(pts)) << "seed " << GetParam();
     // The shim must route k = 3 to the same answer.
     EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts));
-  }
-}
-
-TEST_P(FlatKernel3PropertyTest, FlatPareto3CompactsInPlace) {
-  Rng rng(GetParam());
-  ParetoScratch scratch;
-  for (int round = 0; round < 10; ++round) {
-    const auto pts =
-        RandomPoints3(&rng, 1 + rng.NextBounded(40), round % 2 == 0);
-    Front3 front = ToFront3(pts);
-    FlatPareto3(&front, &scratch);
-    const auto ref = ReferenceKept(pts);
-    ASSERT_EQ(front.size(), ref.size()) << "seed " << GetParam();
-    for (size_t p = 0; p < ref.size(); ++p) {
-      EXPECT_EQ(front.payload[p], ref[p]);
-      EXPECT_EQ(front.x[p], pts[ref[p]][0]);
-      EXPECT_EQ(front.y[p], pts[ref[p]][1]);
-      EXPECT_EQ(front.z[p], pts[ref[p]][2]);
-    }
   }
 }
 
@@ -168,55 +137,30 @@ TEST_P(FlatKernel3PropertyTest, MergeMatchesMaterializedProduct) {
   }
 }
 
-// MergeFronts (k = 3 flat path) vs MergeFrontsNaive, with a pre-populated
-// combination table to pin the append contract — the k = 3 sibling of
-// MergeMatchesNaiveBitwise.
+// Uncapped FlatMerge3 vs MergeFrontsNaive on a reused scratch: identical
+// points, order and (i, j) pairs — the k = 3 sibling of
+// FlatKernelPropertyTest.MergeMatchesNaiveBitwise.
 TEST_P(FlatKernel3PropertyTest, MergeFrontsMatchesNaiveBitwise) {
   Rng rng(GetParam());
+  ParetoScratch scratch;
   for (int round = 0; round < 12; ++round) {
     const bool ties = round % 2 == 0;
-    const bool with_payloads = round % 3 != 0;
-    const auto a =
-        MakeFront(RandomPoints3(&rng, 1 + rng.NextBounded(14), ties),
-                  with_payloads, 100);
-    const auto b =
-        MakeFront(RandomPoints3(&rng, 1 + rng.NextBounded(14), ties),
-                  with_payloads, 500);
+    const auto a = RandomPoints3(&rng, 1 + rng.NextBounded(14), ties);
+    const auto b = RandomPoints3(&rng, 1 + rng.NextBounded(14), ties);
+    Front3 out;
+    FlatMerge3(ToFront3(a), ToFront3(b), &out, &scratch, /*cap=*/0);
+    std::vector<MergePair> naive_pairs;
+    const auto naive = MergeFrontsNaive(a, b, &naive_pairs);
 
-    std::vector<std::pair<size_t, size_t>> combos_flat(3, {9, 9});
-    std::vector<std::pair<size_t, size_t>> combos_naive(3, {9, 9});
-    const auto flat = MergeFronts(a, b, &combos_flat);
-    const auto naive = MergeFrontsNaive(a, b, &combos_naive);
-
-    EXPECT_EQ(flat.points, naive.points) << "seed " << GetParam();
-    EXPECT_EQ(flat.payloads, naive.payloads);
-    EXPECT_EQ(combos_flat, combos_naive);
-    ASSERT_EQ(combos_flat.size(), 3 + flat.size());
-    for (size_t p = 0; p < flat.size(); ++p) {
-      EXPECT_EQ(flat.payloads[p], 3 + p);
-    }
-  }
-}
-
-// Chained k = 3 merges over one combination table.
-TEST_P(FlatKernel3PropertyTest, ChainedMergesShareComboTable) {
-  Rng rng(GetParam());
-  auto f1 = MakeFront(RandomPoints3(&rng, 6, true), /*with_payloads=*/false, 0);
-  auto f2 = MakeFront(RandomPoints3(&rng, 7, true), false, 0);
-  auto f3 = MakeFront(RandomPoints3(&rng, 5, true), false, 0);
-
-  std::vector<std::pair<size_t, size_t>> table;
-  const auto m12 = MergeFronts(f1, f2, &table);
-  const size_t base = table.size();
-  const auto m123 = MergeFronts(m12, f3, &table);
-  ASSERT_EQ(table.size(), base + m123.size());
-  for (size_t p = 0; p < m123.size(); ++p) {
-    const auto [left, right] = table[m123.payloads[p]];
-    const auto [i1, i2] = table[left];
-    for (int d = 0; d < 3; ++d) {
-      const double v =
-          f1.points[i1][d] + f2.points[i2][d] + f3.points[right][d];
-      EXPECT_EQ(m123.points[p][d], v);
+    ASSERT_EQ(out.size(), naive.size()) << "seed " << GetParam();
+    ASSERT_EQ(scratch.pairs.size(), naive.size());
+    for (size_t p = 0; p < naive.size(); ++p) {
+      EXPECT_EQ(out.x[p], naive[p][0]) << "seed " << GetParam();
+      EXPECT_EQ(out.y[p], naive[p][1]);
+      EXPECT_EQ(out.z[p], naive[p][2]);
+      EXPECT_EQ(scratch.pairs[p].i, naive_pairs[p].i);
+      EXPECT_EQ(scratch.pairs[p].j, naive_pairs[p].j);
+      EXPECT_EQ(out.payload[p], p);
     }
   }
 }

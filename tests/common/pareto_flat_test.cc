@@ -11,9 +11,9 @@
 #include "common/rng.h"
 
 // Property suite for the flat Pareto kernel: every primitive must be
-// bitwise identical — same points, same payloads, same stable order — to
-// the naive AoS formulation it replaced. Random fronts are drawn with
-// floored coordinates so duplicate points and ties occur constantly.
+// bitwise identical — same points, same (i, j) pairs, same stable order
+// — to the naive AoS formulation it replaced. Random fronts are drawn
+// with floored coordinates so duplicate points and ties occur constantly.
 
 namespace sparkopt {
 namespace {
@@ -63,15 +63,9 @@ double ReferenceHypervolume(const std::vector<ObjectiveVector>& front,
   return hv;
 }
 
-IndexedFront MakeFront(std::vector<ObjectiveVector> pts, bool with_payloads,
-                       size_t payload_base) {
-  IndexedFront f;
-  f.points = std::move(pts);
-  if (with_payloads) {
-    for (size_t i = 0; i < f.points.size(); ++i) {
-      f.payloads.push_back(payload_base + i);
-    }
-  }
+Front2 ToFront2(const std::vector<ObjectiveVector>& pts) {
+  Front2 f;
+  for (size_t i = 0; i < pts.size(); ++i) f.Append(pts[i][0], pts[i][1], i);
   return f;
 }
 
@@ -97,33 +91,28 @@ TEST_P(FlatKernelPropertyTest, ParetoPositionsMatchReference) {
   }
 }
 
-// MergeFronts (flat path) vs MergeFrontsNaive: identical points, payloads,
-// combos, and order — with and without caller payloads, against a
-// pre-populated combination table to pin the append contract.
+// Uncapped FlatMerge2 vs MergeFrontsNaive: identical points, order and
+// (i, j) pairs, on a reused scratch.
 TEST_P(FlatKernelPropertyTest, MergeMatchesNaiveBitwise) {
   Rng rng(GetParam());
+  ParetoScratch scratch;
   for (int round = 0; round < 12; ++round) {
     const bool ties = round % 2 == 0;
-    const bool with_payloads = round % 3 != 0;
-    const auto a =
-        MakeFront(RandomPoints(&rng, 1 + rng.NextBounded(18), ties),
-                  with_payloads, 100);
-    const auto b =
-        MakeFront(RandomPoints(&rng, 1 + rng.NextBounded(18), ties),
-                  with_payloads, 500);
+    const auto a = RandomPoints(&rng, 1 + rng.NextBounded(18), ties);
+    const auto b = RandomPoints(&rng, 1 + rng.NextBounded(18), ties);
+    Front2 out;
+    FlatMerge2(ToFront2(a), ToFront2(b), &out, &scratch, /*cap=*/0);
+    std::vector<MergePair> naive_pairs;
+    const auto naive = MergeFrontsNaive(a, b, &naive_pairs);
 
-    std::vector<std::pair<size_t, size_t>> combos_flat(3, {9, 9});
-    std::vector<std::pair<size_t, size_t>> combos_naive(3, {9, 9});
-    const auto flat = MergeFronts(a, b, &combos_flat);
-    const auto naive = MergeFrontsNaive(a, b, &combos_naive);
-
-    EXPECT_EQ(flat.points, naive.points) << "seed " << GetParam();
-    EXPECT_EQ(flat.payloads, naive.payloads);
-    EXPECT_EQ(combos_flat, combos_naive);
-    // Payloads index the grown table: pre-existing rows untouched.
-    ASSERT_EQ(combos_flat.size(), 3 + flat.size());
-    for (size_t p = 0; p < flat.size(); ++p) {
-      EXPECT_EQ(flat.payloads[p], 3 + p);
+    ASSERT_EQ(out.size(), naive.size()) << "seed " << GetParam();
+    ASSERT_EQ(scratch.pairs.size(), naive.size());
+    for (size_t p = 0; p < naive.size(); ++p) {
+      EXPECT_EQ(out.x[p], naive[p][0]) << "seed " << GetParam();
+      EXPECT_EQ(out.y[p], naive[p][1]);
+      EXPECT_EQ(scratch.pairs[p].i, naive_pairs[p].i);
+      EXPECT_EQ(scratch.pairs[p].j, naive_pairs[p].j);
+      EXPECT_EQ(out.payload[p], p);
     }
   }
 }
@@ -164,31 +153,27 @@ TEST_P(FlatKernelPropertyTest, ParetoInsertMatchesBatchFilter) {
   }
 }
 
-// k = 3 runs FlatMerge3; its payload contract must match the k = 2 one.
+// FlatMerge3 keeps FlatMerge2's output contract: payload p = p, and
+// scratch.pairs[p] names the inputs whose sum is point p.
 TEST_P(FlatKernelPropertyTest, ThreeObjectiveMergeContract) {
   Rng rng(GetParam());
-  IndexedFront a, b;
-  for (int i = 0; i < 8; ++i) {
-    a.points.push_back({std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6))});
-    a.payloads.push_back(10 + i);
-    b.points.push_back({std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6)),
-                        std::floor(rng.Uniform(0, 6))});
-    b.payloads.push_back(20 + i);
+  Front3 a, b, merged;
+  for (uint32_t i = 0; i < 8; ++i) {
+    a.Append(std::floor(rng.Uniform(0, 6)), std::floor(rng.Uniform(0, 6)),
+             std::floor(rng.Uniform(0, 6)), 10 + i);
+    b.Append(std::floor(rng.Uniform(0, 6)), std::floor(rng.Uniform(0, 6)),
+             std::floor(rng.Uniform(0, 6)), 20 + i);
   }
-  std::vector<std::pair<size_t, size_t>> combos(2, {7, 7});
-  const auto merged = MergeFronts(a, b, &combos);
-  ASSERT_EQ(combos.size(), 2 + merged.size());
+  ParetoScratch scratch;
+  FlatMerge3(a, b, &merged, &scratch, /*cap=*/0);
+  ASSERT_GT(merged.size(), 0u);
+  ASSERT_EQ(scratch.pairs.size(), merged.size());
   for (size_t p = 0; p < merged.size(); ++p) {
-    EXPECT_EQ(merged.payloads[p], 2 + p);
-    const auto [pi, pj] = combos[merged.payloads[p]];
-    const auto& pa = a.points[pi - 10];
-    const auto& pb = b.points[pj - 20];
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_EQ(merged.points[p][d], pa[d] + pb[d]);
-    }
+    EXPECT_EQ(merged.payload[p], p);
+    const MergePair pair = scratch.pairs[p];
+    EXPECT_EQ(merged.x[p], a.x[pair.i] + b.x[pair.j]);
+    EXPECT_EQ(merged.y[p], a.y[pair.i] + b.y[pair.j]);
+    EXPECT_EQ(merged.z[p], a.z[pair.i] + b.z[pair.j]);
   }
 }
 
@@ -216,10 +201,6 @@ TEST(FlatMergeTest, EmptyAndSingletonFronts) {
   ASSERT_EQ(scratch.pairs.size(), 1u);
   EXPECT_EQ(scratch.pairs[0].i, 0u);
   EXPECT_EQ(scratch.pairs[0].j, 0u);
-
-  const IndexedFront ia, ib;
-  auto merged = MergeFronts(ia, ib, nullptr);
-  EXPECT_TRUE(merged.empty());
 }
 
 TEST(FlatMergeTest, CrossProductOrderAndAlignedPairs) {
@@ -275,30 +256,6 @@ TEST(FlatMergeTest, CappedMergeThinsAcrossRunPairs) {
   for (size_t p = 0; p < full.size(); ++p) {
     EXPECT_EQ(scratch.pairs[p].i, full_scratch.pairs[p].i);
     EXPECT_EQ(scratch.pairs[p].j, full_scratch.pairs[p].j);
-  }
-}
-
-// Chained merges over one combination table: each merge appends its
-// survivors' rows, and payloads keep resolving to the right row.
-TEST(MergeFrontsTest, ChainedMergesShareComboTable) {
-  Rng rng(4242);
-  auto f1 = MakeFront(RandomPoints(&rng, 6, true), /*with_payloads=*/false, 0);
-  auto f2 = MakeFront(RandomPoints(&rng, 7, true), false, 0);
-  auto f3 = MakeFront(RandomPoints(&rng, 5, true), false, 0);
-
-  std::vector<std::pair<size_t, size_t>> table;
-  const auto m12 = MergeFronts(f1, f2, &table);
-  const size_t base = table.size();
-  const auto m123 = MergeFronts(m12, f3, &table);
-  ASSERT_EQ(table.size(), base + m123.size());
-  for (size_t p = 0; p < m123.size(); ++p) {
-    const auto [left, right] = table[m123.payloads[p]];
-    // `left` is an m12 payload — resolve it through the table again.
-    const auto [i1, i2] = table[left];
-    const double x = f1.points[i1][0] + f2.points[i2][0] + f3.points[right][0];
-    const double y = f1.points[i1][1] + f2.points[i2][1] + f3.points[right][1];
-    EXPECT_EQ(m123.points[p][0], x);
-    EXPECT_EQ(m123.points[p][1], y);
   }
 }
 

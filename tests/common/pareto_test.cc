@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/pareto_flat.h"
 #include "common/rng.h"
 
 namespace sparkopt {
@@ -177,25 +178,18 @@ TEST(WunTest, SinglePointAlwaysChosen) {
   EXPECT_EQ(WeightedUtopiaNearest({{5, 5}}, {0.9, 0.1}), 0u);
 }
 
-TEST(FilterDominatedTest, PayloadsFollowPoints) {
-  IndexedFront f;
-  f.points = {{1, 5}, {2, 3}, {3, 4}, {4, 1}};
-  f.payloads = {10, 20, 30, 40};
-  auto out = FilterDominated(std::move(f));
-  ASSERT_EQ(out.points.size(), 3u);
-  EXPECT_EQ(out.payloads, (std::vector<size_t>{10, 20, 40}));
-}
-
 TEST(MergeFrontsTest, SumsObjectives) {
-  IndexedFront a, b;
-  a.points = {{1, 2}};
-  b.points = {{10, 20}};
-  std::vector<std::pair<size_t, size_t>> combos;
-  auto merged = MergeFronts(a, b, &combos);
-  ASSERT_EQ(merged.points.size(), 1u);
-  EXPECT_EQ(merged.points[0], (ObjectiveVector{11, 22}));
-  ASSERT_EQ(combos.size(), 1u);
-  EXPECT_EQ(combos[0], (std::pair<size_t, size_t>{0, 0}));
+  Front2 a, b, merged;
+  a.Append(1, 2, 0);
+  b.Append(10, 20, 0);
+  ParetoScratch scratch;
+  FlatMerge2(a, b, &merged, &scratch, /*cap=*/0);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged.x[0], 11);
+  EXPECT_EQ(merged.y[0], 22);
+  ASSERT_EQ(scratch.pairs.size(), 1u);
+  EXPECT_EQ(scratch.pairs[0].i, 0u);
+  EXPECT_EQ(scratch.pairs[0].j, 0u);
 }
 
 // Property (Proposition B.1): Pf(Pf(F) ⊕ Pf(G)) == Pf(F x G). Merging the
@@ -227,11 +221,15 @@ TEST_P(MinkowskiLawTest, MergeOfFrontsEqualsFrontOfProduct) {
   rhs.erase(std::unique(rhs.begin(), rhs.end()), rhs.end());
 
   // Left side: merge of the two children's fronts.
-  IndexedFront fa, fb;
-  fa.points = ParetoFilter(f);
-  fb.points = ParetoFilter(g);
-  auto merged = MergeFronts(fa, fb, nullptr);
-  auto lhs = merged.points;
+  Front2 fa, fb, merged;
+  for (const auto& p : ParetoFilter(f)) fa.Append(p[0], p[1], 0);
+  for (const auto& p : ParetoFilter(g)) fb.Append(p[0], p[1], 0);
+  ParetoScratch scratch;
+  FlatMerge2(fa, fb, &merged, &scratch, /*cap=*/0);
+  std::vector<ObjectiveVector> lhs;
+  for (size_t p = 0; p < merged.size(); ++p) {
+    lhs.push_back({merged.x[p], merged.y[p]});
+  }
   std::sort(lhs.begin(), lhs.end());
   lhs.erase(std::unique(lhs.begin(), lhs.end()), lhs.end());
 

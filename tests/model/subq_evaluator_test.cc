@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "common/rng.h"
+#include "params/sampler.h"
+#include "physical/physical_plan.h"
+#include "workload/tpcds.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -33,23 +40,6 @@ TEST(SubQEvaluatorTest, ObjectivesPositive) {
     EXPECT_GT(o.cost, 0.0);
     EXPECT_GE(o.io_bytes, 0.0);
   }
-}
-
-TEST(SubQEvaluatorTest, QueryLevelIsSumOfSubqueries) {
-  Fixture fx;
-  double lat = 0, cost = 0, io = 0;
-  for (int i = 0; i < fx.eval.num_subqs(); ++i) {
-    auto o = fx.eval.Evaluate(i, fx.tc, fx.tp, fx.ts,
-                              CardinalitySource::kEstimated);
-    lat += o.analytical_latency;
-    cost += o.cost;
-    io += o.io_bytes;
-  }
-  auto total = fx.eval.EvaluateQuery(fx.tc, {fx.tp}, {fx.ts},
-                                     CardinalitySource::kEstimated);
-  EXPECT_NEAR(total.analytical_latency, lat, 1e-9);
-  EXPECT_NEAR(total.cost, cost, 1e-12);
-  EXPECT_NEAR(total.io_bytes, io, 1e-3);
 }
 
 TEST(SubQEvaluatorTest, MoreCoresReduceAnalyticalLatency) {
@@ -127,6 +117,57 @@ TEST(SubQEvaluatorTest, DeterministicEvaluation) {
                                   CardinalitySource::kEstimated);
   EXPECT_DOUBLE_EQ(a.analytical_latency, b.analytical_latency);
   EXPECT_DOUBLE_EQ(a.cost, b.cost);
+}
+
+// The evaluator costs each subQ as the stage the planner builds for it.
+// With broadcasts off no join folds one subQ into another, so every subQ
+// is its own stage, and the two must agree bit for bit on the rules they
+// share: the join choice, the believed input bytes and the partition
+// sequence.
+TEST(SubQEvaluatorTest, StagesMatchPlannerWithoutBroadcasts) {
+  const auto tpch_catalog = TpchCatalog();
+  const auto tpcds_catalog = TpcdsCatalog();
+  std::vector<Query> queries = TpchBenchmark(&tpch_catalog);
+  for (Query& q : TpcdsBenchmark(&tpcds_catalog)) {
+    queries.push_back(std::move(q));
+  }
+  ASSERT_EQ(queries.size(), 124u);
+  Rng rng(17);
+  const auto confs = SampleLatinHypercube(SparkParamSpace(), 8, &rng);
+  const ClusterSpec cluster;
+  const CostModelParams cost;
+  size_t compared = 0;
+  for (const Query& q : queries) {
+    const SubQEvaluator eval(&q, cluster, cost);
+    const PhysicalPlanner planner(&q.plan, eval.subqueries());
+    for (size_t c = 0; c < confs.size(); ++c) {
+      const ContextParams tc = DecodeContext(confs[c]);
+      PlanParams tp = DecodePlan(confs[c]);
+      tp.broadcast_join_threshold_mb = -1;
+      const StageParams ts = DecodeStage(confs[c]);
+      for (const CardinalitySource source :
+           {CardinalitySource::kEstimated, CardinalitySource::kTrue}) {
+        const auto plan = planner.Plan(tc, {tp}, {ts}, source);
+        ASSERT_TRUE(plan.ok()) << q.name;
+        ASSERT_EQ(plan->stages.size(), eval.subqueries().size()) << q.name;
+        for (const QueryStage& want : plan->stages) {
+          const QueryStage got =
+              eval.BuildStage(want.subq_id, tc, tp, ts, source);
+          const std::string where =
+              q.name + " subq " + std::to_string(want.subq_id) + " conf " +
+              std::to_string(c) +
+              (source == CardinalitySource::kTrue ? " true" : " est");
+          ASSERT_EQ(got.num_partitions, want.num_partitions) << where;
+          ASSERT_EQ(got.partition_bytes, want.partition_bytes) << where;
+          ASSERT_EQ(got.has_join, want.has_join) << where;
+          ASSERT_EQ(got.join_algo, want.join_algo) << where;
+          ASSERT_EQ(got.input_bytes, want.input_bytes) << where;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 TEST(SubQEvaluatorTest, ShufflePartitionCountRespected) {

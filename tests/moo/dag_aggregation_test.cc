@@ -126,14 +126,12 @@ OracleNode OracleDc(const std::vector<std::vector<SubQEntry>>& sets, int lo,
   const int mid = (lo + hi) / 2;
   const OracleNode left = OracleDc(sets, lo, mid, k, cap);
   const OracleNode right = OracleDc(sets, mid + 1, hi, k, cap);
-  IndexedFront a, b;
-  a.points = left.points;
-  b.points = right.points;
-  std::vector<std::pair<size_t, size_t>> combos;
-  out.points = MergeFrontsNaive(a, b, &combos).points;
-  for (const auto& [i, j] : combos) {
-    std::vector<int> row = left.rows[i];
-    row.insert(row.end(), right.rows[j].begin(), right.rows[j].end());
+  std::vector<MergePair> pairs;
+  out.points = MergeFrontsNaive(left.points, right.points, &pairs);
+  for (const MergePair& pair : pairs) {
+    std::vector<int> row = left.rows[pair.i];
+    const std::vector<int>& tail = right.rows[pair.j];
+    row.insert(row.end(), tail.begin(), tail.end());
     out.rows.push_back(std::move(row));
   }
   OracleThin(&out, cap);

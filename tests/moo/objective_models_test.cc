@@ -121,30 +121,5 @@ TEST(LearnedSubQModelTest, BatchRowsMatchSingleEvaluateBitwise) {
   EXPECT_GT(compared, 0u);
 }
 
-TEST(EvaluateQueryTest, SharesThetaCFromFirstArgument) {
-  Fixture fx;
-  AnalyticSubQModel model(&fx.q, fx.cluster, fx.cost);
-  // Per-subQ confs with garbage theta_c: EvaluateQuery must override the
-  // theta_c block from its first argument.
-  auto theta_c_conf = DefaultSparkConfig();
-  theta_c_conf[kExecutorCores] = 8;
-  theta_c_conf[kExecutorInstances] = 16;
-  std::vector<std::vector<double>> per_subq(
-      model.num_subqs(), DefaultSparkConfig());
-  for (auto& c : per_subq) c[kExecutorCores] = 1;  // would be slow
-
-  const auto combined = model.EvaluateQuery(theta_c_conf, per_subq);
-
-  // Reference: evaluate with the full big-cluster conf directly.
-  double lat = 0;
-  auto big = DefaultSparkConfig();
-  big[kExecutorCores] = 8;
-  big[kExecutorInstances] = 16;
-  for (int i = 0; i < model.num_subqs(); ++i) {
-    lat += model.Evaluate(i, big)[0];
-  }
-  EXPECT_NEAR(combined[0], lat, 1e-9);
-}
-
 }  // namespace
 }  // namespace sparkopt
