@@ -8,12 +8,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "model/features.h"
 #include "model/mlp.h"
 #include "model/subq_evaluator.h"
 #include "moo/objective_models.h"
+#include "params/sampler.h"
+#include "service/model_bootstrap.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -157,6 +161,110 @@ void EmitInferenceResults() {
   }
 }
 
+// Per-row cost of both subQ models on TPC-H Q9 at SF10, 64 seeded LHS
+// confs per subQ: analytic Evaluate row by row, and learned EvaluateBatch
+// in 64-row batches on a {24, 12} FitSubQRegressor (the service bench's
+// shape). The learned row is split into BuildStage (with the conf
+// decode) and StageFeatures, each timed on its own over the same rows,
+// and the rest of the batch: MLP inference, the objective derivation and
+// the row copies.
+void EmitModelRowResults() {
+  const std::vector<TableStats> catalog = TpchCatalog(10);
+  const Query q9 = *MakeTpchQuery(9, &catalog);
+  const ClusterSpec cluster;
+  const CostModelParams cost;
+  BootstrapOptions bo;
+  bo.samples_per_query = 16;
+  bo.hidden = {24, 12};
+  bo.epochs = 30;
+  const auto reg = FitSubQRegressor({&q9}, cluster, cost, PriceBook(), bo);
+  if (!reg.ok()) {
+    std::fprintf(stderr, "model_row: %s\n", reg.status().ToString().c_str());
+    return;
+  }
+  const AnalyticSubQModel analytic(&q9, cluster, cost);
+  const LearnedSubQModel learned(&q9, cluster, cost, &*reg);
+  const SubQEvaluator eval(&q9, cluster, cost);
+  const int subqs = eval.num_subqs();
+  Rng rng(0x9011);
+  std::vector<std::vector<std::vector<double>>> confs(subqs);
+  for (auto& c : confs) c = SampleLatinHypercube(SparkParamSpace(), 64, &rng);
+  const int passes = benchutil::FastMode() ? 20 : 200;
+  const double rows = static_cast<double>(passes) * subqs * 64;
+  auto ns_per_row = [rows](const benchutil::Timer& t) {
+    return t.Seconds() / rows * 1e9;
+  };
+
+  benchutil::Timer analytic_timer;
+  for (int p = 0; p < passes; ++p) {
+    for (int s = 0; s < subqs; ++s) {
+      for (const auto& conf : confs[s]) {
+        benchmark::DoNotOptimize(analytic.Evaluate(s, conf));
+      }
+    }
+  }
+  const double analytic_ns = ns_per_row(analytic_timer);
+
+  std::vector<ObjectiveVector> out;
+  benchutil::Timer learned_timer;
+  for (int p = 0; p < passes; ++p) {
+    for (int s = 0; s < subqs; ++s) {
+      learned.EvaluateBatch(s, confs[s], &out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  const double learned_ns = ns_per_row(learned_timer);
+
+  benchutil::Timer build_timer;
+  for (int p = 0; p < passes; ++p) {
+    for (int s = 0; s < subqs; ++s) {
+      for (const auto& conf : confs[s]) {
+        benchmark::DoNotOptimize(eval.BuildStage(
+            s, DecodeContext(conf), DecodePlan(conf), DecodeStage(conf),
+            CardinalitySource::kEstimated));
+      }
+    }
+  }
+  const double build_ns = ns_per_row(build_timer);
+
+  std::vector<std::vector<QueryStage>> stages(subqs);
+  for (int s = 0; s < subqs; ++s) {
+    for (const auto& conf : confs[s]) {
+      stages[s].push_back(eval.BuildStage(
+          s, DecodeContext(conf), DecodePlan(conf), DecodeStage(conf),
+          CardinalitySource::kEstimated));
+    }
+  }
+  benchutil::Timer features_timer;
+  for (int p = 0; p < passes; ++p) {
+    for (int s = 0; s < subqs; ++s) {
+      for (size_t i = 0; i < confs[s].size(); ++i) {
+        benchmark::DoNotOptimize(StageFeatures(q9.plan, stages[s][i],
+                                               confs[s][i], false, {}, {},
+                                               false));
+      }
+    }
+  }
+  const double features_ns = ns_per_row(features_timer);
+
+  {
+    obs::JsonObject o;
+    o.emplace_back("model", obs::Json("analytic"));
+    o.emplace_back("ns_per_row", obs::Json(analytic_ns));
+    o.emplace_back("rows", obs::Json(rows));
+    benchutil::EmitJson("model_row", obs::Json(std::move(o)));
+  }
+  obs::JsonObject o;
+  o.emplace_back("model", obs::Json("learned"));
+  o.emplace_back("ns_per_row", obs::Json(learned_ns));
+  o.emplace_back("build_stage_ns", obs::Json(build_ns));
+  o.emplace_back("stage_features_ns", obs::Json(features_ns));
+  o.emplace_back("mlp_derive_ns",
+                 obs::Json(learned_ns - build_ns - features_ns));
+  o.emplace_back("rows", obs::Json(rows));
+  benchutil::EmitJson("model_row", obs::Json(std::move(o)));
+}
+
 }  // namespace
 }  // namespace sparkopt
 
@@ -166,5 +274,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   sparkopt::EmitInferenceResults();
+  sparkopt::EmitModelRowResults();
   return 0;
 }

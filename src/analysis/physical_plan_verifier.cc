@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,35 @@ void CheckAcyclic(const PhysicalPlan& plan, VerifyReport* report) {
   }
 }
 
+// QueryStage::partitions must be canonical runs covering every task.
+void CheckPartitionRuns(const QueryStage& st, const std::string& loc,
+                        VerifyReport* report) {
+  int64_t tasks = 0;
+  for (size_t i = 0; i < st.partitions.size(); ++i) {
+    const PartitionRun& run = st.partitions[i];
+    const std::string where = "partition run " + std::to_string(i);
+    if (run.count < 1) {
+      report->Add(StatusCode::kInternal, loc,
+                  where + " count " + std::to_string(run.count) + " < 1");
+    }
+    tasks += run.count;
+    if (run.bytes < 0.0 || !std::isfinite(run.bytes)) {
+      report->Add(StatusCode::kOutOfRange, loc,
+                  where + " size " + std::to_string(run.bytes) +
+                      " is negative or non-finite");
+    }
+    if (i > 0 && run.bytes == st.partitions[i - 1].bytes) {
+      report->Add(StatusCode::kInternal, loc,
+                  where + " repeats the size of the run before it");
+    }
+  }
+  if (tasks != st.num_partitions) {
+    report->Add(StatusCode::kInternal, loc,
+                "num_partitions " + std::to_string(st.num_partitions) +
+                    " != partition run counts sum " + std::to_string(tasks));
+  }
+}
+
 void CheckStageFields(const PhysicalPlan& plan, VerifyReport* report) {
   int root_stages = 0;
   for (size_t i = 0; i < plan.stages.size(); ++i) {
@@ -109,21 +139,7 @@ void CheckStageFields(const PhysicalPlan& plan, VerifyReport* report) {
                   "num_partitions " + std::to_string(st.num_partitions) +
                       " < 1");
     }
-    if (st.num_partitions !=
-        static_cast<int>(st.partition_bytes.size())) {
-      report->Add(StatusCode::kInternal, loc,
-                  "num_partitions " + std::to_string(st.num_partitions) +
-                      " != partition_bytes.size() " +
-                      std::to_string(st.partition_bytes.size()));
-    }
-    for (double b : st.partition_bytes) {
-      if (b < 0.0 || !std::isfinite(b)) {
-        report->Add(StatusCode::kOutOfRange, loc,
-                    "partition size " + std::to_string(b) +
-                        " is negative or non-finite");
-        break;
-      }
-    }
+    CheckPartitionRuns(st, loc, report);
     const std::pair<const char*, double> totals[] = {
         {"input_rows", st.input_rows},
         {"input_bytes", st.input_bytes},

@@ -16,9 +16,11 @@ namespace analysis {
 ///    no duplicates                                     (kOutOfRange)
 ///  - deps and broadcast_deps are disjoint              (kInvalidArgument)
 ///  - the stage DAG is acyclic                          (kFailedPrecondition)
-///  - num_partitions >= 1 and equals
-///    partition_bytes.size()                            (kInternal)
-///  - partition bytes / IO totals / cpu_work are
+///  - num_partitions >= 1                              (kInternal)
+///  - partition runs are canonical: every count >= 1,
+///    no two adjacent runs of equal bytes, counts
+///    summing to num_partitions                         (kInternal)
+///  - partition run bytes / IO totals / cpu_work are
 ///    finite and non-negative                           (kOutOfRange)
 ///  - exactly one stage is the root (does not exchange
 ///    its output)                                       (kFailedPrecondition)

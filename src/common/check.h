@@ -16,7 +16,7 @@
 ///
 /// \code
 ///   SPARKOPT_CHECK(idx < ops.size()) << "op id " << idx << " out of range";
-///   SPARKOPT_DCHECK_EQ(st.num_partitions, st.partition_bytes.size());
+///   SPARKOPT_DCHECK_GE(st.num_partitions, 1) << "stage " << st.id;
 /// \endcode
 ///
 /// These are for invariants whose violation means a bug in this codebase;

@@ -10,14 +10,6 @@ namespace sparkopt {
 namespace {
 constexpr double kMb = 1024.0 * 1024.0;
 
-// Bytes read by task `task_idx`.
-double TaskBytes(const QueryStage& stage, int task_idx) {
-  return task_idx < static_cast<int>(stage.partition_bytes.size())
-             ? stage.partition_bytes[task_idx]
-             : std::max(stage.input_bytes, 1.0) /
-                   std::max(stage.num_partitions, 1);
-}
-
 // Memory a task reading `part_bytes` holds: joins and sorts keep a
 // working set ~1.6x the partition, plus the resident broadcast table.
 double WorkingSetMb(const QueryStage& stage, double part_bytes) {
@@ -28,11 +20,10 @@ double WorkingSetMb(const QueryStage& stage, double part_bytes) {
 }
 }  // namespace
 
-double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
-                                  const ContextParams& theta_c,
+double TaskCostModel::TaskLatency(const QueryStage& stage, double part_bytes,
+                                  int task_idx, const ContextParams& theta_c,
                                   uint64_t seed) const {
   const double stage_bytes = std::max(stage.input_bytes, 1.0);
-  const double part_bytes = TaskBytes(stage, task_idx);
   const double share = part_bytes / stage_bytes;
 
   // ---- CPU ---------------------------------------------------------------
@@ -107,10 +98,10 @@ double TaskCostModel::TaskLatency(const QueryStage& stage, int task_idx,
   return latency;
 }
 
-bool TaskCostModel::TaskSpills(const QueryStage& stage, int task_idx,
+bool TaskCostModel::TaskSpills(const QueryStage& stage, double part_bytes,
                                const ContextParams& theta_c) const {
   const double mem_mb = std::max(theta_c.MemoryPerTaskMb(), 64.0);
-  return WorkingSetMb(stage, TaskBytes(stage, task_idx)) > mem_mb;
+  return WorkingSetMb(stage, part_bytes) > mem_mb;
 }
 
 double TaskCostModel::StageSetupLatency(const QueryStage& stage,

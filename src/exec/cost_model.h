@@ -42,10 +42,12 @@ class TaskCostModel {
   TaskCostModel(const ClusterSpec& cluster, const CostModelParams& params)
       : cluster_(cluster), params_(params) {}
 
-  /// Latency (seconds) of task `task_idx` of `stage`. `seed` controls the
-  /// deterministic noise stream; pass 0 noise via params.noise_sigma = 0.
-  double TaskLatency(const QueryStage& stage, int task_idx,
-                     const ContextParams& theta_c, uint64_t seed) const;
+  /// Latency (seconds) of task `task_idx` of `stage`, which reads
+  /// `part_bytes` input bytes. `seed` and `task_idx` key the deterministic
+  /// noise stream; pass 0 noise via params.noise_sigma = 0.
+  double TaskLatency(const QueryStage& stage, double part_bytes,
+                     int task_idx, const ContextParams& theta_c,
+                     uint64_t seed) const;
 
   /// One-off stage setup cost paid before tasks run (stage launch plus
   /// broadcast distribution and per-executor hash-table builds for BHJ).
@@ -56,10 +58,10 @@ class TaskCostModel {
   double StageIoBytes(const QueryStage& stage,
                       const ContextParams& theta_c) const;
 
-  /// Whether task `task_idx` of `stage` exceeds its execution memory and
-  /// spills (the memory-pressure rule inside TaskLatency), for
+  /// Whether a task of `stage` reading `part_bytes` exceeds its execution
+  /// memory and spills (the memory-pressure rule inside TaskLatency), for
   /// observability counters.
-  bool TaskSpills(const QueryStage& stage, int task_idx,
+  bool TaskSpills(const QueryStage& stage, double part_bytes,
                   const ContextParams& theta_c) const;
 
   const CostModelParams& params() const { return params_; }

@@ -17,6 +17,10 @@ struct PendingStage {
   const QueryStage* stage = nullptr;
   int deps_remaining = 0;
   int next_task = 0;
+  // Cursor over stage->partitions: the run holding task next_task, and
+  // how many of that run's tasks were dispatched.
+  size_t run = 0;
+  int run_dispatched = 0;
   int tasks_done = 0;
   double ready_time = 0.0;
   double setup_done_time = 0.0;
@@ -181,8 +185,15 @@ QueryExecution Simulator::RunStages(const PhysicalPlan& plan,
       auto& ps = pending[pi];
       if (ps.next_task >= ps.stage->num_partitions) continue;
       const int task = ps.next_task++;
-      const double dur =
-          cost_model_.TaskLatency(*ps.stage, task, theta_c, noise_seed);
+      SPARKOPT_DCHECK_LT(ps.run, ps.stage->partitions.size())
+          << "stage " << ps.stage->id << " has fewer partitions than tasks";
+      const PartitionRun& run = ps.stage->partitions[ps.run];
+      if (++ps.run_dispatched == run.count) {
+        ++ps.run;
+        ps.run_dispatched = 0;
+      }
+      const double dur = cost_model_.TaskLatency(*ps.stage, run.bytes, task,
+                                                 theta_c, noise_seed);
       const double core_free = cores.top();
       cores.pop();
       const double start = std::max({core_free, ps.setup_done_time});
@@ -221,15 +232,18 @@ QueryExecution Simulator::RunStages(const PhysicalPlan& plan,
   result.latency = makespan;
 
   // Observability: per-session execution counters. Spill detection walks
-  // every partition, so the loop runs only when a sink is attached.
+  // every run of partitions, so the loop runs only when a sink is
+  // attached.
   if (obs::Session* sess = obs::Session::Current()) {
     uint64_t tasks = 0, spilled = 0;
     double shuffle_bytes = 0.0;
     for (const auto& ps : pending) {
       tasks += static_cast<uint64_t>(ps.record.num_tasks);
       shuffle_bytes += ps.stage->shuffle_read_bytes;
-      for (int t = 0; t < ps.stage->num_partitions; ++t) {
-        if (cost_model_.TaskSpills(*ps.stage, t, theta_c)) ++spilled;
+      for (const PartitionRun& run : ps.stage->partitions) {
+        if (cost_model_.TaskSpills(*ps.stage, run.bytes, theta_c)) {
+          spilled += static_cast<uint64_t>(run.count);
+        }
       }
     }
     auto& m = sess->metrics();

@@ -52,21 +52,27 @@ std::vector<uint64_t> WlLabels(const LogicalPlan& plan,
 }  // namespace
 
 std::vector<double> PartitionDistributionStats(
-    const std::vector<double>& partition_bytes) {
+    const std::vector<PartitionRun>& partitions) {
   std::vector<double> out(FeatureLayout::kBeta, 0.0);
-  if (partition_bytes.empty()) return out;
+  if (partitions.empty()) return out;
+  // Both sums add every task's term in task order, as over the expanded
+  // sizes.
   double sum = 0.0, mx = 0.0, mn = 1e300;
-  for (double b : partition_bytes) {
-    sum += b;
-    mx = std::max(mx, b);
-    mn = std::min(mn, b);
+  int n = 0;
+  for (const PartitionRun& r : partitions) {
+    for (int i = 0; i < r.count; ++i) sum += r.bytes;
+    mx = std::max(mx, r.bytes);
+    mn = std::min(mn, r.bytes);
+    n += r.count;
   }
-  const double mu = sum / static_cast<double>(partition_bytes.size());
+  const double mu = sum / static_cast<double>(n);
   if (mu <= 0.0) return out;
   double var = 0.0;
-  for (double b : partition_bytes) var += (b - mu) * (b - mu);
-  const double sigma =
-      std::sqrt(var / static_cast<double>(partition_bytes.size()));
+  for (const PartitionRun& r : partitions) {
+    const double sq = (r.bytes - mu) * (r.bytes - mu);
+    for (int i = 0; i < r.count; ++i) var += sq;
+  }
+  const double sigma = std::sqrt(var / static_cast<double>(n));
   out[0] = sigma / mu;          // std-to-average ratio
   out[1] = (mx - mu) / mu;      // skewness ratio
   out[2] = (mx - mn) / mu;      // range-to-average ratio
@@ -199,7 +205,7 @@ std::vector<double> CollapsedPlanFeatures(
   std::vector<double> pooled(FeatureLayout::Total() + 1, 0.0);
   if (remaining_stages.empty()) return pooled;
   for (const auto& st : remaining_stages) {
-    const auto beta = PartitionDistributionStats(st.partition_bytes);
+    const auto beta = PartitionDistributionStats(st.partitions);
     const auto f = StageFeatures(plan, st, conf, /*use_true_cards=*/true,
                                  beta, gamma, /*drop_theta_p=*/false);
     for (size_t i = 0; i < f.size(); ++i) pooled[i] += f[i];

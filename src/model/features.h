@@ -47,9 +47,10 @@ struct FeatureLayout {
 };
 
 /// beta: partition-size distribution statistics (sigma/mu, (max-mu)/mu,
-/// (max-min)/mu), exactly the three ratios in Section 4.3.
+/// (max-min)/mu), exactly the three ratios in Section 4.3, over the
+/// per-task sizes the runs expand to.
 std::vector<double> PartitionDistributionStats(
-    const std::vector<double>& partition_bytes);
+    const std::vector<PartitionRun>& partitions);
 
 /// gamma: contention vector from a stage-execution record.
 std::vector<double> ContentionStats(const StageExecution& se);

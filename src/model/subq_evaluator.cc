@@ -144,21 +144,21 @@ SubQObjectives SubQEvaluator::Evaluate(
   obs::ScopedHistogramTimer timer(obs::HistogramFor("model.inference_us"));
   const QueryStage st = BuildStage(subq_id, theta_c, theta_p, theta_s,
                                    source, completed_subqs);
+  // Equal partitions cost the same, so each run is costed once. All
+  // partitions equal: n x L. Otherwise each task's latency is added in
+  // task order.
   double task_sum = 0.0;
-  // Fast path: with uniform partitions every task costs the same.
-  bool uniform = true;
-  for (size_t t = 1; t < st.partition_bytes.size(); ++t) {
-    if (st.partition_bytes[t] != st.partition_bytes[0]) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform && st.num_partitions > 1) {
+  if (st.partitions.size() == 1) {
     task_sum = st.num_partitions *
-               cost_model_.TaskLatency(st, 0, theta_c, /*seed=*/0);
+               cost_model_.TaskLatency(st, st.partitions[0].bytes, 0, theta_c,
+                                       /*seed=*/0);
   } else {
-    for (int t = 0; t < st.num_partitions; ++t) {
-      task_sum += cost_model_.TaskLatency(st, t, theta_c, /*seed=*/0);
+    int task = 0;
+    for (const PartitionRun& run : st.partitions) {
+      const double latency =
+          cost_model_.TaskLatency(st, run.bytes, task, theta_c, /*seed=*/0);
+      for (int i = 0; i < run.count; ++i) task_sum += latency;
+      task += run.count;
     }
   }
   const int cores = std::min(theta_c.TotalCores(),

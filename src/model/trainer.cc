@@ -81,7 +81,7 @@ Status TraceCollector::Collect(
           eval.BuildStage(se.subq_id, tc, tp, ts, CardinalitySource::kTrue);
       qs_ds->Append(
           StageFeatures(q.plan, true_stage, conf, /*use_true_cards=*/true,
-                        PartitionDistributionStats(true_stage.partition_bytes),
+                        PartitionDistributionStats(true_stage.partitions),
                         ContentionStats(se), /*drop_theta_p=*/true),
           targets);
     }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 
 #include "analysis/invariants.h"
@@ -60,70 +62,170 @@ int PhysicalPlan::CountJoins(JoinAlgo algo) const {
   return n;
 }
 
-std::vector<double> SkewedPartitionSizes(double total_bytes, int n,
-                                         double z) {
-  n = std::max(n, 1);
-  std::vector<double> w(n);
-  // Zipf-like weights (i+1)^{-2z}: z=0 -> uniform, z=1 -> strong skew.
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    w[i] = std::pow(static_cast<double>(i + 1), -2.0 * z);
-    sum += w[i];
+namespace {
+
+// Appends `count` tasks of `bytes` to canonical runs, growing the last run
+// when its bytes are equal.
+void AppendRun(std::vector<PartitionRun>* runs, int count, double bytes) {
+  if (!runs->empty() && runs->back().bytes == bytes) {
+    runs->back().count += count;
+  } else {
+    runs->push_back({count, bytes});
   }
-  for (int i = 0; i < n; ++i) {
-    w[i] = total_bytes * (w[i] / sum);
-  }
-  return w;
 }
 
-std::vector<double> ApplySkewSplit(std::vector<double> partition_bytes,
-                                   double threshold_mb, double factor,
-                                   double advisory_mb) {
-  if (partition_bytes.empty()) return partition_bytes;
+// AppendRun for a rewrite in place: `run` replaces input runs already
+// read, and `*kept` counts the canonical runs written so far.
+void KeepRun(std::vector<PartitionRun>* runs, size_t* kept,
+             PartitionRun run) {
+  if (*kept > 0 && (*runs)[*kept - 1].bytes == run.bytes) {
+    (*runs)[*kept - 1].count += run.count;
+  } else {
+    (*runs)[(*kept)++] = run;
+  }
+}
+
+// The expanded sizes' value at ascending rank n / 2 (their median). Sizes
+// from SkewedPartitionSizes never increase, so their runs need no sort.
+double MedianBytes(const std::vector<PartitionRun>& runs) {
+  int64_t n = 0;
+  for (const PartitionRun& r : runs) n += r.count;
+  const int64_t rank = n / 2;
+  const auto at_rank = [rank](auto first, auto last) {
+    int64_t seen = 0;
+    for (; first != last; ++first) {
+      seen += first->count;
+      if (seen > rank) break;
+    }
+    return first->bytes;
+  };
+  const auto larger = [](const PartitionRun& a, const PartitionRun& b) {
+    return a.bytes > b.bytes;
+  };
+  if (std::is_sorted(runs.begin(), runs.end(), larger)) {
+    return at_rank(runs.rbegin(), runs.rend());
+  }
+  std::vector<PartitionRun> sorted = runs;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const PartitionRun& a, const PartitionRun& b) {
+              return a.bytes < b.bytes;
+            });
+  return at_rank(sorted.begin(), sorted.end());
+}
+
+int TaskCount(const std::vector<PartitionRun>& runs) {
+  int n = 0;
+  for (const PartitionRun& r : runs) n += r.count;
+  return n;
+}
+
+}  // namespace
+
+std::vector<PartitionRun> SkewedPartitionSizes(double total_bytes, int n,
+                                               double z) {
+  n = std::max(n, 1);
+  // At z = 0 every weight is exactly 1 and their sum exactly n, so each
+  // size is total_bytes * (1.0 / n), as the loop below would compute.
+  if (z == 0.0) return {{n, total_bytes * (1.0 / n)}};
+  // Zipf-like weights (i+1)^{-2z}: z=0 -> uniform, z=1 -> strong skew.
+  std::vector<PartitionRun> runs;
+  runs.reserve(n);
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double w = std::pow(static_cast<double>(i + 1), -2.0 * z);
+    sum += w;
+    AppendRun(&runs, 1, w);
+  }
+  // Equal weights give equal sizes, and distinct ones may round to equal
+  // sizes, so the runs are merged again.
+  size_t kept = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    KeepRun(&runs, &kept,
+            {runs[i].count, total_bytes * (runs[i].bytes / sum)});
+  }
+  runs.resize(kept);
+  return runs;
+}
+
+std::vector<PartitionRun> ApplySkewSplit(std::vector<PartitionRun> runs,
+                                         double threshold_mb, double factor,
+                                         double advisory_mb) {
+  if (runs.empty()) return runs;
   const double mb = 1024.0 * 1024.0;
-  std::vector<double> sorted = partition_bytes;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[sorted.size() / 2];
+  const double median = MedianBytes(runs);
   const double limit =
       std::max(threshold_mb * mb, factor * median);
   const double chunk = std::max(advisory_mb * mb, 1.0 * mb);
-  std::vector<double> out;
-  out.reserve(partition_bytes.size());
-  for (double b : partition_bytes) {
-    if (b > limit && b > chunk) {
-      const int pieces = static_cast<int>(std::ceil(b / chunk));
-      for (int i = 0; i < pieces; ++i) {
-        out.push_back(b / pieces);
-      }
-    } else {
-      out.push_back(b);
+  // Each run maps to one run, so the split rewrites `runs` in place.
+  int64_t tasks = 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    PartitionRun piece = runs[i];
+    if (piece.bytes > limit && piece.bytes > chunk) {
+      // Every partition of the run splits into the same pieces.
+      const double pieces = std::ceil(piece.bytes / chunk);
+      SPARKOPT_CHECK_LE(pieces * piece.count,
+                        std::numeric_limits<int>::max())
+          << "skew split of " << piece.count << " partitions of "
+          << piece.bytes << " bytes overflows the task count";
+      piece = {piece.count * static_cast<int>(pieces),
+               piece.bytes / static_cast<int>(pieces)};
     }
+    tasks += piece.count;
+    SPARKOPT_CHECK_LE(tasks, std::numeric_limits<int>::max())
+        << "skew split overflows the task count";
+    KeepRun(&runs, &kept, piece);
   }
-  return out;
+  runs.resize(kept);
+  return runs;
 }
 
-std::vector<double> ApplyCoalesce(std::vector<double> partition_bytes,
-                                  double advisory_mb, double small_factor,
-                                  double min_size_mb) {
+std::vector<PartitionRun> ApplyCoalesce(std::vector<PartitionRun> runs,
+                                        double advisory_mb,
+                                        double small_factor,
+                                        double min_size_mb) {
   const double mb = 1024.0 * 1024.0;
   const double small =
       std::max(min_size_mb * mb, small_factor * advisory_mb * mb);
   const double target = advisory_mb * mb;
-  std::vector<double> out;
+  std::vector<PartitionRun> out;
   double acc = 0.0;
-  for (double b : partition_bytes) {
-    if (b < small) {
+  for (const PartitionRun& r : runs) {
+    const double b = r.bytes;
+    if (!(b < small)) {
+      AppendRun(&out, r.count, b);
+      continue;
+    }
+    // Replay the accumulator one partition at a time until the group open
+    // on entry closes (acc back at 0).
+    int left = r.count;
+    while (left > 0 && acc != 0.0) {
       acc += b;
+      --left;
       if (acc >= target) {
-        out.push_back(acc);
+        AppendRun(&out, 1, acc);
         acc = 0.0;
       }
-    } else {
-      out.push_back(b);
     }
+    if (left == 0) continue;
+    // From 0, every group adds the same `b`s, so each closes after the
+    // same k partitions with the same sum: replay one group, emit the
+    // repeats as one run, then replay the remainder.
+    double sum = 0.0;
+    int k = 0;
+    do {
+      sum += b;
+      ++k;
+    } while (k < left && sum < target);
+    if (sum < target) {
+      acc = sum;
+      continue;
+    }
+    AppendRun(&out, left / k, sum);
+    for (int i = left % k; i > 0; --i) acc += b;
   }
-  if (acc > 0.0) out.push_back(acc);
-  if (out.empty()) out.push_back(0.0);
+  if (acc > 0.0) AppendRun(&out, 1, acc);
+  if (out.empty()) out.push_back({1, 0.0});
   return out;
 }
 
@@ -166,19 +268,19 @@ void PartitionStage(const ContextParams& theta_c, const PlanParams& tp,
     st->num_partitions = std::max(1, tp.shuffle_partitions);
   }
   st->num_partitions = std::min(st->num_partitions, 4096);
-  st->partition_bytes =
+  st->partitions =
       SkewedPartitionSizes(st->input_bytes, st->num_partitions, skew);
   if (!st->is_scan_stage) {
     // AQE post-shuffle optimizations on this stage's input partitions.
     if (st->has_join) {
-      st->partition_bytes = ApplySkewSplit(
-          std::move(st->partition_bytes), tp.skewed_partition_threshold_mb,
+      st->partitions = ApplySkewSplit(
+          std::move(st->partitions), tp.skewed_partition_threshold_mb,
           tp.skewed_partition_factor, tp.advisory_partition_size_mb);
     }
-    st->partition_bytes = ApplyCoalesce(
-        std::move(st->partition_bytes), tp.advisory_partition_size_mb,
+    st->partitions = ApplyCoalesce(
+        std::move(st->partitions), tp.advisory_partition_size_mb,
         ts.rebalance_small_factor, ts.coalesce_min_partition_size_mb);
-    st->num_partitions = static_cast<int>(st->partition_bytes.size());
+    st->num_partitions = TaskCount(st->partitions);
   }
 }
 
@@ -442,8 +544,7 @@ Result<PhysicalPlan> PhysicalPlanner::Plan(
     // ---- 4. Partitioning ------------------------------------------------
     PartitionStage(theta_c, theta_p_of(st.subq_id), theta_s_of(st.subq_id),
                    skew, &st);
-    SPARKOPT_DCHECK_EQ(st.num_partitions,
-                       static_cast<int>(st.partition_bytes.size()))
+    SPARKOPT_DCHECK_EQ(st.num_partitions, TaskCount(st.partitions))
         << "stage " << st.id;
     SPARKOPT_DCHECK_GE(st.num_partitions, 1) << "stage " << st.id;
   }

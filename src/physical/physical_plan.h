@@ -37,6 +37,13 @@ struct JoinDecision {
   int build_op = -1;           ///< logical op id of the chosen build side
 };
 
+/// \brief `count` consecutive tasks of a stage that each read `bytes`
+/// input bytes.
+struct PartitionRun {
+  int count = 1;
+  double bytes = 0.0;
+};
+
 /// \brief One executable query stage.
 struct QueryStage {
   int id = -1;
@@ -46,9 +53,11 @@ struct QueryStage {
   std::vector<int> broadcast_deps;  ///< stages broadcast into this one
 
   int num_partitions = 1;      ///< number of parallel tasks
-  /// Per-partition input bytes after partitioning rules (skew split,
-  /// coalesce, rebalance). Drives task latencies and the beta features.
-  std::vector<double> partition_bytes;
+  /// Per-task input bytes after the partitioning rules (skew split,
+  /// coalesce), in task order, as runs of equal sizes. Canonical: every
+  /// count is >= 1, adjacent runs differ in bytes, and the counts sum to
+  /// num_partitions. Drives task latencies and the beta features.
+  std::vector<PartitionRun> partitions;
 
   double input_rows = 0.0;     ///< total rows entering the stage
   double input_bytes = 0.0;    ///< total bytes entering the stage
@@ -167,28 +176,35 @@ JoinDecision ChooseJoin(const LogicalOperator& join,
 /// stages, otherwise s5's shuffle partitions, capped at 4096; the input
 /// spread over them with key skew `skew` (SkewedPartitionSizes); then,
 /// on shuffle stages, AQE's skew split (s6/s7, join stages only) and
-/// coalescing (s1/s10/s11). Writes `num_partitions` and
-/// `partition_bytes`.
+/// coalescing (s1/s10/s11). Writes `num_partitions` and `partitions`.
 void PartitionStage(const ContextParams& theta_c, const PlanParams& theta_p,
                     const StageParams& theta_s, double skew,
                     QueryStage* stage);
 
+// The three rules below take and return partitions as runs. Each returns
+// canonical runs (see QueryStage::partitions) that expand to exactly the
+// per-partition sizes, bit for bit, that the same rule computes one
+// partition at a time.
+
 /// \brief Builds the per-partition byte distribution for `total_bytes`
 /// split into `n` partitions with Zipf-like skew `z` in [0,1] (0 =
-/// uniform). Deterministic. Exposed for tests and the beta features.
-std::vector<double> SkewedPartitionSizes(double total_bytes, int n, double z);
+/// uniform). Deterministic. At z = 0 this is the single run
+/// (n, total_bytes * (1.0 / n)); otherwise one run per distinct size.
+std::vector<PartitionRun> SkewedPartitionSizes(double total_bytes, int n,
+                                               double z);
 
 /// \brief Runtime skew-split rule (s6/s7): splits any partition larger
 /// than max(threshold_mb, factor x median) into advisory-sized chunks.
-std::vector<double> ApplySkewSplit(std::vector<double> partition_bytes,
-                                   double threshold_mb, double factor,
-                                   double advisory_mb);
+std::vector<PartitionRun> ApplySkewSplit(std::vector<PartitionRun> partitions,
+                                         double threshold_mb, double factor,
+                                         double advisory_mb);
 
 /// \brief Runtime coalesce/rebalance rule (s1, s10, s11): greedily merges
 /// adjacent partitions smaller than max(min_size_mb,
 /// small_factor x advisory_mb) up to the advisory size.
-std::vector<double> ApplyCoalesce(std::vector<double> partition_bytes,
-                                  double advisory_mb, double small_factor,
-                                  double min_size_mb);
+std::vector<PartitionRun> ApplyCoalesce(std::vector<PartitionRun> partitions,
+                                        double advisory_mb,
+                                        double small_factor,
+                                        double min_size_mb);
 
 }  // namespace sparkopt

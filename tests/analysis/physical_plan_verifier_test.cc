@@ -1,5 +1,6 @@
 #include "analysis/physical_plan_verifier.h"
 
+#include <limits>
 #include <vector>
 
 #include "analysis/verifier.h"
@@ -40,7 +41,7 @@ QueryStage MakeStage(int id, std::vector<int> op_ids, std::vector<int> deps,
   st.op_ids = std::move(op_ids);
   st.deps = std::move(deps);
   st.num_partitions = 2;
-  st.partition_bytes = {10.0, 10.0};
+  st.partitions = {{2, 10.0}};
   st.exchanges_output = !root;
   return st;
 }
@@ -119,18 +120,51 @@ TEST(PhysicalPlanVerifierTest, ShuffleAndBroadcastDepIsInvalidArgument) {
 
 TEST(PhysicalPlanVerifierTest, PartitionCountMismatchIsInternal) {
   PhysicalPlan pplan = MakePhysical();
-  pplan.stages[0].num_partitions = 3;  // but only 2 partition_bytes
+  pplan.stages[0].num_partitions = 3;  // but the runs hold 2 tasks
   auto report = RunVerifier(pplan);
   EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
-                        "num_partitions 3 != partition_bytes.size() 2"));
+                        "num_partitions 3 != partition run counts sum 2"));
 }
 
 TEST(PhysicalPlanVerifierTest, NegativePartitionBytesIsOutOfRange) {
   PhysicalPlan pplan = MakePhysical();
-  pplan.stages[0].partition_bytes = {10.0, -1.0};
+  pplan.stages[0].partitions = {{1, 10.0}, {1, -1.0}};
   auto report = RunVerifier(pplan);
   EXPECT_TRUE(ReportHas(report, StatusCode::kOutOfRange,
                         "negative or non-finite"));
+}
+
+TEST(PhysicalPlanVerifierTest, PartitionRunCountBelowOneIsInternal) {
+  PhysicalPlan pplan = MakePhysical();
+  pplan.stages[0].partitions = {{0, 5.0}, {2, 10.0}};
+  auto report = RunVerifier(pplan);
+  EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
+                        "partition run 0 count 0 < 1"));
+}
+
+TEST(PhysicalPlanVerifierTest, PartitionRunCountsPastPartitionsIsInternal) {
+  PhysicalPlan pplan = MakePhysical();
+  pplan.stages[1].partitions = {{2, 10.0}, {1, 4.0}};  // 3 tasks, not 2
+  auto report = RunVerifier(pplan);
+  EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
+                        "num_partitions 2 != partition run counts sum 3"));
+}
+
+TEST(PhysicalPlanVerifierTest, NonFinitePartitionBytesIsOutOfRange) {
+  PhysicalPlan pplan = MakePhysical();
+  pplan.stages[2].partitions = {{1, 10.0},
+                                {1, std::numeric_limits<double>::infinity()}};
+  auto report = RunVerifier(pplan);
+  EXPECT_TRUE(ReportHas(report, StatusCode::kOutOfRange,
+                        "partition run 1 size inf is negative or non-finite"));
+}
+
+TEST(PhysicalPlanVerifierTest, EqualAdjacentPartitionRunsAreInternal) {
+  PhysicalPlan pplan = MakePhysical();
+  pplan.stages[0].partitions = {{1, 10.0}, {1, 10.0}};
+  auto report = RunVerifier(pplan);
+  EXPECT_TRUE(ReportHas(report, StatusCode::kInternal,
+                        "partition run 1 repeats the size of the run before"));
 }
 
 TEST(PhysicalPlanVerifierTest, NoRootStageIsFailedPrecondition) {

@@ -155,7 +155,7 @@ TEST(TraceVerifierTest, DependencyOrderViolationIsFailedPrecondition) {
   st0.subq_id = 0;
   st0.op_ids = {0};
   st0.num_partitions = 2;
-  st0.partition_bytes = {1.0, 1.0};
+  st0.partitions = {{2, 1.0}};
   QueryStage st1 = st0;
   st1.id = 1;
   st1.subq_id = 1;
@@ -180,7 +180,7 @@ TEST(TraceVerifierTest, PlanDependencyCheckSkippedForMultiWaveTraces) {
   st0.subq_id = 0;
   st0.op_ids = {0};
   st0.num_partitions = 1;
-  st0.partition_bytes = {1.0};
+  st0.partitions = {{1, 1.0}};
   QueryStage st1 = st0;
   st1.id = 1;
   st1.deps = {0};

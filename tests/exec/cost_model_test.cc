@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "physical/partition_runs_util.h"
+
 namespace sparkopt {
 namespace {
 
@@ -19,7 +21,7 @@ QueryStage MakeStage(double input_mb, int partitions,
   st.cpu_work = st.input_rows;
   st.is_scan_stage = scan_stage;
   if (!scan_stage) st.shuffle_read_bytes = st.input_bytes;
-  st.partition_bytes = SkewedPartitionSizes(st.input_bytes, partitions, 0.0);
+  st.partitions = SkewedPartitionSizes(st.input_bytes, partitions, 0.0);
   return st;
 }
 
@@ -43,16 +45,16 @@ class CostModelTest : public ::testing::Test {
 TEST_F(CostModelTest, TaskLatencyPositiveAndHasOverhead) {
   TaskCostModel m(cluster_, params_);
   auto st = MakeStage(100, 10);
-  const double lat = m.TaskLatency(st, 0, Context(), 0);
+  const double lat = m.TaskLatency(st, TaskBytes(st, 0), 0, Context(), 0);
   EXPECT_GT(lat, params_.task_overhead_s);
 }
 
 TEST_F(CostModelTest, BiggerPartitionTakesLonger) {
   TaskCostModel m(cluster_, params_);
   auto st = MakeStage(100, 10);
-  st.partition_bytes = SkewedPartitionSizes(st.input_bytes, 10, 0.8);
-  const double first = m.TaskLatency(st, 0, Context(), 0);
-  const double last = m.TaskLatency(st, 9, Context(), 0);
+  st.partitions = SkewedPartitionSizes(st.input_bytes, 10, 0.8);
+  const double first = m.TaskLatency(st, TaskBytes(st, 0), 0, Context(), 0);
+  const double last = m.TaskLatency(st, TaskBytes(st, 9), 9, Context(), 0);
   EXPECT_GT(first, last);
 }
 
@@ -60,8 +62,10 @@ TEST_F(CostModelTest, MemoryPressureCausesSpillSlowdown) {
   TaskCostModel m(cluster_, params_);
   auto st = MakeStage(4000, 2);  // 2 GB per task
   st.has_join = true;
-  const double ample = m.TaskLatency(st, 0, Context(4, 4, 64), 0);
-  const double tight = m.TaskLatency(st, 0, Context(4, 4, 2), 0);
+  const double ample =
+      m.TaskLatency(st, TaskBytes(st, 0), 0, Context(4, 4, 64), 0);
+  const double tight =
+      m.TaskLatency(st, TaskBytes(st, 0), 0, Context(4, 4, 2), 0);
   EXPECT_GT(tight, 1.5 * ample);
 }
 
@@ -74,7 +78,8 @@ TEST_F(CostModelTest, CompressionReducesShuffleBytesTime) {
   on.shuffle_compress = true;
   auto off = Context();
   off.shuffle_compress = false;
-  EXPECT_LT(m.TaskLatency(st, 0, on, 0), m.TaskLatency(st, 0, off, 0));
+  EXPECT_LT(m.TaskLatency(st, TaskBytes(st, 0), 0, on, 0),
+            m.TaskLatency(st, TaskBytes(st, 0), 0, off, 0));
 }
 
 TEST_F(CostModelTest, LargerInFlightBufferSpeedsShuffleRead) {
@@ -84,7 +89,8 @@ TEST_F(CostModelTest, LargerInFlightBufferSpeedsShuffleRead) {
   small.reducer_max_size_in_flight_mb = 12;
   auto big = Context();
   big.reducer_max_size_in_flight_mb = 192;
-  EXPECT_GT(m.TaskLatency(st, 0, small, 0), m.TaskLatency(st, 0, big, 0));
+  EXPECT_GT(m.TaskLatency(st, TaskBytes(st, 0), 0, small, 0),
+            m.TaskLatency(st, TaskBytes(st, 0), 0, big, 0));
 }
 
 TEST_F(CostModelTest, BypassMergeThresholdSpeedsSmallShuffleWrites) {
@@ -95,7 +101,8 @@ TEST_F(CostModelTest, BypassMergeThresholdSpeedsSmallShuffleWrites) {
   bypass.shuffle_bypass_merge_threshold = 200;  // 100 <= 200: bypass
   auto sort = Context();
   sort.shuffle_bypass_merge_threshold = 50;     // 100 > 50: sort path
-  EXPECT_LT(m.TaskLatency(st, 0, bypass, 0), m.TaskLatency(st, 0, sort, 0));
+  EXPECT_LT(m.TaskLatency(st, TaskBytes(st, 0), 0, bypass, 0),
+            m.TaskLatency(st, TaskBytes(st, 0), 0, sort, 0));
 }
 
 TEST_F(CostModelTest, ExtremeMemoryFractionAddsGcPressure) {
@@ -105,17 +112,18 @@ TEST_F(CostModelTest, ExtremeMemoryFractionAddsGcPressure) {
   mid.memory_fraction = 0.6;
   auto high = Context();
   high.memory_fraction = 0.9;
-  EXPECT_LT(m.TaskLatency(st, 0, mid, 0), m.TaskLatency(st, 0, high, 0));
+  EXPECT_LT(m.TaskLatency(st, TaskBytes(st, 0), 0, mid, 0),
+            m.TaskLatency(st, TaskBytes(st, 0), 0, high, 0));
 }
 
 TEST_F(CostModelTest, NoiseIsDeterministicPerSeed) {
   params_.noise_sigma = 0.1;
   TaskCostModel m(cluster_, params_);
   auto st = MakeStage(100, 10);
-  EXPECT_DOUBLE_EQ(m.TaskLatency(st, 3, Context(), 42),
-                   m.TaskLatency(st, 3, Context(), 42));
-  EXPECT_NE(m.TaskLatency(st, 3, Context(), 42),
-            m.TaskLatency(st, 3, Context(), 43));
+  EXPECT_DOUBLE_EQ(m.TaskLatency(st, TaskBytes(st, 3), 3, Context(), 42),
+                   m.TaskLatency(st, TaskBytes(st, 3), 3, Context(), 42));
+  EXPECT_NE(m.TaskLatency(st, TaskBytes(st, 3), 3, Context(), 42),
+            m.TaskLatency(st, TaskBytes(st, 3), 3, Context(), 43));
 }
 
 TEST_F(CostModelTest, BroadcastChargesSetupCost) {

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "exec/simulator.h"
 #include "model/subq_evaluator.h"
+#include "physical/partition_runs_util.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -35,8 +36,8 @@ QueryStage RandomStage(Rng* rng) {
   if (!st.is_scan_stage) st.shuffle_read_bytes = st.input_bytes;
   st.exchanges_output = rng->Bernoulli(0.7);
   st.has_join = rng->Bernoulli(0.3);
-  st.partition_bytes = SkewedPartitionSizes(
-      st.input_bytes, st.num_partitions, rng->Uniform(0, 0.5));
+  st.partitions = SkewedPartitionSizes(st.input_bytes, st.num_partitions,
+                                       rng->Uniform(0, 0.5));
   return st;
 }
 
@@ -65,8 +66,9 @@ TEST_P(CostPropertyTest, TaskLatencyAlwaysPositiveAndFinite) {
   for (int trial = 0; trial < 50; ++trial) {
     auto st = RandomStage(&rng_);
     auto ctx = RandomContext(&rng_);
-    const double lat = model_.TaskLatency(
-        st, static_cast<int>(rng_.NextBounded(st.num_partitions)), ctx, 0);
+    const int task = static_cast<int>(rng_.NextBounded(st.num_partitions));
+    const double lat =
+        model_.TaskLatency(st, TaskBytes(st, task), task, ctx, 0);
     EXPECT_GT(lat, 0.0);
     EXPECT_TRUE(std::isfinite(lat));
     EXPECT_GE(model_.StageSetupLatency(st, ctx), 0.0);
@@ -80,8 +82,8 @@ TEST_P(CostPropertyTest, MoreMemoryNeverSlower) {
     auto ctx = RandomContext(&rng_);
     auto more = ctx;
     more.executor_memory_gb = ctx.executor_memory_gb * 2;
-    EXPECT_LE(model_.TaskLatency(st, 0, more, 0),
-              model_.TaskLatency(st, 0, ctx, 0) + 1e-9);
+    EXPECT_LE(model_.TaskLatency(st, TaskBytes(st, 0), 0, more, 0),
+              model_.TaskLatency(st, TaskBytes(st, 0), 0, ctx, 0) + 1e-9);
   }
 }
 
@@ -93,12 +95,12 @@ TEST_P(CostPropertyTest, MoreInputNeverCheaper) {
     bigger.input_bytes *= 2;
     bigger.cpu_work *= 2;
     bigger.shuffle_read_bytes *= 2;
-    bigger.partition_bytes = SkewedPartitionSizes(
+    bigger.partitions = SkewedPartitionSizes(
         bigger.input_bytes, bigger.num_partitions, 0.0);
-    st.partition_bytes =
+    st.partitions =
         SkewedPartitionSizes(st.input_bytes, st.num_partitions, 0.0);
-    EXPECT_GE(model_.TaskLatency(bigger, 0, ctx, 0),
-              model_.TaskLatency(st, 0, ctx, 0) - 1e-9);
+    EXPECT_GE(model_.TaskLatency(bigger, TaskBytes(bigger, 0), 0, ctx, 0),
+              model_.TaskLatency(st, TaskBytes(st, 0), 0, ctx, 0) - 1e-9);
   }
 }
 

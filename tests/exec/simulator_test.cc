@@ -22,7 +22,7 @@ PhysicalPlan TwoStagePlan() {
   scan.cpu_work = 8e6;
   scan.output_bytes = 400 * kMb;
   scan.output_rows = 4e6;
-  scan.partition_bytes = SkewedPartitionSizes(scan.input_bytes, 8, 0.0);
+  scan.partitions = SkewedPartitionSizes(scan.input_bytes, 8, 0.0);
   scan.exchanges_output = true;
   pp.stages.push_back(scan);
 
@@ -37,7 +37,7 @@ PhysicalPlan TwoStagePlan() {
   agg.cpu_work = 4e6;
   agg.output_bytes = 1 * kMb;
   agg.output_rows = 100;
-  agg.partition_bytes = SkewedPartitionSizes(agg.input_bytes, 4, 0.0);
+  agg.partitions = SkewedPartitionSizes(agg.input_bytes, 4, 0.0);
   agg.exchanges_output = false;
   pp.stages.push_back(agg);
   return pp;
@@ -140,7 +140,7 @@ TEST_F(SimulatorTest, ParallelIndependentStagesShareCores) {
     st.input_rows = 4e6;
     st.cpu_work = 4e6;
     st.output_bytes = 1 * kMb;
-    st.partition_bytes = SkewedPartitionSizes(st.input_bytes, 8, 0.0);
+    st.partitions = SkewedPartitionSizes(st.input_bytes, 8, 0.0);
     st.exchanges_output = false;
     pp.stages.push_back(st);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "physical/partition_runs_util.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -22,14 +23,14 @@ struct Fixture {
 };
 
 TEST(PartitionStatsTest, UniformPartitionsGiveZeroRatios) {
-  auto beta = PartitionDistributionStats({100, 100, 100, 100});
+  auto beta = PartitionDistributionStats(RunsOf({100, 100, 100, 100}));
   EXPECT_NEAR(beta[0], 0.0, 1e-12);
   EXPECT_NEAR(beta[1], 0.0, 1e-12);
   EXPECT_NEAR(beta[2], 0.0, 1e-12);
 }
 
 TEST(PartitionStatsTest, SkewedPartitionsGivePositiveRatios) {
-  auto beta = PartitionDistributionStats({400, 100, 100, 100});
+  auto beta = PartitionDistributionStats(RunsOf({400, 100, 100, 100}));
   EXPECT_GT(beta[0], 0.0);   // sigma/mu
   EXPECT_GT(beta[1], 0.5);   // (max-mu)/mu = (400-175)/175
   EXPECT_NEAR(beta[1], (400.0 - 175) / 175, 1e-9);

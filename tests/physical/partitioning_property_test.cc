@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "physical/partition_runs_util.h"
 #include "physical/physical_plan.h"
 
 namespace sparkopt {
@@ -29,7 +30,7 @@ TEST_P(PartitionRulesPropertyTest, SkewedSizesConserveMassAndOrder) {
     const double total = rng_.Uniform(1.0, 1e11);
     const int n = 1 + static_cast<int>(rng_.NextBounded(2048));
     const double z = rng_.Uniform();
-    auto sizes = SkewedPartitionSizes(total, n, z);
+    auto sizes = ExpandRuns(SkewedPartitionSizes(total, n, z));
     ASSERT_EQ(sizes.size(), static_cast<size_t>(n));
     EXPECT_NEAR(Sum(sizes), total, total * 1e-9);
     // Zipf weights are non-increasing.
@@ -45,7 +46,7 @@ TEST_P(PartitionRulesPropertyTest, HigherSkewRaisesMaxPartition) {
   const int n = 64;
   double prev_max = 0.0;
   for (double z = 0.0; z <= 1.0; z += 0.25) {
-    auto sizes = SkewedPartitionSizes(total, n, z);
+    auto sizes = ExpandRuns(SkewedPartitionSizes(total, n, z));
     EXPECT_GE(sizes[0], prev_max - 1e-6);
     prev_max = sizes[0];
   }
@@ -59,7 +60,8 @@ TEST_P(PartitionRulesPropertyTest, SkewSplitConservesMassAndBoundsPieces) {
     const double threshold = rng_.Uniform(32, 1024);
     const double factor = rng_.Uniform(2, 10);
     const double advisory = rng_.Uniform(8, 256);
-    auto out = ApplySkewSplit(parts, threshold, factor, advisory);
+    auto out =
+        ExpandRuns(ApplySkewSplit(RunsOf(parts), threshold, factor, advisory));
     EXPECT_NEAR(Sum(out), Sum(parts), Sum(parts) * 1e-9);
     EXPECT_GE(out.size(), parts.size());
     // Split pieces never exceed the split trigger size itself.
@@ -79,7 +81,8 @@ TEST_P(PartitionRulesPropertyTest, CoalesceConservesMassNeverGrowsCount) {
     const double advisory = rng_.Uniform(8, 256);
     const double small_factor = rng_.Uniform(0.1, 0.5);
     const double min_size = rng_.Uniform(1, 64);
-    auto out = ApplyCoalesce(parts, advisory, small_factor, min_size);
+    auto out = ExpandRuns(
+        ApplyCoalesce(RunsOf(parts), advisory, small_factor, min_size));
     EXPECT_NEAR(Sum(out), Sum(parts), Sum(parts) * 1e-9 + 1e-6);
     EXPECT_LE(out.size(), parts.size());
     EXPECT_GE(out.size(), 1u);
@@ -92,8 +95,8 @@ TEST_P(PartitionRulesPropertyTest, SplitThenCoalesceStableMass) {
     std::vector<double> parts(n);
     for (auto& p : parts) p = rng_.Uniform(0.1, 2048.0) * kMb;
     const double before = Sum(parts);
-    auto out = ApplyCoalesce(
-        ApplySkewSplit(parts, 256, 5, 64), 64, 0.2, 1);
+    auto out = ExpandRuns(ApplyCoalesce(
+        ApplySkewSplit(RunsOf(parts), 256, 5, 64), 64, 0.2, 1));
     EXPECT_NEAR(Sum(out), before, before * 1e-9 + 1e-6);
   }
 }

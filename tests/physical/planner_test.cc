@@ -6,6 +6,7 @@
 
 #include <numeric>
 
+#include "physical/partition_runs_util.h"
 #include "plan/cardinality.h"
 
 namespace sparkopt {
@@ -180,13 +181,13 @@ TEST(PartitioningTest, ShuffleStageUsesShufflePartitionsThenCoalesce) {
 }
 
 TEST(PartitionSizesTest, UniformWhenNoSkew) {
-  auto sizes = SkewedPartitionSizes(1000.0, 10, 0.0);
+  auto sizes = ExpandRuns(SkewedPartitionSizes(1000.0, 10, 0.0));
   ASSERT_EQ(sizes.size(), 10u);
   for (double s : sizes) EXPECT_NEAR(s, 100.0, 1e-9);
 }
 
 TEST(PartitionSizesTest, SkewConcentratesMass) {
-  auto sizes = SkewedPartitionSizes(1000.0, 10, 0.8);
+  auto sizes = ExpandRuns(SkewedPartitionSizes(1000.0, 10, 0.8));
   EXPECT_GT(sizes[0], 2 * sizes[9]);
   const double total = std::accumulate(sizes.begin(), sizes.end(), 0.0);
   EXPECT_NEAR(total, 1000.0, 1e-6);
@@ -194,7 +195,7 @@ TEST(PartitionSizesTest, SkewConcentratesMass) {
 
 TEST(PartitionSizesTest, MassConservedUnderSkew) {
   for (double z : {0.0, 0.3, 0.7, 1.0}) {
-    auto sizes = SkewedPartitionSizes(5e9, 37, z);
+    auto sizes = ExpandRuns(SkewedPartitionSizes(5e9, 37, z));
     EXPECT_NEAR(std::accumulate(sizes.begin(), sizes.end(), 0.0), 5e9,
                 1e-3);
   }
@@ -203,8 +204,8 @@ TEST(PartitionSizesTest, MassConservedUnderSkew) {
 TEST(SkewSplitTest, OversizedPartitionSplit) {
   std::vector<double> parts = {1000 * kMb, 10 * kMb, 10 * kMb, 10 * kMb,
                                10 * kMb};
-  auto out = ApplySkewSplit(parts, /*threshold_mb=*/100, /*factor=*/5,
-                            /*advisory_mb=*/64);
+  auto out = ExpandRuns(ApplySkewSplit(RunsOf(parts), /*threshold_mb=*/100,
+                                       /*factor=*/5, /*advisory_mb=*/64));
   EXPECT_GT(out.size(), parts.size());
   double total_in = std::accumulate(parts.begin(), parts.end(), 0.0);
   double total_out = std::accumulate(out.begin(), out.end(), 0.0);
@@ -214,26 +215,27 @@ TEST(SkewSplitTest, OversizedPartitionSplit) {
 
 TEST(SkewSplitTest, UniformPartitionsUntouched) {
   std::vector<double> parts(8, 50 * kMb);
-  auto out = ApplySkewSplit(parts, 100, 5, 64);
+  auto out = ExpandRuns(ApplySkewSplit(RunsOf(parts), 100, 5, 64));
   EXPECT_EQ(out, parts);
 }
 
 TEST(CoalesceTest, SmallPartitionsMerged) {
   std::vector<double> parts(16, 4 * kMb);
-  auto out = ApplyCoalesce(parts, /*advisory_mb=*/64, /*small_factor=*/0.2,
-                           /*min_size_mb=*/1);
+  auto out = ExpandRuns(ApplyCoalesce(RunsOf(parts), /*advisory_mb=*/64,
+                                      /*small_factor=*/0.2,
+                                      /*min_size_mb=*/1));
   EXPECT_LT(out.size(), parts.size());
   EXPECT_NEAR(std::accumulate(out.begin(), out.end(), 0.0), 64 * kMb, 1.0);
 }
 
 TEST(CoalesceTest, LargePartitionsKept) {
   std::vector<double> parts(4, 100 * kMb);
-  auto out = ApplyCoalesce(parts, 64, 0.2, 1);
+  auto out = ExpandRuns(ApplyCoalesce(RunsOf(parts), 64, 0.2, 1));
   EXPECT_EQ(out, parts);
 }
 
 TEST(CoalesceTest, NeverReturnsEmpty) {
-  auto out = ApplyCoalesce({}, 64, 0.2, 1);
+  auto out = ExpandRuns(ApplyCoalesce({}, 64, 0.2, 1));
   EXPECT_EQ(out.size(), 1u);
 }
 

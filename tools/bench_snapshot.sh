@@ -63,6 +63,9 @@ for ((rep = 0; rep < REPEATS; ++rep)); do
     | grep '^RESULT ' >> "${tmp}"
   SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_pareto_ops" \
     --benchmark_filter='^$' | grep '^RESULT ' >> "${tmp}"
+  # Per-row model cost (model_row) and MLP inference (mlp_inference).
+  SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_model_inference" \
+    --benchmark_filter='^$' | grep '^RESULT ' >> "${tmp}"
   # Low-load open-loop service run: throughput/latency/speedup records
   # (fast mode shrinks the request counts, not the config matrix).
   SPARKOPT_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_tuning_service" \
