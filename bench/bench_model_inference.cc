@@ -165,9 +165,10 @@ void EmitInferenceResults() {
 // confs per subQ: analytic Evaluate row by row, and learned EvaluateBatch
 // in 64-row batches on a {24, 12} FitSubQRegressor (the service bench's
 // shape). The learned row is split into BuildStage (with the conf
-// decode) and StageFeatures, each timed on its own over the same rows,
-// and the rest of the batch: MLP inference, the objective derivation and
-// the row copies.
+// decode) and StageFeatures, each timed on its own over the same rows
+// right after the batch, and the rest of the batch: MLP inference, the
+// objective derivation and the row copies. Timing the three back to back
+// per batch keeps host drift out of the remainder.
 void EmitModelRowResults() {
   const std::vector<TableStats> catalog = TpchCatalog(10);
   const Query q9 = *MakeTpchQuery(9, &catalog);
@@ -191,9 +192,6 @@ void EmitModelRowResults() {
   for (auto& c : confs) c = SampleLatinHypercube(SparkParamSpace(), 64, &rng);
   const int passes = benchutil::FastMode() ? 20 : 200;
   const double rows = static_cast<double>(passes) * subqs * 64;
-  auto ns_per_row = [rows](const benchutil::Timer& t) {
-    return t.Seconds() / rows * 1e9;
-  };
 
   benchutil::Timer analytic_timer;
   for (int p = 0; p < passes; ++p) {
@@ -203,64 +201,53 @@ void EmitModelRowResults() {
       }
     }
   }
-  const double analytic_ns = ns_per_row(analytic_timer);
+  const double analytic_s = analytic_timer.Seconds();
 
+  double learned_s = 0.0, build_s = 0.0, features_s = 0.0;
   std::vector<ObjectiveVector> out;
-  benchutil::Timer learned_timer;
+  std::vector<QueryStage> stages(64);
   for (int p = 0; p < passes; ++p) {
     for (int s = 0; s < subqs; ++s) {
+      const benchutil::Timer batch_timer;
       learned.EvaluateBatch(s, confs[s], &out);
       benchmark::DoNotOptimize(out.data());
-    }
-  }
-  const double learned_ns = ns_per_row(learned_timer);
+      learned_s += batch_timer.Seconds();
 
-  benchutil::Timer build_timer;
-  for (int p = 0; p < passes; ++p) {
-    for (int s = 0; s < subqs; ++s) {
-      for (const auto& conf : confs[s]) {
-        benchmark::DoNotOptimize(eval.BuildStage(
-            s, DecodeContext(conf), DecodePlan(conf), DecodeStage(conf),
-            CardinalitySource::kEstimated));
-      }
-    }
-  }
-  const double build_ns = ns_per_row(build_timer);
-
-  std::vector<std::vector<QueryStage>> stages(subqs);
-  for (int s = 0; s < subqs; ++s) {
-    for (const auto& conf : confs[s]) {
-      stages[s].push_back(eval.BuildStage(
-          s, DecodeContext(conf), DecodePlan(conf), DecodeStage(conf),
-          CardinalitySource::kEstimated));
-    }
-  }
-  benchutil::Timer features_timer;
-  for (int p = 0; p < passes; ++p) {
-    for (int s = 0; s < subqs; ++s) {
+      const benchutil::Timer build_timer;
       for (size_t i = 0; i < confs[s].size(); ++i) {
-        benchmark::DoNotOptimize(StageFeatures(q9.plan, stages[s][i],
+        const auto& conf = confs[s][i];
+        stages[i] = eval.BuildStage(s, DecodeContext(conf), DecodePlan(conf),
+                                    DecodeStage(conf),
+                                    CardinalitySource::kEstimated);
+        benchmark::DoNotOptimize(stages[i]);
+      }
+      build_s += build_timer.Seconds();
+
+      const benchutil::Timer features_timer;
+      for (size_t i = 0; i < confs[s].size(); ++i) {
+        benchmark::DoNotOptimize(StageFeatures(q9.plan, stages[i],
                                                confs[s][i], false, {}, {},
                                                false));
       }
+      features_s += features_timer.Seconds();
     }
   }
-  const double features_ns = ns_per_row(features_timer);
 
+  const double ns = 1e9 / rows;
   {
     obs::JsonObject o;
     o.emplace_back("model", obs::Json("analytic"));
-    o.emplace_back("ns_per_row", obs::Json(analytic_ns));
+    o.emplace_back("ns_per_row", obs::Json(analytic_s * ns));
     o.emplace_back("rows", obs::Json(rows));
     benchutil::EmitJson("model_row", obs::Json(std::move(o)));
   }
   obs::JsonObject o;
   o.emplace_back("model", obs::Json("learned"));
-  o.emplace_back("ns_per_row", obs::Json(learned_ns));
-  o.emplace_back("build_stage_ns", obs::Json(build_ns));
-  o.emplace_back("stage_features_ns", obs::Json(features_ns));
+  o.emplace_back("ns_per_row", obs::Json(learned_s * ns));
+  o.emplace_back("build_stage_ns", obs::Json(build_s * ns));
+  o.emplace_back("stage_features_ns", obs::Json(features_s * ns));
   o.emplace_back("mlp_derive_ns",
-                 obs::Json(learned_ns - build_ns - features_ns));
+                 obs::Json((learned_s - build_s - features_s) * ns));
   o.emplace_back("rows", obs::Json(rows));
   benchutil::EmitJson("model_row", obs::Json(std::move(o)));
 }
