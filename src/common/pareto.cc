@@ -21,13 +21,6 @@ ParetoScratch& TlsScratch() {
   return scratch;
 }
 
-// Every model and solver produces 2 or 3 objectives; the kernels below
-// support exactly those.
-void CheckObjectiveCount(size_t k, const char* fn) {
-  SPARKOPT_CHECK(k == 2 || k == 3)
-      << fn << " supports 2 or 3 objectives, got " << k;
-}
-
 }  // namespace
 
 bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b) {
@@ -80,7 +73,10 @@ std::vector<size_t> Pareto3D(const std::vector<ObjectiveVector>& pts) {
 std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points) {
   if (points.empty()) return {};
   const size_t k = points[0].size();
-  CheckObjectiveCount(k, "ParetoIndices");
+  // Every model and solver produces 2 or 3 objectives; the kernels
+  // support exactly those.
+  SPARKOPT_CHECK(k == 2 || k == 3)
+      << "ParetoIndices supports 2 or 3 objectives, got " << k;
   return k == 2 ? Pareto2D(points) : Pareto3D(points);
 }
 
@@ -106,29 +102,6 @@ double Hypervolume2D(const std::vector<ObjectiveVector>& front,
   }
   return FlatHypervolume2(scratch.ax.data(), scratch.ay.data(), front.size(),
                           ref[0], ref[1], &scratch);
-}
-
-double Hypervolume(const std::vector<ObjectiveVector>& front,
-                   const ObjectiveVector& ref) {
-  if (front.empty()) return 0.0;
-  CheckObjectiveCount(ref.size(), "Hypervolume");
-  if (ref.size() == 2) return Hypervolume2D(front, ref);
-  // Flat slab sweep, bitwise identical to recursive slicing on the last
-  // objective (tied slabs have zero depth, so the slicing's tie order
-  // never reaches the sum). Stage into the b-side buffers:
-  // FlatHypervolume3 uses ax/ay/az as its own internal staging.
-  ParetoScratch& scratch = TlsScratch();
-  scratch.bx.resize(front.size());
-  scratch.by.resize(front.size());
-  scratch.bz.resize(front.size());
-  for (size_t i = 0; i < front.size(); ++i) {
-    scratch.bx[i] = front[i][0];
-    scratch.by[i] = front[i][1];
-    scratch.bz[i] = front[i][2];
-  }
-  return FlatHypervolume3(scratch.bx.data(), scratch.by.data(),
-                          scratch.bz.data(), front.size(), ref[0], ref[1],
-                          ref[2], &scratch);
 }
 
 size_t WeightedUtopiaNearest(const std::vector<ObjectiveVector>& front,

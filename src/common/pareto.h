@@ -8,17 +8,19 @@
 /// \file pareto.h
 /// \brief Pareto-set primitives used across the optimizer: dominance
 /// checks, non-dominated filtering (Kung et al. sort-based algorithm for
-/// 2D, staircase sweep for 3D), hypervolume, and Weighted-Utopia-Nearest
-/// (WUN) recommendation, plus the reference Minkowski-sum merge of
-/// HMOOC's divide-and-conquer DAG aggregation (Algorithm 3 in the paper).
+/// 2D, staircase sweep for 3D), 2-D hypervolume, and
+/// Weighted-Utopia-Nearest (WUN) recommendation, plus the reference
+/// Minkowski-sum merge of HMOOC's divide-and-conquer DAG aggregation
+/// (Algorithm 3 in the paper).
 ///
 /// All objectives are minimized. A point with k objectives is a
 /// std::vector<double> of size k. Every model and solver produces k = 2
-/// or k = 3, and ParetoIndices and Hypervolume abort on any other k
-/// (empty input is always legal).
+/// or k = 3, and ParetoIndices aborts on any other k (empty input is
+/// always legal). Hypervolume is 2-D only: the benches score 2-objective
+/// fronts, and nothing scores a 3-objective one.
 ///
 /// This header is the AoS shim over the flat kernel in pareto_flat.h:
-/// ParetoIndices and Hypervolume delegate to the structure-of-arrays
+/// ParetoIndices and Hypervolume2D delegate to the structure-of-arrays
 /// kernel and are bitwise identical — same points, same stable tie
 /// order — to the naive formulations they replaced. Production merges
 /// call FlatMerge2/FlatMerge3 directly; MergeFrontsNaive is the
@@ -52,14 +54,6 @@ std::vector<ObjectiveVector> ParetoFilter(
 /// front.
 double Hypervolume2D(const std::vector<ObjectiveVector>& front,
                      const ObjectiveVector& ref);
-
-/// \brief Hypervolume for k = 2 or 3 objectives (k = ref.size(); any
-/// other k aborts); intended for the small fronts (tens of points) this
-/// project produces. k = 2 routes to Hypervolume2D, k = 3 to the flat
-/// kernel's slab sweep (bitwise identical to the recursive slicing it
-/// replaced).
-double Hypervolume(const std::vector<ObjectiveVector>& front,
-                   const ObjectiveVector& ref);
 
 /// \brief Weighted-Utopia-Nearest recommendation (Section 3.3.2).
 ///

@@ -324,44 +324,6 @@ double FlatHypervolume2(const double* x, const double* y, size_t n,
   return hv;
 }
 
-bool ParetoInsert(Front2* front, double px, double py, size_t id) {
-  // Position of the first point lex->= (px, py); everything before is
-  // strictly lex-smaller.
-  const size_t n = front->size();
-  size_t lo = 0, hi = n;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const bool less = front->x[mid] < px ||
-                      (front->x[mid] == px && front->y[mid] < py);
-    if (less) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const size_t pos = lo;
-  // In a sorted front y is non-increasing, so the tightest potential
-  // dominator is the immediate predecessor: lex-smaller with y <= py
-  // always strictly dominates (strict in x, or equal x with strictly
-  // smaller y).
-  if (pos > 0 && front->y[pos - 1] <= py) return false;
-  // Points from pos on have x >= px; those with y >= py are dominated
-  // unless they are exact duplicates of (px, py), which sort first and
-  // are kept. They form a contiguous run.
-  size_t cut = pos;
-  while (cut < n && front->x[cut] == px && front->y[cut] == py) ++cut;
-  size_t end = cut;
-  while (end < n && front->y[end] >= py) ++end;
-  front->x.erase(front->x.begin() + cut, front->x.begin() + end);
-  front->y.erase(front->y.begin() + cut, front->y.begin() + end);
-  front->payload.erase(front->payload.begin() + cut,
-                       front->payload.begin() + end);
-  front->x.insert(front->x.begin() + pos, px);
-  front->y.insert(front->y.begin() + pos, py);
-  front->payload.insert(front->payload.begin() + pos, id);
-  return true;
-}
-
 // ---- k = 3 primitives ----------------------------------------------------
 
 namespace {
@@ -569,100 +531,6 @@ void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
   }
   obs::Observe("pareto.merge_in_points", static_cast<double>(an + bn));
   obs::Observe("pareto.merge_out_points", static_cast<double>(out->size()));
-}
-
-double FlatHypervolume3(const double* x, const double* y, const double* z,
-                        size_t n, double ref_x, double ref_y, double ref_z,
-                        ParetoScratch* scratch) {
-  if (n == 0) return 0.0;
-  // Slab sweep mirroring the recursive Hypervolume term for term: sort
-  // by z (position ties — tied slabs have depth 0 and contribute
-  // nothing, so the tie order cannot change the sum), and for each slab
-  // accumulate depth * area of the 2-D staircase of every point at or
-  // below it. The 2-D kernel re-sorts internally, so passing the prefix
-  // in z order yields the same area Hypervolume2D computes.
-  auto& order = scratch->order;
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t i, uint32_t j) {
-    if (z[i] != z[j]) return z[i] < z[j];
-    return i < j;
-  });
-  auto& hx = scratch->ax;
-  auto& hy = scratch->ay;
-  auto& hz = scratch->az;
-  hx.resize(n);
-  hy.resize(n);
-  hz.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t src = order[i];
-    hx[i] = x[src];
-    hy[i] = y[src];
-    hz[i] = z[src];
-  }
-  double hv = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double z_lo = hz[i];
-    if (z_lo >= ref_z) break;
-    const double z_hi = (i + 1 < n) ? std::min(hz[i + 1], ref_z) : ref_z;
-    const double depth = z_hi - z_lo;
-    if (depth <= 0) continue;
-    hv += depth *
-          FlatHypervolume2(hx.data(), hy.data(), i + 1, ref_x, ref_y, scratch);
-  }
-  return hv;
-}
-
-bool ParetoInsert3(Front3* front, double px, double py, double pz, size_t id) {
-  const size_t n = front->size();
-  // Position of the first point lex->= (px, py, pz).
-  size_t lo = 0, hi = n;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const double mx = front->x[mid], my = front->y[mid], mz = front->z[mid];
-    const bool less = mx < px || (mx == px && (my < py ||
-                                  (my == py && mz < pz)));
-    if (less) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const size_t pos = lo;
-  // A dominator is lexicographically smaller (strictly — equal tuples do
-  // not dominate), so it lives in [0, pos): any such point with y <= py
-  // and z <= pz dominates. Unlike 2-D there is no single tightest
-  // predecessor, so scan the prefix.
-  for (size_t q = 0; q < pos; ++q) {
-    if (front->y[q] <= py && front->z[q] <= pz) return false;
-  }
-  // Exact duplicates of the new point sort at [pos, cut) and are kept.
-  size_t cut = pos;
-  while (cut < n && front->x[cut] == px && front->y[cut] == py &&
-         front->z[cut] == pz) {
-    ++cut;
-  }
-  // Points from cut on have x >= px; the new point dominates those with
-  // y >= py and z >= pz (distinct by construction). They are not
-  // contiguous in 3-D: compact in one forward pass.
-  size_t w = cut;
-  for (size_t q = cut; q < n; ++q) {
-    if (front->y[q] >= py && front->z[q] >= pz) continue;  // dominated
-    front->x[w] = front->x[q];
-    front->y[w] = front->y[q];
-    front->z[w] = front->z[q];
-    front->payload[w] = front->payload[q];
-    ++w;
-  }
-  front->x.resize(w);
-  front->y.resize(w);
-  front->z.resize(w);
-  front->payload.resize(w);
-  front->x.insert(front->x.begin() + pos, px);
-  front->y.insert(front->y.begin() + pos, py);
-  front->z.insert(front->z.begin() + pos, pz);
-  front->payload.insert(front->payload.begin() + pos, id);
-  return true;
 }
 
 }  // namespace sparkopt

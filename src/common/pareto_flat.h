@@ -8,14 +8,15 @@
 /// \brief The flat Pareto kernel: allocation-free structure-of-arrays
 /// primitives for the dominant 2- and 3-objective cases.
 ///
-/// Every MOO solver in this repo bottoms out in three operations —
-/// non-dominated filtering, Minkowski-sum merging (HMOOC1's
-/// divide-and-conquer DAG aggregation, Algorithm 3), and hypervolume —
-/// and the AoS `ObjectiveVector` representation pays one heap allocation
-/// per point for each of them. This kernel keeps a front as three
-/// contiguous arrays (x, y, payload), reuses caller-owned scratch
+/// Every MOO solver in this repo bottoms out in non-dominated filtering
+/// and Minkowski-sum merging (HMOOC1's divide-and-conquer DAG
+/// aggregation, Algorithm 3), and the benches score 2-D fronts by
+/// hypervolume; the AoS `ObjectiveVector` representation pays one heap
+/// allocation per point for each of them. This kernel keeps a front as
+/// contiguous arrays (x, y[, z], payload), reuses caller-owned scratch
 /// buffers, and never materializes the |a| x |b| cross product of a
-/// merge.
+/// merge. Filtering and merging come in k = 2 and k = 3 forms;
+/// hypervolume is k = 2 only, because nothing scores a 3-D front.
 ///
 /// Semantics contract (shared with common/pareto.h): all objectives are
 /// minimized; a "front" is the *non-dominated multiset* of its input —
@@ -198,30 +199,17 @@ void FlatMerge2(const Front2& a, const Front2& b, Front2* out,
 double FlatHypervolume2(const double* x, const double* y, size_t n,
                         double ref_x, double ref_y, ParetoScratch* scratch);
 
-/// \brief Incrementally inserts (px, py, id) into `*front`, which must
-/// be (and stays) sorted by (x, y) ascending — the canonical staircase
-/// order with exact duplicates adjacent.
-///
-/// Returns false (front untouched) when an existing point strictly
-/// dominates the new one; otherwise removes the points the new one
-/// strictly dominates and inserts it, returning true. Maintaining an
-/// archive this way yields exactly the sorted non-dominated multiset of
-/// all points ever offered — the value sequence of
-/// `sort(ParetoFilter(all))`.
-bool ParetoInsert(Front2* front, double px, double py, size_t id);
-
 // ---- k = 3 primitives ----------------------------------------------------
 //
 // Each is the exact 3-objective sibling of the 2-D operation above, with
 // the same semantics contract: non-dominated *multiset* (exact
 // duplicates kept), stable caller order, bitwise-identical points to the
-// naive formulations (a pairwise dominance sweep, `MergeFrontsNaive`,
-// recursive hypervolume slicing). The sweep replaces the 2-D running-min
-// with a (y, z) minima staircase: after sorting by (x, y, z, position),
-// a point is dominated iff some *kept* lexicographically earlier point
-// has y' <= y and z' <= z (x' <= x is implied by the sort, and any
-// dominated witness is itself covered by a kept one, so querying the
-// kept staircase is sufficient).
+// naive formulations (a pairwise dominance sweep, `MergeFrontsNaive`).
+// The sweep replaces the 2-D running-min with a (y, z) minima staircase:
+// after sorting by (x, y, z, position), a point is dominated iff some
+// *kept* lexicographically earlier point has y' <= y and z' <= z (x' <=
+// x is implied by the sort, and any dominated witness is itself covered
+// by a kept one, so querying the kept staircase is sufficient).
 
 /// \brief Non-dominated positions of the multiset {(x[i], y[i], z[i])};
 /// appended to `*kept` (cleared first) in ascending position order — the
@@ -251,26 +239,5 @@ void FlatParetoPositions3(const double* x, const double* y, const double* z,
 /// output-sensitive in the staircase pruning for front-shaped inputs.
 void FlatMerge3(const Front3& a, const Front3& b, Front3* out,
                 ParetoScratch* scratch, size_t cap);
-
-/// \brief Exact 3-D hypervolume dominated by {(x, y, z)} and bounded by
-/// (ref_x, ref_y, ref_z): a z-sorted sweep of slabs, each contributing
-/// depth * 2-D staircase area of the points above it. Accepts any point
-/// multiset; bitwise identical to the recursive `Hypervolume` slicing on
-/// the same input (term order and expressions preserved). O(n^2 log n),
-/// scratch-buffered — fine for the tens-to-hundreds-point fronts this
-/// project produces.
-double FlatHypervolume3(const double* x, const double* y, const double* z,
-                        size_t n, double ref_x, double ref_y, double ref_z,
-                        ParetoScratch* scratch);
-
-/// \brief Incrementally inserts (px, py, pz, id) into `*front`, which
-/// must be (and stays) sorted by (x, y, z) ascending.
-///
-/// Returns false (front untouched) when an existing point strictly
-/// dominates the new one; otherwise removes the points the new one
-/// strictly dominates (not necessarily contiguous in 3-D — a single
-/// compaction pass) and inserts it, returning true. Maintains exactly
-/// the sorted non-dominated multiset of all points ever offered.
-bool ParetoInsert3(Front3* front, double px, double py, double pz, size_t id);
 
 }  // namespace sparkopt

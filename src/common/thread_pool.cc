@@ -68,8 +68,8 @@ bool ThreadPool::Enqueue(std::function<void()> task) {
   // Queue instrumentation costs one relaxed load when no session is
   // installed. With a session, each task is wrapped to record its
   // enqueue->dequeue wait; the session must stay alive until the pool's
-  // queue drains (the documented session lifetime contract — both
-  // ParallelFor and Submit callers block on their tasks).
+  // queue drains (the documented session lifetime contract — ParallelFor
+  // callers block on their tasks, and Post callers track their own).
   if (obs::Session* s = obs::Session::Current()) {
     s->metrics().counter("threadpool.tasks").Add(1);
     obs::Histogram* wait = &s->metrics().histogram("threadpool.queue_wait_us");
@@ -199,11 +199,6 @@ void ThreadPool::ParallelFor(size_t n,
     MutexLock lock(state->error_mu);
     std::rethrow_exception(state->error);
   }
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(0);
-  return pool;
 }
 
 }  // namespace sparkopt

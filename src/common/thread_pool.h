@@ -1,21 +1,21 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <queue>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/thread_safety.h"
 
 /// \file thread_pool.h
-/// \brief A small fixed-size worker pool for the solver hot paths.
+/// \brief A small fixed-size worker pool with two entry points:
+/// ParallelFor, the solver's index-addressed fan-out, and Post, the
+/// fire-and-forget queue the tuning service's session workers drain.
 ///
 /// Design constraints, in order:
 ///  1. Determinism. Results of `ParallelFor` are collected by index, so
@@ -68,15 +68,15 @@ class ThreadPool {
   /// wrappers can observe the shed and e.g. fail a promise. Tasks already
   /// executing always run to completion; in-flight ParallelFor calls
   /// finish their remaining iterations on the calling thread. After
-  /// Shutdown, Post returns false and Submit/ParallelFor run inline on
-  /// the caller.
+  /// Shutdown, Post returns false and ParallelFor runs inline on the
+  /// caller.
   void Shutdown(ShutdownMode mode) SPARKOPT_EXCLUDES(mu_);
 
   /// \brief Fire-and-forget task submission. Returns false (task not
   /// queued, immediately destroyed) once the pool is stopped or when the
   /// pool runs inline (no workers): fire-and-forget has no caller to run
   /// inline on, so inline pools reject rather than surprise-block the
-  /// poster. Callers own completion tracking (see Submit for futures).
+  /// poster. Callers own completion tracking.
   bool Post(std::function<void()> task) SPARKOPT_EXCLUDES(mu_);
 
   /// Tasks discarded by kAbort shutdowns plus tasks rejected by Post.
@@ -97,27 +97,6 @@ class ThreadPool {
   /// must make each iteration independent and index-addressed. Blocks
   /// until all iterations finish; rethrows the first captured exception.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// \brief Submits one task; the future carries the result/exception.
-  template <typename Fn>
-  auto Submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> result = task->get_future();
-    // Inline pools and stopped pools run the task on the caller: Submit
-    // promises a fulfilled future either way.
-    if (workers_.empty() || !Enqueue([task] { (*task)(); })) {
-      (*task)();
-    }
-    return result;
-  }
-
-  /// The pool shared by solver entry points that are called too often to
-  /// pay thread start-up each time (runtime re-optimization). Sized at
-  /// hardware_concurrency on first use with threads > 1; callers cap
-  /// their fan-out themselves via their own options.
-  static ThreadPool& Shared();
 
  private:
   /// Queues `task` unless the pool is stopped (then returns false and

@@ -7,8 +7,8 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/pareto_flat.h"
 #include "common/rng.h"
+#include "moo/dag_aggregation.h"
 
 namespace sparkopt {
 
@@ -23,40 +23,6 @@ std::vector<double> RandomPoint(size_t d, Rng* rng) {
   std::vector<double> x(d);
   for (auto& v : x) v = rng->Uniform();
   return x;
-}
-
-// Evenly spread weight vectors over the k-simplex. k = 2 keeps the
-// historical `w / (n - 1)` ladder bitwise (0.5 for a single weight);
-// k = 3 uses the smallest simplex lattice {(a, b, t-a-b) / t} with at
-// least `num_weights` points in (a, b) lexicographic order — the same
-// construction as DagAggregator::AggregateWeightedSum so the WS
-// baseline and HMOOC2 scalarize over identical weight sets.
-std::vector<double> WeightLadder(size_t nk, int num_weights) {
-  std::vector<double> w;
-  if (num_weights <= 0) return w;
-  if (nk == 3) {
-    int t = 1;
-    while ((t + 1) * (t + 2) / 2 < num_weights) ++t;
-    const int rows = (t + 1) * (t + 2) / 2;
-    w.reserve(static_cast<size_t>(rows) * 3);
-    for (int a = 0; a <= t; ++a) {
-      for (int b = 0; b <= t - a; ++b) {
-        w.push_back(static_cast<double>(a) / t);
-        w.push_back(static_cast<double>(b) / t);
-        w.push_back(static_cast<double>(t - a - b) / t);
-      }
-    }
-    return w;
-  }
-  w.reserve(static_cast<size_t>(num_weights) * 2);
-  for (int row = 0; row < num_weights; ++row) {
-    const double w0 = num_weights == 1
-                          ? 0.5
-                          : static_cast<double>(row) / (num_weights - 1);
-    w.push_back(w0);
-    w.push_back(1.0 - w0);
-  }
-  return w;
 }
 
 MooRunResult FinishResult(const FlatProblem& decoder,
@@ -98,8 +64,10 @@ MooRunResult SolveWeightedSum(const QueryObjectiveFn& fn,
       hi[k] = std::max(hi[k], fs.back()[k]);
     }
   }
-  // For each weight vector keep the argmin of the normalized weighted sum.
-  const std::vector<double> weights = WeightLadder(nk, opts.num_weights);
+  // For each weight vector keep the argmin of the normalized weighted sum,
+  // over HMOOC2's weight set.
+  std::vector<double> weights;
+  WeightLadder(static_cast<int>(nk), opts.num_weights, &weights);
   const size_t n_weights = weights.size() / nk;
   std::vector<std::vector<double>> win_x;
   std::vector<ObjectiveVector> win_f;
@@ -417,23 +385,6 @@ MooRunResult SolveProgressiveFrontier(const QueryObjectiveFn& fn,
 
   std::vector<std::vector<double>> xs;
   std::vector<ObjectiveVector> fs;
-  // Incremental Pareto archive over everything in `fs`: ParetoInsert /
-  // ParetoInsert3 keeps it equal (same values, same sorted order) to
-  // sort(ParetoFilter(fs)) without refiltering per iteration.
-  Front2 archive2;
-  Front3 archive3;
-  auto archive_size = [&]() {
-    return nk == 2 ? archive2.size() : archive3.size();
-  };
-  auto record = [&](std::vector<double> x, ObjectiveVector f) {
-    if (nk == 2) {
-      ParetoInsert(&archive2, f[0], f[1], archive2.size());
-    } else {
-      ParetoInsert3(&archive3, f[0], f[1], f[2], archive3.size());
-    }
-    xs.push_back(std::move(x));
-    fs.push_back(std::move(f));
-  };
 
   // Extreme points: unconstrained minimization of each objective.
   for (size_t k = 0; k < nk; ++k) {
@@ -441,31 +392,34 @@ MooRunResult SolveProgressiveFrontier(const QueryObjectiveFn& fn,
         ConstrainedMinimize(fn, static_cast<int>(k), kInfLo, kInfHi,
                             opts.inner_samples, opts.refine_steps, &rng,
                             &evals);
-    if (ex.found) record(ex.x, ex.f);
+    if (ex.found) {
+      xs.push_back(std::move(ex.x));
+      fs.push_back(std::move(ex.f));
+    }
   }
 
-  // Uncertainty rectangles between adjacent Pareto points, subdivided
-  // largest-first. With 3 objectives the archive is lex-sorted by
-  // (f0, f1, f2) and the rectangles are its (f0, f1) projections — a
-  // search heuristic (the third objective is left unconstrained in the
-  // subdivision solves), not an exactness claim; the returned set is
-  // still filtered to the true non-dominated subset by FinishResult.
+  // Uncertainty rectangles between adjacent points of the Pareto front
+  // of everything found so far, sorted lexicographically, subdivided
+  // largest-first. `fs` holds at most max(max_points, nk) points, so
+  // refiltering each iteration costs nothing next to one constrained
+  // solve. With 3 objectives the rectangles are the (f0, f1) projections
+  // of the (f0, f1, f2)-sorted front — a search heuristic (the third
+  // objective is left unconstrained in the subdivision solves), not an
+  // exactness claim; the returned set is still filtered to the true
+  // non-dominated subset by FinishResult.
   struct Rect {
-    ObjectiveVector a, b;  // two adjacent archive points (a[0] <= b[0])
+    ObjectiveVector a, b;  // two adjacent front points (a[0] <= b[0])
     double volume() const {
       return std::fabs((b[0] - a[0]) * (a[1] - b[1]));
     }
   };
   auto make_rects = [&]() {
+    std::vector<ObjectiveVector> front = ParetoFilter(fs);
+    std::sort(front.begin(), front.end());
     std::vector<Rect> rects;
-    for (size_t i = 0; i + 1 < archive_size(); ++i) {
-      if (nk == 2) {
-        rects.push_back({{archive2.x[i], archive2.y[i]},
-                         {archive2.x[i + 1], archive2.y[i + 1]}});
-      } else {
-        rects.push_back({{archive3.x[i], archive3.y[i]},
-                         {archive3.x[i + 1], archive3.y[i + 1]}});
-      }
+    for (size_t i = 0; i + 1 < front.size(); ++i) {
+      rects.push_back({{front[i][0], front[i][1]},
+                       {front[i + 1][0], front[i + 1][1]}});
     }
     return rects;
   };
@@ -481,9 +435,8 @@ MooRunResult SolveProgressiveFrontier(const QueryObjectiveFn& fn,
     // Solve a constrained problem in the middle half of the rectangle:
     // minimize f1 subject to f0 <= midpoint. In the 2-objective
     // staircase a[1] >= b[1] always holds, so the min/max below is the
-    // historical box verbatim; with 3 objectives adjacent archive
-    // points need not be y-ordered and min/max keeps the box
-    // well-formed.
+    // historical box verbatim; with 3 objectives adjacent front points
+    // need not be y-ordered and min/max keeps the box well-formed.
     const double y_lo = std::min(it->a[1], it->b[1]);
     const double y_hi = std::max(it->a[1], it->b[1]);
     ObjectiveVector lo = {it->a[0], y_lo};
@@ -517,7 +470,8 @@ MooRunResult SolveProgressiveFrontier(const QueryObjectiveFn& fn,
       if (same) dup = true;
     }
     if (dup) break;
-    record(std::move(mid.x), std::move(mid.f));
+    xs.push_back(std::move(mid.x));
+    fs.push_back(std::move(mid.f));
   }
   return FinishResult(decoder, std::move(xs), std::move(fs), Seconds(t0),
                       evals);

@@ -8,6 +8,30 @@
 
 namespace sparkopt {
 
+void WeightLadder(int k, int num_weights, std::vector<double>* w) {
+  w->clear();
+  if (num_weights <= 0) return;
+  if (k == 3) {
+    int t = 1;
+    while ((t + 1) * (t + 2) / 2 < num_weights) ++t;
+    for (int a = 0; a <= t; ++a) {
+      for (int b = 0; b <= t - a; ++b) {
+        w->push_back(static_cast<double>(a) / t);
+        w->push_back(static_cast<double>(b) / t);
+        w->push_back(static_cast<double>(t - a - b) / t);
+      }
+    }
+    return;
+  }
+  for (int row = 0; row < num_weights; ++row) {
+    const double w0 = num_weights == 1
+                          ? 0.5
+                          : static_cast<double>(row) / (num_weights - 1);
+    w->push_back(w0);
+    w->push_back(1.0 - w0);
+  }
+}
+
 int DagAggregator::AcquireNode() {
   if (!free_.empty()) {
     const int idx = free_.back();
@@ -176,34 +200,9 @@ void DagAggregator::AggregateWeightedSum(
       }
     }
   }
-  // Weight ladder. k = 2: w_latency = w / (ws_pairs - 1) as in Algorithm
-  // 4; k = 3: the smallest simplex lattice {(a, b, t-a-b) / t} with at
-  // least ws_pairs points, enumerated in (a, b) lexicographic order.
-  size_t n_weights = static_cast<size_t>(std::max(ws_pairs, 0));
-  int t = 1;
-  if (k == 3 && ws_pairs > 0) {
-    while ((t + 1) * (t + 2) / 2 < ws_pairs) ++t;
-    n_weights = static_cast<size_t>((t + 1) * (t + 2) / 2);
-  }
-  double* w = arena_.AllocArray<double>(n_weights * k);
-  if (k == 3 && n_weights > 0) {
-    size_t row = 0;
-    for (int a = 0; a <= t; ++a) {
-      for (int b = 0; b <= t - a; ++b, ++row) {
-        w[row * 3 + 0] = static_cast<double>(a) / t;
-        w[row * 3 + 1] = static_cast<double>(b) / t;
-        w[row * 3 + 2] = static_cast<double>(t - a - b) / t;
-      }
-    }
-  } else {
-    for (size_t row = 0; row < n_weights; ++row) {
-      const double wl = n_weights == 1
-                            ? 0.5
-                            : static_cast<double>(row) / (n_weights - 1);
-      w[row * 2 + 0] = wl;
-      w[row * 2 + 1] = 1.0 - wl;
-    }
-  }
+  WeightLadder(k, ws_pairs, &weights_);
+  const double* w = weights_.data();
+  const size_t n_weights = weights_.size() / k;
 
   out->obj.reserve(n_weights * k);
   out->choice.reserve(n_weights * static_cast<size_t>(m));

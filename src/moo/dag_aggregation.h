@@ -20,9 +20,21 @@
 /// allocation (pinned by tests/common/alloc_test.cc).
 ///
 /// Supports k = 2 and k = 3 objectives; the exact divide-and-conquer
-/// path runs on the flat kernel's FlatMerge2/FlatMerge3.
+/// path runs on the flat kernel's FlatMerge2/FlatMerge3. HMOOC2's weight
+/// vectors come from WeightLadder, which the WS baseline
+/// (moo/baselines.h) scalarizes over too, so the two share one weight
+/// set by construction.
 
 namespace sparkopt {
+
+/// \brief Fills `*w` (cleared first) with `num_weights` evenly spread
+/// weight vectors over the k-simplex, k doubles per row. k = 2: the
+/// ladder (i / (n - 1), 1 - i / (n - 1)), or (0.5, 0.5) for a single
+/// weight (Algorithm 4). k = 3: the smallest simplex lattice
+/// {(a, b, t-a-b) / t} with at least `num_weights` points, in (a, b)
+/// lexicographic order. `num_weights` <= 0 gives no rows. Allocation-free
+/// once `*w` has reached its high-water capacity.
+void WeightLadder(int k, int num_weights, std::vector<double>* w);
 
 /// One subQ-level solution in a candidate's effective set. Objectives
 /// are stored inline (first `k` slots of `f`) so effective sets carry no
@@ -65,10 +77,9 @@ class DagAggregator {
   void AggregateDc(const std::vector<std::vector<SubQEntry>>& sets, int k,
                    size_t cap, AggregatedBatch* out);
 
-  /// HMOOC2: weighted-sum approximation (Algorithm 4). For k = 2 the
-  /// weight ladder is w_latency = i/(ws_pairs-1); for k = 3 it is the
-  /// smallest simplex lattice {(a, b, t-a-b)/t} with at least `ws_pairs`
-  /// points. `normalize` applies per-subQ min-max normalization.
+  /// HMOOC2: weighted-sum approximation (Algorithm 4), one point per
+  /// WeightLadder(k, ws_pairs) row. `normalize` applies per-subQ min-max
+  /// normalization.
   void AggregateWeightedSum(const std::vector<std::vector<SubQEntry>>& sets,
                             int k, int ws_pairs, bool normalize,
                             AggregatedBatch* out);
@@ -105,6 +116,7 @@ class DagAggregator {
               int k, size_t cap);
 
   MonotonicArena arena_;
+  std::vector<double> weights_;  ///< WeightLadder rows (HMOOC2)
   ParetoScratch scratch_;
   std::vector<Node> nodes_;
   std::vector<int> free_;

@@ -37,7 +37,7 @@ ObjectiveVector CachedSubQModel::FromCached(const SubQObjectives& v) const {
 
 void CachedSubQModel::MaybeInsert(uint64_t key,
                                   const ObjectiveVector& obj) const {
-  if (!AllFinite(obj)) return;  // screen sentinels must not be cached
+  if (!AllFinite(obj)) return;  // NaN or inf: recompute, never memoize
   SubQObjectives v;
   v.analytical_latency = obj[0];
   v.cost = obj[1];

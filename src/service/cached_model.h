@@ -21,17 +21,17 @@
 /// candidate streams for identical (query, artifacts), so a re-submitted
 /// query hits on nearly every evaluation.
 ///
-/// Entries whose objectives are not all finite are never inserted
-/// (multi-fidelity screens emit +inf sentinels for pruned candidates;
-/// caching those would alias real evaluations).
+/// Entries whose objectives are not all finite are never inserted, so a
+/// model that returns NaN or inf for some conf is asked again on every
+/// lookup rather than memoized. Screen sentinels never get here: the
+/// multi-fidelity screen wraps this model, not the other way round.
 
 namespace sparkopt {
 
 class CachedSubQModel : public SubQObjectiveModel {
  public:
   /// `inner` and `cache` must outlive this wrapper. `salt` must be
-  /// unique per (artifact version, query) — see MakeQuerySalt in
-  /// tuning_service.h.
+  /// unique per (artifact version, query) — see TuningService::Solve.
   CachedSubQModel(const SubQObjectiveModel* inner, SharedEvalCache* cache,
                   uint64_t salt)
       : inner_(inner), cache_(cache), salt_(salt) {}

@@ -28,20 +28,22 @@ uint64_t StripedCounter::value() const {
   return total;
 }
 
-void StripedCounter::Reset() {
-  for (Stripe& s : stripes_) s.n.store(0, std::memory_order_relaxed);
-}
+// ---- SharedEvalCache ---------------------------------------------------
 
-// ---- EvalCache ---------------------------------------------------------
-
-EvalCache::EvalCache(size_t capacity) {
+SharedEvalCache::SharedEvalCache(size_t slots) {
   size_t cap = 1024;
-  while (cap < capacity) cap <<= 1;
+  while (cap < slots) cap <<= 1;
   slots_ = std::make_unique<Slot[]>(cap);
   mask_ = cap - 1;
 }
 
-bool EvalCache::Lookup(uint64_t key, SubQObjectives* out) {
+bool SharedEvalCache::Lookup(uint64_t key, SubQObjectives* out) {
+  const bool hit = Find(key, out);
+  (hit ? hits_ : misses_).Add(1);
+  return hit;
+}
+
+bool SharedEvalCache::Find(uint64_t key, SubQObjectives* out) {
   if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
   for (int d = 0; d < kMaxProbe; ++d) {
     Slot& slot = slots_[(key + d) & mask_];
@@ -72,7 +74,7 @@ bool EvalCache::Lookup(uint64_t key, SubQObjectives* out) {
   return false;
 }
 
-void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
+void SharedEvalCache::Insert(uint64_t key, const SubQObjectives& value) {
   if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
   auto publish = [&](Slot& slot) {
     slot.latency.store(value.analytical_latency, std::memory_order_relaxed);
@@ -123,68 +125,6 @@ void EvalCache::Insert(uint64_t key, const SubQObjectives& value) {
   // Every slot in the window was mid-write or repeatedly raced: give up
   // (the value is recomputable) but count it.
   drops_.Add(1);
-}
-
-void EvalCache::Clear() {
-  for (size_t i = 0; i <= mask_; ++i) {
-    slots_[i].tag.store(kEmpty, std::memory_order_relaxed);
-    slots_[i].ref.store(0, std::memory_order_relaxed);
-  }
-  size_.Reset();
-  evictions_.Reset();
-  drops_.Reset();
-}
-
-// ---- SharedEvalCache ---------------------------------------------------
-
-SharedEvalCache::SharedEvalCache(SharedEvalCacheOptions opts) {
-  size_t n = 1;
-  while (n < opts.shards) n <<= 1;
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<EvalCache>(opts.capacity_per_shard));
-  }
-  shard_mask_ = n - 1;
-}
-
-bool SharedEvalCache::Lookup(uint64_t key, SubQObjectives* out) {
-  const bool hit = shards_[ShardOf(key)]->Lookup(key, out);
-  (hit ? hits_ : misses_).Add(1);
-  return hit;
-}
-
-void SharedEvalCache::Insert(uint64_t key, const SubQObjectives& value) {
-  shards_[ShardOf(key)]->Insert(key, value);
-}
-
-void SharedEvalCache::Clear() {
-  for (auto& s : shards_) s->Clear();
-  hits_.Reset();
-  misses_.Reset();
-}
-
-size_t SharedEvalCache::capacity() const {
-  size_t total = 0;
-  for (const auto& s : shards_) total += s->capacity();
-  return total;
-}
-
-size_t SharedEvalCache::occupancy() const {
-  size_t total = 0;
-  for (const auto& s : shards_) total += s->occupancy();
-  return total;
-}
-
-uint64_t SharedEvalCache::evictions() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) total += s->evictions();
-  return total;
-}
-
-uint64_t SharedEvalCache::drops() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) total += s->drops();
-  return total;
 }
 
 double SharedEvalCache::hit_rate() const {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "model/subq_evaluator.h"
 
@@ -12,13 +11,9 @@
 /// concurrent tuning session of the service — the only evaluation cache
 /// in the system (direct solves evaluate uncached; see DESIGN.md §9).
 ///
-/// A thin sharded wrapper over EvalCache: the shard is picked from the
-/// key's high bits (EvalCache probes with the low bits, so the two
-/// selections stay independent), which spreads concurrent sessions over
-/// independent tables and keeps CAS traffic per cache line low. Each
-/// shard inherits EvalCache's lock-free seqlock reads and second-chance
-/// eviction, so the shared cache is capacity-bounded with real
-/// replacement rather than drop-on-full.
+/// One lock-free open-addressing table: seqlock reads, second-chance
+/// eviction, so the cache is capacity-bounded with real replacement
+/// rather than drop-on-full.
 ///
 /// Keys must be salted per (artifact version, query identity) by the
 /// caller (see CachedSubQModel) — raw evaluation keys would collide
@@ -41,8 +36,6 @@ class StripedCounter {
  public:
   void Add(uint64_t n);
   uint64_t value() const;
-  /// Not thread-safe against concurrent Add.
-  void Reset();
 
  private:
   struct alignas(64) Stripe {
@@ -53,8 +46,7 @@ class StripedCounter {
 };
 
 /// \brief Capacity-bounded, thread-safe open-addressing memo table for
-/// evaluation results, with second-chance eviction. One shard of
-/// SharedEvalCache.
+/// evaluation results, with second-chance eviction.
 ///
 /// Keys are 64-bit hashes of the full evaluation inputs; values are the
 /// three objective doubles. Lock-free: a writer claims a slot by CAS-ing
@@ -74,25 +66,25 @@ class StripedCounter {
 /// preimage, losing a race, dropping, or evicting merely recomputes a
 /// deterministic value — correctness never depends on which thread
 /// inserted first or which entry was displaced.
-class EvalCache {
+class SharedEvalCache {
  public:
-  /// `capacity` is rounded up to a power of two (minimum 1024 slots).
-  explicit EvalCache(size_t capacity);
+  /// `slots` is rounded up to a power of two (minimum 1024).
+  explicit SharedEvalCache(size_t slots);
 
-  /// True (and `*out` filled) when `key` is present. Non-const: a hit
-  /// touches the slot's second-chance reference bit.
+  /// Thread-safe; counts a hit or a miss. True (and `*out` filled) when
+  /// `key` is present. Non-const: a hit touches the slot's second-chance
+  /// reference bit.
   bool Lookup(uint64_t key, SubQObjectives* out);
-  /// Inserts, evicting the least-recently-touched slot in the probe
-  /// window when it is full (see evictions()); drops only when every
-  /// slot in the window is mid-write (see drops()).
+  /// Thread-safe. Inserts, evicting the least-recently-touched slot in
+  /// the probe window when it is full (see evictions()); drops only when
+  /// every slot in the window is mid-write (see drops()).
   void Insert(uint64_t key, const SubQObjectives& value);
-  /// Empties the table and resets all counters. Not thread-safe against
-  /// concurrent access.
-  void Clear();
 
   size_t capacity() const { return mask_ + 1; }
   /// Slots currently holding a published entry.
   size_t occupancy() const { return size_.value(); }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t misses() const { return misses_.value(); }
   /// Entries displaced by second-chance replacement. A high eviction
   /// rate means the working set exceeds the table; hit rate degrades
   /// gracefully instead of freezing the first-inserted entries.
@@ -100,14 +92,19 @@ class EvalCache {
   /// Inserts abandoned because every slot in the probe window was
   /// mid-write or repeatedly raced — rare; the value is recomputable.
   uint64_t drops() const { return drops_.value(); }
+  double hit_rate() const;
+
+  /// Publishes "service.eval_cache_{occupancy_frac,hit_rate,drop_rate,
+  /// evictions}" obs gauges (no-op without an installed session).
+  void PublishGauges() const;
 
  private:
   struct Slot {
     std::atomic<uint64_t> tag{kEmpty};
     std::atomic<uint32_t> ref{0};  ///< second-chance reference bit
     // Values are individually atomic so evicting writers never tear a
-    // concurrent reader's view; the seqlock tag re-check in Lookup
-    // rejects any read that overlapped a republish.
+    // concurrent reader's view; the seqlock tag re-check in Find rejects
+    // any read that overlapped a republish.
     std::atomic<double> latency{0.0};
     std::atomic<double> io_bytes{0.0};
     std::atomic<double> cost{0.0};
@@ -116,53 +113,14 @@ class EvalCache {
   static constexpr uint64_t kBusy = 1;
   static constexpr int kMaxProbe = 16;
 
+  /// Lookup without the hit/miss count.
+  bool Find(uint64_t key, SubQObjectives* out);
+
   std::unique_ptr<Slot[]> slots_;
   size_t mask_ = 0;
   StripedCounter size_;
   StripedCounter evictions_;
   StripedCounter drops_;
-};
-
-struct SharedEvalCacheOptions {
-  /// Number of shards, rounded up to a power of two (>= 1).
-  size_t shards = 8;
-  /// EvalCache slots per shard (rounded up to a power of two, min 1024).
-  size_t capacity_per_shard = size_t{1} << 14;
-};
-
-class SharedEvalCache {
- public:
-  explicit SharedEvalCache(SharedEvalCacheOptions opts = {});
-
-  /// Thread-safe; counts a hit/miss.
-  bool Lookup(uint64_t key, SubQObjectives* out);
-  /// Thread-safe; eviction on shard pressure.
-  void Insert(uint64_t key, const SubQObjectives& value);
-  /// Not thread-safe against concurrent access.
-  void Clear();
-
-  size_t num_shards() const { return shards_.size(); }
-  size_t capacity() const;
-  size_t occupancy() const;
-  uint64_t hits() const { return hits_.value(); }
-  uint64_t misses() const { return misses_.value(); }
-  uint64_t evictions() const;
-  uint64_t drops() const;
-  double hit_rate() const;
-
-  /// Publishes "service.eval_cache_{occupancy_frac,hit_rate,drop_rate,
-  /// evictions}" obs gauges (no-op without an installed session).
-  void PublishGauges() const;
-
- private:
-  size_t ShardOf(uint64_t key) const {
-    // High bits: EvalCache's probe sequence consumes the low bits.
-    return (key >> 48) & shard_mask_;
-  }
-
-  // EvalCache holds atomics (not movable), hence by-pointer shards.
-  std::vector<std::unique_ptr<EvalCache>> shards_;
-  size_t shard_mask_ = 0;
   StripedCounter hits_;
   StripedCounter misses_;
 };

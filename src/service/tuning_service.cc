@@ -14,6 +14,12 @@ namespace sparkopt {
 
 namespace {
 
+// 2^17 slots of 40 bytes: 5.2 MB. The recurring workload's working set
+// (a few thousand keys per query) fits with room to spare; a stream of
+// distinct queries overflows any table of this order and relies on
+// CLOCK replacement.
+constexpr size_t kSharedCacheSlots = size_t{1} << 17;
+
 double MicrosBetween(std::chrono::steady_clock::time_point a,
                      std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
@@ -64,7 +70,7 @@ TuningService::TuningService(ArtifactRegistry* registry,
       opts_(std::move(opts)),
       start_(std::chrono::steady_clock::now()) {
   if (opts_.shared_cache_enabled) {
-    shared_cache_ = std::make_unique<SharedEvalCache>(opts_.shared_cache);
+    shared_cache_ = std::make_unique<SharedEvalCache>(kSharedCacheSlots);
   }
   for (const auto& [tenant, q] : opts_.quotas) {
     quotas_.emplace(std::piecewise_construct,

@@ -13,7 +13,6 @@
 #include "moo/problem.h"
 #include "obs/metrics.h"
 #include "service/artifact_registry.h"
-#include "service/inference_batcher.h"
 #include "service/quota.h"
 #include "service/shared_eval_cache.h"
 
@@ -48,6 +47,21 @@
 
 namespace sparkopt {
 
+/// Zeros only; bench/suite/svc_workload.cc still reads batcher().stats().
+class InferenceBatcher {
+ public:
+  struct Stats {
+    uint64_t requests = 0;
+    uint64_t rows = 0;
+    uint64_t solo = 0;
+    uint64_t full_flushes = 0;
+    uint64_t timeout_flushes = 0;
+    uint64_t coalesced_batches = 0;
+    uint64_t coalesced_rows = 0;
+  };
+  Stats stats() const { return {}; }
+};
+
 /// Per-tenant token-bucket parameters (see service/quota.h).
 struct TenantQuota {
   double rate_per_sec = 0.0;
@@ -62,7 +76,6 @@ struct TuningServiceOptions {
   size_t queue_capacity = 256;
   /// Cross-query shared evaluation cache (false = evaluate uncached).
   bool shared_cache_enabled = true;
-  SharedEvalCacheOptions shared_cache;
   /// Preference weights used when a request leaves its own empty.
   std::vector<double> default_preference = {0.9, 0.1};
   /// Tenant id -> quota. Tenants absent from the map are unthrottled.
@@ -143,8 +156,6 @@ class TuningService {
 
   /// nullptr when the shared cache is disabled.
   const SharedEvalCache* shared_cache() const { return shared_cache_.get(); }
-  /// Never called by a solve, so its stats stay 0; kept only because
-  /// bench/suite/svc_workload.cc still reads them.
   const InferenceBatcher& batcher() const { return batcher_; }
 
   const TuningServiceOptions& options() const { return opts_; }

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -39,36 +38,6 @@ std::vector<size_t> ReferenceKept(const std::vector<ObjectiveVector>& pts) {
     if (!dominated) kept.push_back(i);
   }
   return kept;
-}
-
-// The recursive slicing hypervolume that common/pareto.cc used before the
-// flat kernel, kept as the bitwise oracle for FlatHypervolume3.
-double ReferenceHvSliced(std::vector<ObjectiveVector> pts,
-                            const ObjectiveVector& ref) {
-  const size_t k = ref.size();
-  if (pts.empty()) return 0.0;
-  if (k == 2) return Hypervolume2D(pts, ref);
-  std::sort(pts.begin(), pts.end(),
-            [k](const ObjectiveVector& a, const ObjectiveVector& b) {
-              return a[k - 1] < b[k - 1];
-            });
-  double hv = 0.0;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const double z_lo = pts[i][k - 1];
-    if (z_lo >= ref[k - 1]) break;
-    const double z_hi = (i + 1 < pts.size())
-                            ? std::min(pts[i + 1][k - 1], ref[k - 1])
-                            : ref[k - 1];
-    const double depth = z_hi - z_lo;
-    if (depth <= 0) continue;
-    std::vector<ObjectiveVector> proj;
-    ObjectiveVector sub_ref(ref.begin(), ref.end() - 1);
-    for (size_t j = 0; j <= i; ++j) {
-      proj.emplace_back(pts[j].begin(), pts[j].end() - 1);
-    }
-    hv += depth * ReferenceHvSliced(std::move(proj), sub_ref);
-  }
-  return hv;
 }
 
 Front3 ToFront3(const std::vector<ObjectiveVector>& pts) {
@@ -165,53 +134,6 @@ TEST_P(FlatKernel3PropertyTest, MergeFrontsMatchesNaiveBitwise) {
   }
 }
 
-TEST_P(FlatKernel3PropertyTest, HypervolumeMatchesRecursiveBitwise) {
-  Rng rng(GetParam());
-  ParetoScratch scratch;
-  for (int round = 0; round < 20; ++round) {
-    const int n = static_cast<int>(rng.NextBounded(24));
-    const auto pts = RandomPoints3(&rng, n, round % 2 == 0);
-    const ObjectiveVector ref = {rng.Uniform(4, 10), rng.Uniform(4, 10),
-                                 rng.Uniform(4, 10)};
-    std::vector<double> x(n), y(n), z(n);
-    for (int i = 0; i < n; ++i) {
-      x[i] = pts[i][0];
-      y[i] = pts[i][1];
-      z[i] = pts[i][2];
-    }
-    // EXPECT_EQ, not NEAR: same terms in the same order.
-    const double flat = FlatHypervolume3(x.data(), y.data(), z.data(), n,
-                                         ref[0], ref[1], ref[2], &scratch);
-    EXPECT_EQ(flat, ReferenceHvSliced(pts, ref)) << "seed " << GetParam();
-    // The AoS shim must agree too.
-    EXPECT_EQ(Hypervolume(pts, ref), ReferenceHvSliced(pts, ref));
-  }
-}
-
-// Incremental archive == sorted batch filter (values and multiplicity).
-TEST_P(FlatKernel3PropertyTest, ParetoInsertMatchesBatchFilter) {
-  Rng rng(GetParam());
-  for (int round = 0; round < 10; ++round) {
-    const auto pts =
-        RandomPoints3(&rng, 1 + rng.NextBounded(50), round % 2 == 0);
-    Front3 archive;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      ParetoInsert3(&archive, pts[i][0], pts[i][1], pts[i][2], i);
-    }
-    std::vector<ObjectiveVector> batch = ParetoFilter(pts);
-    std::sort(batch.begin(), batch.end());
-    ASSERT_EQ(archive.size(), batch.size()) << "seed " << GetParam();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(archive.x[i], batch[i][0]);
-      EXPECT_EQ(archive.y[i], batch[i][1]);
-      EXPECT_EQ(archive.z[i], batch[i][2]);
-      EXPECT_EQ(pts[archive.payload[i]][0], archive.x[i]);
-      EXPECT_EQ(pts[archive.payload[i]][1], archive.y[i]);
-      EXPECT_EQ(pts[archive.payload[i]][2], archive.z[i]);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatKernel3PropertyTest,
                          ::testing::Values(3, 13, 37, 97, 181, 331));
 
@@ -293,38 +215,6 @@ TEST(FlatMerge3Test, CappedMergeThinsAcrossRunPairs) {
     EXPECT_EQ(scratch.pairs[p].i, full_scratch.pairs[p].i);
     EXPECT_EQ(scratch.pairs[p].j, full_scratch.pairs[p].j);
   }
-}
-
-TEST(ParetoInsert3Test, RejectsDominatedKeepsDuplicates) {
-  Front3 front;
-  EXPECT_TRUE(ParetoInsert3(&front, 2, 2, 2, 0));
-  EXPECT_FALSE(ParetoInsert3(&front, 3, 3, 3, 1));  // dominated
-  EXPECT_TRUE(ParetoInsert3(&front, 2, 2, 2, 2));   // exact duplicate kept
-  EXPECT_EQ(front.size(), 2u);
-  // Incomparable on z: stays alongside the duplicates.
-  EXPECT_TRUE(ParetoInsert3(&front, 3, 3, 1, 3));
-  EXPECT_EQ(front.size(), 3u);
-  EXPECT_TRUE(ParetoInsert3(&front, 1, 1, 1, 4));  // dominates all three
-  EXPECT_EQ(front.size(), 1u);
-  EXPECT_EQ(front.payload[0], 4u);
-}
-
-TEST(ParetoInsert3Test, RemovesNonContiguousDominatedRun) {
-  Front3 front;
-  // Archive sorted by (x, y, z): (1,5,5), (2,1,9), (3,4,4), (4,0,9).
-  EXPECT_TRUE(ParetoInsert3(&front, 1, 5, 5, 0));
-  EXPECT_TRUE(ParetoInsert3(&front, 2, 1, 9, 1));
-  EXPECT_TRUE(ParetoInsert3(&front, 3, 4, 4, 2));
-  EXPECT_TRUE(ParetoInsert3(&front, 4, 0, 9, 3));
-  ASSERT_EQ(front.size(), 4u);
-  // (2,3,3) dominates (3,4,4) but not (2,1,9)/(4,0,9) — the dominated
-  // point is sandwiched between survivors.
-  EXPECT_TRUE(ParetoInsert3(&front, 2, 3, 3, 4));
-  ASSERT_EQ(front.size(), 4u);
-  EXPECT_EQ(front.x, (std::vector<double>{1, 2, 2, 4}));
-  EXPECT_EQ(front.y, (std::vector<double>{5, 1, 3, 0}));
-  EXPECT_EQ(front.z, (std::vector<double>{5, 9, 3, 9}));
-  EXPECT_EQ(front.payload, (std::vector<size_t>{0, 1, 4, 3}));
 }
 
 }  // namespace

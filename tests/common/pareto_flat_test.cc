@@ -130,29 +130,6 @@ TEST_P(FlatKernelPropertyTest, HypervolumeMatchesReferenceBitwise) {
   }
 }
 
-// Incremental archive == sorted batch filter (values and multiplicity).
-TEST_P(FlatKernelPropertyTest, ParetoInsertMatchesBatchFilter) {
-  Rng rng(GetParam());
-  for (int round = 0; round < 10; ++round) {
-    const auto pts =
-        RandomPoints(&rng, 1 + rng.NextBounded(50), round % 2 == 0);
-    Front2 archive;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      ParetoInsert(&archive, pts[i][0], pts[i][1], i);
-    }
-    std::vector<ObjectiveVector> batch = ParetoFilter(pts);
-    std::sort(batch.begin(), batch.end());
-    ASSERT_EQ(archive.size(), batch.size()) << "seed " << GetParam();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(archive.x[i], batch[i][0]);
-      EXPECT_EQ(archive.y[i], batch[i][1]);
-      // The surviving payload's source point must carry these values.
-      EXPECT_EQ(pts[archive.payload[i]][0], archive.x[i]);
-      EXPECT_EQ(pts[archive.payload[i]][1], archive.y[i]);
-    }
-  }
-}
-
 // FlatMerge3 keeps FlatMerge2's output contract: payload p = p, and
 // scratch.pairs[p] names the inputs whose sum is point p.
 TEST_P(FlatKernelPropertyTest, ThreeObjectiveMergeContract) {
@@ -257,17 +234,6 @@ TEST(FlatMergeTest, CappedMergeThinsAcrossRunPairs) {
     EXPECT_EQ(scratch.pairs[p].i, full_scratch.pairs[p].i);
     EXPECT_EQ(scratch.pairs[p].j, full_scratch.pairs[p].j);
   }
-}
-
-TEST(ParetoInsertTest, RejectsDominatedKeepsDuplicates) {
-  Front2 front;
-  EXPECT_TRUE(ParetoInsert(&front, 2, 2, 0));
-  EXPECT_FALSE(ParetoInsert(&front, 3, 3, 1));  // dominated
-  EXPECT_TRUE(ParetoInsert(&front, 2, 2, 2));   // exact duplicate kept
-  EXPECT_EQ(front.size(), 2u);
-  EXPECT_TRUE(ParetoInsert(&front, 1, 1, 3));   // dominates both
-  EXPECT_EQ(front.size(), 1u);
-  EXPECT_EQ(front.payload[0], 3u);
 }
 
 }  // namespace

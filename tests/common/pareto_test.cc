@@ -146,17 +146,6 @@ TEST(Hypervolume2DTest, MorePointsNeverReduceVolume) {
   }
 }
 
-TEST(HypervolumeTest, ThreeDBox) {
-  // One point at origin of a unit cube from ref (1,1,1).
-  EXPECT_NEAR(Hypervolume({{0, 0, 0}}, {1, 1, 1}), 1.0, 1e-12);
-}
-
-TEST(HypervolumeTest, ThreeDTwoDisjointContributions) {
-  const double hv = Hypervolume({{0, 0.5, 0.5}, {0.5, 0, 0}}, {1, 1, 1});
-  // Union of two boxes: 1*0.5*0.5 + 0.5*1*1 - overlap 0.5*0.5*0.5.
-  EXPECT_NEAR(hv, 0.25 + 0.5 - 0.125, 1e-9);
-}
-
 TEST(WunTest, PrefersLatencyWithLatencyHeavyWeights) {
   // Front: fast-expensive vs slow-cheap.
   std::vector<ObjectiveVector> front = {{1.0, 10.0}, {10.0, 1.0}};

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -116,52 +118,35 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   }
 }
 
-TEST(ThreadPoolTest, SubmitReturnsFutureWithResult) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([]() -> int { throw std::runtime_error("bad"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, SubmitInlineMode) {
-  ThreadPool pool(1);
-  auto f = pool.Submit([] { return std::string("inline"); });
-  EXPECT_EQ(f.get(), "inline");
-}
-
-TEST(ThreadPoolTest, ConcurrentSubmitFromManyThreads) {
+TEST(ThreadPoolTest, ConcurrentPostFromManyThreads) {
+  // The tuning service's client threads post this way: several producers
+  // at once, then a drain.
   ThreadPool pool(4);
   static constexpr int kPer = 50;
-  std::vector<std::future<int>> futures;
-  Mutex mu;
-  // Hammer Submit from several external threads at once.
+  std::atomic<long long> sum{0};
+  std::atomic<int> ran{0};
   std::vector<std::thread> producers;
   for (int t = 0; t < 4; ++t) {
     producers.emplace_back([&, t] {
       for (int i = 0; i < kPer; ++i) {
-        auto f = pool.Submit([t, i] { return t * kPer + i; });
-        MutexLock lock(mu);
-        futures.push_back(std::move(f));
+        EXPECT_TRUE(pool.Post([&sum, &ran, t, i] {
+          sum.fetch_add(t * kPer + i, std::memory_order_relaxed);
+          ran.fetch_add(1, std::memory_order_relaxed);
+        }));
       }
     });
   }
   for (auto& p : producers) p.join();
-  long long sum = 0;
-  for (auto& f : futures) sum += f.get();
+  pool.Shutdown(ThreadPool::ShutdownMode::kDrain);
   const long long n = 4LL * kPer;
-  EXPECT_EQ(sum, n * (n - 1) / 2);
+  EXPECT_EQ(ran.load(), n);
+  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+  EXPECT_EQ(pool.discarded_tasks(), 0u);
 }
 
 TEST(ThreadPoolTest, InstrumentationRecordsUnderSession) {
   obs::Session session;
   ThreadPool pool(3);
-  auto f = pool.Submit([] { return 7; });
-  EXPECT_EQ(f.get(), 7);
   std::atomic<int> sum{0};
   pool.ParallelFor(64, [&](size_t i) {
     sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
@@ -194,8 +179,6 @@ TEST(ThreadPoolTest, DedicatedSingleWorkerHasARealThread) {
   EXPECT_EQ(pool.parallelism(), 1);
   std::atomic<int> n{0};
   EXPECT_TRUE(pool.Post([&] { n.fetch_add(1); }));
-  auto f = pool.Submit([] { return 7; });
-  EXPECT_EQ(f.get(), 7);
   pool.Shutdown(ThreadPool::ShutdownMode::kDrain);
   EXPECT_EQ(n.load(), 1);
 }
@@ -274,9 +257,7 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndFirstCallWins) {
 TEST(ThreadPoolTest, WorkDegradesToInlineAfterShutdown) {
   ThreadPool pool(4);
   pool.Shutdown(ThreadPool::ShutdownMode::kDrain);
-  // Submit and ParallelFor still complete — on the calling thread.
-  auto f = pool.Submit([] { return 41; });
-  EXPECT_EQ(f.get(), 41);
+  // ParallelFor still completes — on the calling thread.
   std::vector<int> out(100, 0);
   pool.ParallelFor(out.size(), [&](size_t i) {
     out[i] = static_cast<int>(i);
@@ -284,15 +265,6 @@ TEST(ThreadPoolTest, WorkDegradesToInlineAfterShutdown) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i));
   }
-}
-
-TEST(ThreadPoolTest, SharedPoolIsSingleton) {
-  EXPECT_EQ(&ThreadPool::Shared(), &ThreadPool::Shared());
-  std::atomic<int> sum{0};
-  ThreadPool::Shared().ParallelFor(8, [&](size_t i) {
-    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 28);
 }
 
 }  // namespace

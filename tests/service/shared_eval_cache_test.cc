@@ -20,8 +20,8 @@ SubQObjectives ValueOf(uint64_t key) {
   return v;
 }
 
-TEST(EvalCacheTest, InsertEvictsInsteadOfDroppingWhenWindowFull) {
-  EvalCache cache(1024);
+TEST(SharedEvalCacheTest, InsertEvictsInsteadOfDroppingWhenWindowFull) {
+  SharedEvalCache cache(1024);
   ASSERT_EQ(cache.capacity(), 1024u);
   // Keys congruent mod capacity share one probe window. kMaxProbe fit;
   // the next insert must CLOCK-evict the oldest untouched entry rather
@@ -56,8 +56,8 @@ TEST(EvalCacheTest, InsertEvictsInsteadOfDroppingWhenWindowFull) {
   EXPECT_FALSE(cache.Lookup(base + 0 * stride, &got));
 }
 
-TEST(EvalCacheTest, ClockGivesRecentlyTouchedEntriesASecondChance) {
-  EvalCache cache(1024);
+TEST(SharedEvalCacheTest, ClockGivesRecentlyTouchedEntriesASecondChance) {
+  SharedEvalCache cache(1024);
   const uint64_t base = 0x1000;
   const uint64_t stride = cache.capacity();
   for (uint64_t j = 0; j < 16; ++j) {
@@ -79,8 +79,8 @@ TEST(EvalCacheTest, ClockGivesRecentlyTouchedEntriesASecondChance) {
   EXPECT_FALSE(cache.Lookup(base + 1 * stride, &got));
 }
 
-TEST(EvalCacheTest, SaturationEvictsAndKeepsOccupancyBounded) {
-  EvalCache cache(1024);
+TEST(SharedEvalCacheTest, SaturationEvictsAndKeepsOccupancyBounded) {
+  SharedEvalCache cache(1024);
   for (uint64_t k = 2; k < 50000; ++k) {
     cache.Insert(k, SubQObjectives{});
     // The entry just published is always findable right after.
@@ -93,16 +93,13 @@ TEST(EvalCacheTest, SaturationEvictsAndKeepsOccupancyBounded) {
   // Single-threaded there is always an evictable entry: never a drop.
   EXPECT_EQ(cache.drops(), 0u);
   EXPECT_LE(cache.occupancy(), cache.capacity());
-  cache.Clear();
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.occupancy(), 0u);
 }
 
-TEST(SharedEvalCacheTest, RoundTripsAcrossShards) {
-  SharedEvalCache cache({/*shards=*/8, /*capacity_per_shard=*/1024});
+TEST(SharedEvalCacheTest, RoundTripsKeysFromTheWholeHashRange) {
+  SharedEvalCache cache(8 * 1024);
   EXPECT_EQ(cache.capacity(), 8u * 1024u);
-  // Keys spread over the full 64-bit range: shard routing uses the high
-  // bits, slot probing the low bits.
+  // Keys spread over the full 64-bit range; slot probing uses the low
+  // bits.
   Rng rng(11);
   std::vector<uint64_t> keys;
   for (int i = 0; i < 500; ++i) keys.push_back(rng.Next());
@@ -120,28 +117,18 @@ TEST(SharedEvalCacheTest, RoundTripsAcrossShards) {
 }
 
 TEST(SharedEvalCacheTest, MissesAreCounted) {
-  SharedEvalCache cache({4, 1024});
+  SharedEvalCache cache(4 * 1024);
   SubQObjectives got;
   EXPECT_FALSE(cache.Lookup(123, &got));
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.0);
 }
 
-TEST(SharedEvalCacheTest, ClearResetsEverything) {
-  SharedEvalCache cache({2, 1024});
-  cache.Insert(42, ValueOf(42));
-  SubQObjectives got;
-  EXPECT_TRUE(cache.Lookup(42, &got));
-  cache.Clear();
-  EXPECT_EQ(cache.occupancy(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_FALSE(cache.Lookup(42, &got));
-}
-
-TEST(SharedEvalCacheTest, ShardCountRoundsUpToPowerOfTwo) {
-  SharedEvalCache cache({/*shards=*/5, /*capacity_per_shard=*/1024});
-  EXPECT_EQ(cache.capacity(), 8u * 1024u);
+TEST(SharedEvalCacheTest, SlotCountRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(SharedEvalCache(5 * 1024).capacity(), 8u * 1024u);
+  EXPECT_EQ(SharedEvalCache(1u << 17).capacity(), size_t{1} << 17);
+  // Never below 1024 slots.
+  EXPECT_EQ(SharedEvalCache(3).capacity(), 1024u);
 }
 
 // The TSan target for the service: concurrent writers and readers over a
@@ -149,7 +136,7 @@ TEST(SharedEvalCacheTest, ShardCountRoundsUpToPowerOfTwo) {
 // CLOCK eviction all fire constantly. Correctness claim: a Lookup either
 // misses or returns the exact pure-function payload of its key.
 TEST(SharedEvalCacheTest, ConcurrentStressNeverTearsValues) {
-  SharedEvalCache cache({/*shards=*/2, /*capacity_per_shard=*/1024});
+  SharedEvalCache cache(2048);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 20000;
   // Key space ~4x the slot count: heavy eviction pressure, frequent
@@ -163,7 +150,7 @@ TEST(SharedEvalCacheTest, ConcurrentStressNeverTearsValues) {
     threads.emplace_back([&, t] {
       Rng rng(1000 + static_cast<uint64_t>(t));
       for (int i = 0; i < kOpsPerThread; ++i) {
-        // Spread keys across the hash range so both shards see traffic.
+        // Spread keys across the hash range so every slot sees traffic.
         const uint64_t key =
             HashCombine(0xABCD, rng.Next() % kKeySpace) | 2;
         if (i % 3 == 0) {
