@@ -98,8 +98,7 @@ TEST(SharedEvalCacheTest, SaturationEvictsAndKeepsOccupancyBounded) {
 TEST(SharedEvalCacheTest, RoundTripsKeysFromTheWholeHashRange) {
   SharedEvalCache cache(8 * 1024);
   EXPECT_EQ(cache.capacity(), 8u * 1024u);
-  // Keys spread over the full 64-bit range; slot probing uses the low
-  // bits.
+  // Keys spread over the full 64-bit range.
   Rng rng(11);
   std::vector<uint64_t> keys;
   for (int i = 0; i < 500; ++i) keys.push_back(rng.Next());
