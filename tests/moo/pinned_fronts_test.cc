@@ -10,7 +10,9 @@
 /// HMOOC2 runs on a synthetic model. Under one theta_c every analytic
 /// subQ's Pareto set is a single objective vector (cost follows latency),
 /// so every weight picks the same entry there and the ladder would go
-/// unpinned.
+/// unpinned. HMOOC1 and HMOOC3 are also pinned on both compile-time
+/// models, the analytic one and a learned one, so the rows a solve asks
+/// those models for are pinned too.
 ///
 /// The expected hashes were recorded on x86-64 with glibc 2.36's libm; a
 /// libm whose pow/log/exp round differently changes them. Re-record them
@@ -31,6 +33,8 @@
 #include "moo/hmooc.h"
 #include "moo/objective_models.h"
 #include "params/spark_params.h"
+#include "service/model_bootstrap.h"
+#include "workload/tpcds.h"
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -174,6 +178,69 @@ TEST(PinnedFrontBitsTest, Hmooc2WithAndWithoutPerSubQNormalization) {
     EXPECT_EQ(h.value(), kExpected[normalize])
         << "normalize=" << normalize << " " << Hex(h.value());
   }
+}
+
+// TPC-H Q3, Q5 and Q9 and TPC-DS Q18 at SF10, each solved by HMOOC1 and
+// HMOOC3 at k = 2 and 3 with a small budget, hashed in that order.
+// `learned` swaps the analytic model for a learned one over a regressor
+// bootstrapped as PinnedBitsTest's is.
+FrontHash HashHmoocFronts(bool learned) {
+  const std::vector<TableStats> tpch = TpchCatalog(10);
+  const std::vector<TableStats> tpcds = TpcdsCatalog(10);
+  const ClusterSpec cluster;
+  const CostModelParams cost;
+  std::vector<Query> queries;
+  for (const int qid : kQueries) queries.push_back(*MakeTpchQuery(qid, &tpch));
+  queries.push_back(*MakeTpcdsQuery(18, &tpcds));
+  std::vector<const Query*> train;
+  for (const Query& q : queries) train.push_back(&q);
+  BootstrapOptions bo;
+  bo.samples_per_query = 12;
+  bo.hidden = {16, 8};
+  bo.epochs = 20;
+  bo.seed = 7;
+  Regressor reg;
+  if (learned) {
+    auto fit = FitSubQRegressor(train, cluster, cost, PriceBook(), bo);
+    EXPECT_TRUE(fit.ok()) << fit.status().ToString();
+    if (fit.ok()) reg = std::move(*fit);
+  }
+  FrontHash h;
+  for (const Query& q : queries) {
+    for (const DagAggregation agg :
+         {DagAggregation::kDivideAndConquer, DagAggregation::kBoundary}) {
+      for (const int k : {2, 3}) {
+        AnalyticSubQModel analytic(&q, cluster, cost);
+        LearnedSubQModel learned_model(&q, cluster, cost, &reg);
+        analytic.set_num_objectives(k);
+        learned_model.set_num_objectives(k);
+        HmoocOptions o;
+        o.theta_c_samples = 16;
+        o.clusters = 4;
+        o.theta_p_samples = 24;
+        o.enriched_samples = 8;
+        o.aggregation = agg;
+        o.num_threads = 1;
+        o.seed = 7;
+        const SubQObjectiveModel* model = &analytic;
+        if (learned) model = &learned_model;
+        h.Add(HmoocSolver(model, o).Solve());
+      }
+    }
+  }
+  return h;
+}
+
+TEST(PinnedFrontBitsTest, HmoocOnAnalyticModel) {
+  const FrontHash h = HashHmoocFronts(/*learned=*/false);
+  EXPECT_EQ(h.count(), 31980u);
+  EXPECT_EQ(h.value(), 0xea0f7aca6fb59ee8ULL) << Hex(h.value());
+}
+
+TEST(PinnedFrontBitsTest, HmoocOnLearnedModel) {
+  const FrontHash h = HashHmoocFronts(/*learned=*/true);
+  EXPECT_EQ(h.count(), 1321957u);
+  EXPECT_EQ(h.value(), 0x992efc4bd4ad8e04ULL) << Hex(h.value());
 }
 
 }  // namespace
