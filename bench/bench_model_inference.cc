@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -164,34 +165,53 @@ void EmitInferenceResults() {
 // Per-row cost of both subQ models on TPC-H Q9 at SF10, 64 seeded LHS
 // confs per subQ: analytic Evaluate row by row, and learned EvaluateBatch
 // in 64-row batches on a {24, 12} FitSubQRegressor (the service bench's
-// shape). The learned row is split into BuildStage (with the conf
-// decode) and StageFeatures, each timed on its own over the same rows
-// right after the batch, and the rest of the batch: MLP inference, the
-// objective derivation and the row copies. Timing the three back to back
-// per batch keeps host drift out of the remainder.
+// shape). Each pass batches on a fresh learned model, as each solve
+// builds its own, so every row of these batches, whose slices all
+// differ, builds its stage-table entry. The learned row is split into
+// three parts, each timed directly over the same rows right after the
+// batch: BuildStage (with the conf decode), StageFeatures, and the MLP
+// over those features plus the objective derivation. Timing them back to
+// back per batch keeps host drift out of the comparison.
+//
+// `pool_ns_per_row` times EvaluateBatch in the shape HMOOC calls it: per
+// subQ, one batch over a 32-slice theta_p/theta_s pool under each of 8
+// theta_c, on a fresh model per pass, so the first theta_c builds each
+// stage and the other seven reuse it.
 void EmitModelRowResults() {
   const std::vector<TableStats> catalog = TpchCatalog(10);
   const Query q9 = *MakeTpchQuery(9, &catalog);
   const ClusterSpec cluster;
   const CostModelParams cost;
+  const PriceBook prices;
   BootstrapOptions bo;
   bo.samples_per_query = 16;
   bo.hidden = {24, 12};
   bo.epochs = 30;
-  const auto reg = FitSubQRegressor({&q9}, cluster, cost, PriceBook(), bo);
+  const auto reg = FitSubQRegressor({&q9}, cluster, cost, prices, bo);
   if (!reg.ok()) {
     std::fprintf(stderr, "model_row: %s\n", reg.status().ToString().c_str());
     return;
   }
   const AnalyticSubQModel analytic(&q9, cluster, cost);
-  const LearnedSubQModel learned(&q9, cluster, cost, &*reg);
   const SubQEvaluator eval(&q9, cluster, cost);
   const int subqs = eval.num_subqs();
   Rng rng(0x9011);
   std::vector<std::vector<std::vector<double>>> confs(subqs);
   for (auto& c : confs) c = SampleLatinHypercube(SparkParamSpace(), 64, &rng);
+  const auto theta_c = SampleLatinHypercube(SparkParamSpace(), 8, &rng);
+  const auto slices = SampleLatinHypercube(SparkParamSpace(), 32, &rng);
+  std::vector<std::vector<std::vector<double>>> pool(theta_c.size());
+  for (size_t j = 0; j < theta_c.size(); ++j) {
+    for (const auto& slice : slices) {
+      std::vector<double> conf = slice;
+      std::copy_n(theta_c[j].begin(), kAdvisoryPartitionSizeMb, conf.begin());
+      pool[j].push_back(std::move(conf));
+    }
+  }
   const int passes = benchutil::FastMode() ? 20 : 200;
   const double rows = static_cast<double>(passes) * subqs * 64;
+  const double pool_rows =
+      static_cast<double>(passes) * subqs * theta_c.size() * slices.size();
 
   benchutil::Timer analytic_timer;
   for (int p = 0; p < passes; ++p) {
@@ -203,10 +223,17 @@ void EmitModelRowResults() {
   }
   const double analytic_s = analytic_timer.Seconds();
 
-  double learned_s = 0.0, build_s = 0.0, features_s = 0.0;
+  double learned_s = 0.0, build_s = 0.0, features_s = 0.0, mlp_s = 0.0;
   std::vector<ObjectiveVector> out;
   std::vector<QueryStage> stages(64);
+  const size_t d = reg->input_dim();
+  const size_t k = reg->output_dim();
+  std::vector<double> features(64 * d);
+  std::vector<double> preds(64 * k);
+  std::vector<double> derived(64);
+  Mlp::BatchScratch scratch;
   for (int p = 0; p < passes; ++p) {
+    const LearnedSubQModel learned(&q9, cluster, cost, &*reg);
     for (int s = 0; s < subqs; ++s) {
       const benchutil::Timer batch_timer;
       learned.EvaluateBatch(s, confs[s], &out);
@@ -225,29 +252,69 @@ void EmitModelRowResults() {
 
       const benchutil::Timer features_timer;
       for (size_t i = 0; i < confs[s].size(); ++i) {
-        benchmark::DoNotOptimize(StageFeatures(q9.plan, stages[i],
-                                               confs[s][i], false, {}, {},
-                                               false));
+        const auto row = StageFeatures(q9.plan, stages[i], confs[s][i], false,
+                                       {}, {}, false);
+        std::copy(row.begin(), row.end(), features.begin() + i * d);
       }
       features_s += features_timer.Seconds();
+
+      // The MLP, then LearnedSubQModel's objective derivation: latency and
+      // IO floored, cost from the price book.
+      const benchutil::Timer mlp_timer;
+      reg->PredictBatchInto(features.data(), confs[s].size(), preds.data(),
+                            &scratch);
+      for (size_t i = 0; i < confs[s].size(); ++i) {
+        const ContextParams tc = DecodeContext(confs[s][i]);
+        const double latency = std::max(preds[i * k], 1e-4);
+        const double io_mb = std::max(preds[i * k + 1], 0.0);
+        derived[i] = CloudCost(prices, tc.TotalCores(),
+                               tc.executor_memory_gb * tc.executor_instances,
+                               latency, io_mb / 1024.0);
+      }
+      benchmark::DoNotOptimize(derived.data());
+      mlp_s += mlp_timer.Seconds();
     }
   }
+
+  // HMOOC-shaped pool batches, on a fresh model of each kind per pass.
+  const auto time_pool = [&](auto make_model) {
+    double seconds = 0.0;
+    for (int p = 0; p < passes; ++p) {
+      const auto model = make_model();
+      const benchutil::Timer timer;
+      for (int s = 0; s < subqs; ++s) {
+        for (const auto& batch : pool) {
+          model->EvaluateBatch(s, batch, &out);
+          benchmark::DoNotOptimize(out.data());
+        }
+      }
+      seconds += timer.Seconds();
+    }
+    return seconds * 1e9 / pool_rows;
+  };
+  const double analytic_pool_ns = time_pool([&] {
+    return std::make_unique<AnalyticSubQModel>(&q9, cluster, cost);
+  });
+  const double learned_pool_ns = time_pool([&] {
+    return std::make_unique<LearnedSubQModel>(&q9, cluster, cost, &*reg);
+  });
 
   const double ns = 1e9 / rows;
   {
     obs::JsonObject o;
     o.emplace_back("model", obs::Json("analytic"));
     o.emplace_back("ns_per_row", obs::Json(analytic_s * ns));
+    o.emplace_back("pool_ns_per_row", obs::Json(analytic_pool_ns));
     o.emplace_back("rows", obs::Json(rows));
     benchutil::EmitJson("model_row", obs::Json(std::move(o)));
   }
   obs::JsonObject o;
   o.emplace_back("model", obs::Json("learned"));
   o.emplace_back("ns_per_row", obs::Json(learned_s * ns));
+  o.emplace_back("pool_ns_per_row", obs::Json(learned_pool_ns));
   o.emplace_back("build_stage_ns", obs::Json(build_s * ns));
   o.emplace_back("stage_features_ns", obs::Json(features_s * ns));
-  o.emplace_back("mlp_derive_ns",
-                 obs::Json((learned_s - build_s - features_s) * ns));
+  o.emplace_back("mlp_derive_ns", obs::Json(mlp_s * ns));
   o.emplace_back("rows", obs::Json(rows));
   benchutil::EmitJson("model_row", obs::Json(std::move(o)));
 }

@@ -1,7 +1,8 @@
 #pragma once
 
-#include <cstdint>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 /// \file rng.h
@@ -22,17 +23,7 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL) { Seed(seed); }
 
-  void Seed(uint64_t seed) {
-    // SplitMix64 to fill the state; avoids the all-zero state.
-    uint64_t x = seed;
-    for (auto& si : s_) {
-      x += 0x9E3779B97F4A7C15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      si = z ^ (z >> 31);
-    }
-  }
+  void Seed(uint64_t seed);
 
   /// Uniform 64-bit value.
   uint64_t Next() {
@@ -134,6 +125,40 @@ inline uint64_t Fnv1a(const void* data, size_t n,
 
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
+}
+
+/// SplitMix64's finalizer: a bijection in which every input bit flips
+/// each output bit with probability about 1/2 (full avalanche).
+inline uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// Hash of the bits of `n` doubles, one 64-bit word per step (one
+/// multiply per word, where Fnv1a spends one per byte). Each step is a
+/// bijection of the state, and its shift folds high bits down so the
+/// next multiply carries them up again. Mix the result with Mix64 before
+/// indexing by its low bits.
+inline uint64_t HashWords(const double* v, size_t n,
+                          uint64_t seed = 0xCBF29CE484222325ULL) {
+  uint64_t h = seed;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &v[i], sizeof(bits));
+    h = (h ^ bits) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+inline void Rng::Seed(uint64_t seed) {
+  // SplitMix64 to fill the state; avoids the all-zero state.
+  uint64_t x = seed;
+  for (auto& si : s_) {
+    x += 0x9E3779B97F4A7C15ULL;
+    si = Mix64(x);
+  }
 }
 
 }  // namespace sparkopt

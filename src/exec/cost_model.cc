@@ -12,7 +12,7 @@ constexpr double kMb = 1024.0 * 1024.0;
 
 // Memory a task reading `part_bytes` holds: joins and sorts keep a
 // working set ~1.6x the partition, plus the resident broadcast table.
-double WorkingSetMb(const QueryStage& stage, double part_bytes) {
+double WorkingSetMb(const StageScalars& stage, double part_bytes) {
   double working_mb = part_bytes / kMb;
   if (stage.has_join || stage.sort_work > 0.0) working_mb *= 1.6;
   working_mb += stage.broadcast_bytes / kMb;
@@ -20,8 +20,9 @@ double WorkingSetMb(const QueryStage& stage, double part_bytes) {
 }
 }  // namespace
 
-double TaskCostModel::TaskLatency(const QueryStage& stage, double part_bytes,
-                                  int task_idx, const ContextParams& theta_c,
+double TaskCostModel::TaskLatency(const StageScalars& stage,
+                                  double part_bytes, int task_idx,
+                                  const ContextParams& theta_c,
                                   uint64_t seed) const {
   const double stage_bytes = std::max(stage.input_bytes, 1.0);
   const double share = part_bytes / stage_bytes;
@@ -98,13 +99,14 @@ double TaskCostModel::TaskLatency(const QueryStage& stage, double part_bytes,
   return latency;
 }
 
-bool TaskCostModel::TaskSpills(const QueryStage& stage, double part_bytes,
+bool TaskCostModel::TaskSpills(const StageScalars& stage,
+                               double part_bytes,
                                const ContextParams& theta_c) const {
   const double mem_mb = std::max(theta_c.MemoryPerTaskMb(), 64.0);
   return WorkingSetMb(stage, part_bytes) > mem_mb;
 }
 
-double TaskCostModel::StageSetupLatency(const QueryStage& stage,
+double TaskCostModel::StageSetupLatency(const StageScalars& stage,
                                         const ContextParams& theta_c) const {
   double setup = params_.stage_overhead_s;
   if (stage.broadcast_bytes > 0.0) {
@@ -120,7 +122,7 @@ double TaskCostModel::StageSetupLatency(const QueryStage& stage,
   return setup;
 }
 
-double TaskCostModel::StageIoBytes(const QueryStage& stage,
+double TaskCostModel::StageIoBytes(const StageScalars& stage,
                                    const ContextParams& theta_c) const {
   double io = 0.0;
   if (stage.is_scan_stage) io += stage.input_bytes;

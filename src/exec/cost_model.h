@@ -45,23 +45,23 @@ class TaskCostModel {
   /// Latency (seconds) of task `task_idx` of `stage`, which reads
   /// `part_bytes` input bytes. `seed` and `task_idx` key the deterministic
   /// noise stream; pass 0 noise via params.noise_sigma = 0.
-  double TaskLatency(const QueryStage& stage, double part_bytes,
+  double TaskLatency(const StageScalars& stage, double part_bytes,
                      int task_idx, const ContextParams& theta_c,
                      uint64_t seed) const;
 
   /// One-off stage setup cost paid before tasks run (stage launch plus
   /// broadcast distribution and per-executor hash-table builds for BHJ).
-  double StageSetupLatency(const QueryStage& stage,
+  double StageSetupLatency(const StageScalars& stage,
                            const ContextParams& theta_c) const;
 
   /// Bytes this stage reads from disk + network (for the IO objective).
-  double StageIoBytes(const QueryStage& stage,
+  double StageIoBytes(const StageScalars& stage,
                       const ContextParams& theta_c) const;
 
   /// Whether a task of `stage` reading `part_bytes` exceeds its execution
   /// memory and spills (the memory-pressure rule inside TaskLatency), for
   /// observability counters.
-  bool TaskSpills(const QueryStage& stage, double part_bytes,
+  bool TaskSpills(const StageScalars& stage, double part_bytes,
                   const ContextParams& theta_c) const;
 
   const CostModelParams& params() const { return params_; }

@@ -11,12 +11,24 @@ namespace {
 
 double Log1p(double v) { return std::log1p(std::max(v, 0.0)); }
 
+// Offsets of the blocks in a row, in FeatureLayout's order.
+constexpr int kHistogramAt = 0;
+constexpr int kWlAt = kHistogramAt + FeatureLayout::kOpHistogram;
+constexpr int kPredicateAt = kWlAt + FeatureLayout::kWlEmbedding;
+constexpr int kCardinalityAt = kPredicateAt + FeatureLayout::kPredicateHash;
+constexpr int kAlphaAt = kCardinalityAt + FeatureLayout::kCardinality;
+constexpr int kBetaAt = kAlphaAt + FeatureLayout::kAlpha;
+constexpr int kGammaAt = kBetaAt + FeatureLayout::kBeta;
+constexpr int kMetaAt = FeatureLayout::kThetaOffset + FeatureLayout::kTheta;
+constexpr int kDerivedAt = kMetaAt + FeatureLayout::kStageMeta;
+static_assert(kGammaAt + FeatureLayout::kGamma == FeatureLayout::kThetaOffset);
+static_assert(kDerivedAt + FeatureLayout::kDerived == FeatureLayout::Total());
+
 // Signed pseudo-random projection of a 64-bit hash onto `dim` slots.
-void ProjectHash(uint64_t h, int dim, double weight,
-                 std::vector<double>* out, int offset) {
+void ProjectHash(uint64_t h, int dim, double weight, double* out) {
   for (int i = 0; i < dim; ++i) {
     const uint64_t bit = Fnv1a(&i, sizeof(i), h);
-    (*out)[offset + i] += (bit & 1 ? 1.0 : -1.0) * weight;
+    out[i] += (bit & 1 ? 1.0 : -1.0) * weight;
   }
 }
 
@@ -90,113 +102,120 @@ std::vector<double> StageFeatures(
     const std::vector<double>& beta, const std::vector<double>& gamma,
     bool drop_theta_p) {
   std::vector<double> f(FeatureLayout::Total(), 0.0);
-  int off = 0;
-
-  // ---- operator type histogram ----
-  for (int id : stage.op_ids) {
-    const int t = static_cast<int>(plan.op(id).type);
-    if (t < FeatureLayout::kOpHistogram) f[off + t] += 1.0;
+  WriteSubQFeatures(plan, stage.op_ids, use_true_cards, f.data());
+  // The caller built `stage` with the matching cardinality source.
+  WriteStageFeatures(stage, f.data());
+  // beta: partition distribution (0 = uniform assumption).
+  for (int i = 0; i < FeatureLayout::kBeta; ++i) {
+    f[kBetaAt + i] = i < static_cast<int>(beta.size()) ? beta[i] : 0.0;
   }
-  off += FeatureLayout::kOpHistogram;
+  // gamma: contention (0 = no-contention assumption).
+  for (int i = 0; i < FeatureLayout::kGamma; ++i) {
+    f[kGammaAt + i] = i < static_cast<int>(gamma.size()) ? gamma[i] : 0.0;
+  }
+  WriteSliceFeatures(conf, drop_theta_p, f.data());
+  WriteRowFeatures(conf, DecodeContext(conf), stage, f.data());
+  return f;
+}
+
+void WriteSubQFeatures(const LogicalPlan& plan, const std::vector<int>& op_ids,
+                       bool use_true_cards, double* f) {
+  // ---- operator type histogram ----
+  for (int id : op_ids) {
+    const int t = static_cast<int>(plan.op(id).type);
+    if (t < FeatureLayout::kOpHistogram) f[kHistogramAt + t] += 1.0;
+  }
 
   // ---- WL graph embedding (GTN stand-in) ----
-  const auto labels = WlLabels(plan, stage.op_ids);
-  const double inv =
-      1.0 / std::max<size_t>(stage.op_ids.size(), 1);
-  for (int id : stage.op_ids) {
-    ProjectHash(labels[id], FeatureLayout::kWlEmbedding, inv, &f, off);
+  const auto labels = WlLabels(plan, op_ids);
+  const double inv = 1.0 / std::max<size_t>(op_ids.size(), 1);
+  for (int id : op_ids) {
+    ProjectHash(labels[id], FeatureLayout::kWlEmbedding, inv, f + kWlAt);
   }
-  off += FeatureLayout::kWlEmbedding;
 
   // ---- hashed predicate tokens (word-embedding stand-in) ----
   int n_tokens = 0;
-  for (int id : stage.op_ids) {
+  for (int id : op_ids) {
     n_tokens += static_cast<int>(plan.op(id).predicate_tokens.size());
   }
   const double tok_w = 1.0 / std::max(n_tokens, 1);
-  for (int id : stage.op_ids) {
+  for (int id : op_ids) {
     for (const auto& tok : plan.op(id).predicate_tokens) {
       ProjectHash(Fnv1a(tok.data(), tok.size()),
-                  FeatureLayout::kPredicateHash, tok_w, &f, off);
+                  FeatureLayout::kPredicateHash, tok_w, f + kPredicateAt);
     }
   }
-  off += FeatureLayout::kPredicateHash;
-
-  // ---- cardinality block ----
-  // The caller built `stage` with the matching cardinality source.
-  f[off + 0] = Log1p(stage.input_rows);
-  f[off + 1] = Log1p(stage.input_bytes);
-  f[off + 2] = Log1p(stage.output_rows);
-  f[off + 3] = Log1p(stage.output_bytes);
-  f[off + 4] = Log1p(stage.shuffle_read_bytes);
-  f[off + 5] = Log1p(stage.broadcast_bytes);
-  f[off + 6] = Log1p(stage.cpu_work);
-  f[off + 7] = Log1p(stage.sort_work);
-  off += FeatureLayout::kCardinality;
 
   // ---- alpha: input characteristics from leaf operators ----
   double leaf_rows = 0.0, leaf_bytes = 0.0;
-  for (int id : stage.op_ids) {
+  for (int id : op_ids) {
     const auto& op = plan.op(id);
     if (op.type == OpType::kScan) {
       leaf_rows += use_true_cards ? op.true_rows : op.est_rows;
       leaf_bytes += use_true_cards ? op.true_bytes : op.est_bytes;
     }
   }
-  f[off + 0] = Log1p(leaf_rows);
-  f[off + 1] = Log1p(leaf_bytes);
-  off += FeatureLayout::kAlpha;
+  f[kAlphaAt + 0] = Log1p(leaf_rows);
+  f[kAlphaAt + 1] = Log1p(leaf_bytes);
 
-  // ---- beta: partition distribution (0 = uniform assumption) ----
-  for (int i = 0; i < FeatureLayout::kBeta; ++i) {
-    f[off + i] = i < static_cast<int>(beta.size()) ? beta[i] : 0.0;
-  }
-  off += FeatureLayout::kBeta;
+  // ---- stage metadata: operator count ----
+  f[kMetaAt + 7] = Log1p(static_cast<double>(op_ids.size()));
+}
 
-  // ---- gamma: contention (0 = no-contention assumption) ----
-  for (int i = 0; i < FeatureLayout::kGamma; ++i) {
-    f[off + i] = i < static_cast<int>(gamma.size()) ? gamma[i] : 0.0;
-  }
-  off += FeatureLayout::kGamma;
-
-  // ---- theta: normalized decision variables ----
+void WriteSliceFeatures(const std::vector<double>& conf, bool drop_theta_p,
+                        double* f) {
   const auto& space = SparkParamSpace();
-  auto unit = space.Normalize(conf);
-  if (drop_theta_p) {
-    for (size_t i : space.CategoryIndices(ParamCategory::kPlan)) {
-      unit[i] = 0.0;
-    }
+  for (size_t i = kAdvisoryPartitionSizeMb; i < kNumSparkParams; ++i) {
+    const ParamSpec& spec = space.spec(i);
+    const bool dropped =
+        drop_theta_p && spec.category == ParamCategory::kPlan;
+    f[FeatureLayout::kThetaOffset + i] =
+        i < conf.size() && !dropped ? spec.Normalize(conf[i]) : 0.0;
   }
-  for (int i = 0; i < FeatureLayout::kTheta; ++i) {
-    f[off + i] = i < static_cast<int>(unit.size()) ? unit[i] : 0.0;
-  }
-  off += FeatureLayout::kTheta;
+}
 
-  // ---- stage metadata ----
-  f[off + 0] = stage.is_scan_stage ? 1.0 : 0.0;
-  f[off + 1] = stage.has_join ? 1.0 : 0.0;
-  f[off + 2] = stage.has_join &&
-                       stage.join_algo == JoinAlgo::kSortMergeJoin
-                   ? 1.0 : 0.0;
-  f[off + 3] = stage.has_join &&
-                       stage.join_algo == JoinAlgo::kShuffledHashJoin
-                   ? 1.0 : 0.0;
-  f[off + 4] = stage.has_join &&
-                       stage.join_algo == JoinAlgo::kBroadcastHashJoin
-                   ? 1.0 : 0.0;
-  f[off + 5] = Log1p(stage.num_partitions);
-  f[off + 6] = stage.exchanges_output ? 1.0 : 0.0;
-  f[off + 7] = Log1p(static_cast<double>(stage.op_ids.size()));
-  off += FeatureLayout::kStageMeta;
+void WriteStageFeatures(const StageScalars& stage, double* f) {
+  // ---- cardinality block ----
+  f[kCardinalityAt + 0] = Log1p(stage.input_rows);
+  f[kCardinalityAt + 1] = Log1p(stage.input_bytes);
+  f[kCardinalityAt + 2] = Log1p(stage.output_rows);
+  f[kCardinalityAt + 3] = Log1p(stage.output_bytes);
+  f[kCardinalityAt + 4] = Log1p(stage.shuffle_read_bytes);
+  f[kCardinalityAt + 5] = Log1p(stage.broadcast_bytes);
+  f[kCardinalityAt + 6] = Log1p(stage.cpu_work);
+  f[kCardinalityAt + 7] = Log1p(stage.sort_work);
+
+  // ---- stage metadata: join and stage flags ----
+  const auto joins_by = [&stage](JoinAlgo algo) {
+    return stage.has_join && stage.join_algo == algo ? 1.0 : 0.0;
+  };
+  f[kMetaAt + 0] = stage.is_scan_stage ? 1.0 : 0.0;
+  f[kMetaAt + 1] = stage.has_join ? 1.0 : 0.0;
+  f[kMetaAt + 2] = joins_by(JoinAlgo::kSortMergeJoin);
+  f[kMetaAt + 3] = joins_by(JoinAlgo::kShuffledHashJoin);
+  f[kMetaAt + 4] = joins_by(JoinAlgo::kBroadcastHashJoin);
+  f[kMetaAt + 6] = stage.exchanges_output ? 1.0 : 0.0;
+}
+
+void WriteRowFeatures(const std::vector<double>& conf,
+                      const ContextParams& tc, const StageScalars& stage,
+                      double* f) {
+  // ---- theta_c: normalized context parameters ----
+  const auto& space = SparkParamSpace();
+  for (size_t i = 0; i < kAdvisoryPartitionSizeMb; ++i) {
+    f[FeatureLayout::kThetaOffset + i] =
+        i < conf.size() ? space.spec(i).Normalize(conf[i]) : 0.0;
+  }
+
+  // ---- stage metadata: partition count ----
+  f[kMetaAt + 5] = Log1p(stage.num_partitions);
 
   // ---- derived interaction terms ----
-  const ContextParams tc = DecodeContext(conf);
   const double cores = std::max(1, tc.TotalCores());
-  f[off + 0] = Log1p(cores);
-  f[off + 1] = Log1p(tc.MemoryPerTaskMb());
-  f[off + 2] = Log1p(stage.num_partitions / cores);
-  f[off + 3] = Log1p(stage.input_bytes / (1024.0 * 1024.0) / cores);
-  return f;
+  f[kDerivedAt + 0] = Log1p(cores);
+  f[kDerivedAt + 1] = Log1p(tc.MemoryPerTaskMb());
+  f[kDerivedAt + 2] = Log1p(stage.num_partitions / cores);
+  f[kDerivedAt + 3] = Log1p(stage.input_bytes / (1024.0 * 1024.0) / cores);
 }
 
 std::vector<double> CollapsedPlanFeatures(

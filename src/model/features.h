@@ -40,9 +40,14 @@ struct FeatureLayout {
   /// directly (total cores, memory/task, tasks-per-core, bytes-per-core).
   static constexpr int kDerived = 4;
 
+  /// Offset of the theta block in a row; theta entry i sits at
+  /// kThetaOffset + i.
+  static constexpr int kThetaOffset = kOpHistogram + kWlEmbedding +
+                                      kPredicateHash + kCardinality +
+                                      kAlpha + kBeta + kGamma;
+
   static constexpr int Total() {
-    return kOpHistogram + kWlEmbedding + kPredicateHash + kCardinality +
-           kAlpha + kBeta + kGamma + kTheta + kStageMeta + kDerived;
+    return kThetaOffset + kTheta + kStageMeta + kDerived;
   }
 };
 
@@ -63,11 +68,38 @@ std::vector<double> ContentionStats(const StageExecution& se);
 /// beta = {} and gamma = {} (the uniform/no-contention assumption); for
 /// the runtime QS target pass observed values and set `drop_theta_p` so
 /// the already-applied plan parameters are zeroed.
+///
+/// It writes the row with the four block writers below, split by what
+/// fixes each block, plus beta and gamma. The stage table
+/// (model/stage_table.h) assembles compile-time rows from the same
+/// writers, so both paths write the same bits.
 std::vector<double> StageFeatures(
     const LogicalPlan& plan, const QueryStage& stage,
     const std::vector<double>& conf, bool use_true_cards,
     const std::vector<double>& beta, const std::vector<double>& gamma,
     bool drop_theta_p);
+
+// Block writers. Each writes only its own slots of a FeatureLayout::Total()
+// row `f`; the first one adds into slots that must start at zero.
+
+/// Per subQ: the op histogram, WL embedding, predicate hashes, alpha and
+/// the operator count of the stage executing `op_ids`.
+void WriteSubQFeatures(const LogicalPlan& plan, const std::vector<int>& op_ids,
+                       bool use_true_cards, double* f);
+
+/// Per theta_p/theta_s slice: conf's normalized theta_p and theta_s
+/// entries, theta_p zeroed when `drop_theta_p`.
+void WriteSliceFeatures(const std::vector<double>& conf, bool drop_theta_p,
+                        double* f);
+
+/// Per stage: the cardinality block and the join and stage flags.
+void WriteStageFeatures(const StageScalars& stage, double* f);
+
+/// Per row: conf's normalized theta_c, the stage's partition count and
+/// the derived block. `theta_c` is conf's decoded theta_c.
+void WriteRowFeatures(const std::vector<double>& conf,
+                      const ContextParams& theta_c, const StageScalars& stage,
+                      double* f);
 
 /// \brief Pooled features of a collapsed plan (the LQP-bar target): mean
 /// of the member subQ stage features over the *remaining* subQs plus the

@@ -35,6 +35,16 @@ QueryStage SubQEvaluator::BuildStage(
     int subq_id, const ContextParams& theta_c, const PlanParams& tp,
     const StageParams& ts, CardinalitySource source,
     const std::vector<bool>* completed_subqs) const {
+  double skew = 0.0;
+  QueryStage st = PlanStage(subq_id, tp, source, completed_subqs, &skew);
+  PartitionStage(theta_c, tp, ts, skew, &st);
+  return st;
+}
+
+QueryStage SubQEvaluator::PlanStage(int subq_id, const PlanParams& tp,
+                                    CardinalitySource source,
+                                    const std::vector<bool>* completed_subqs,
+                                    double* skew_out) const {
   const auto& plan = query_->plan;
   const auto& sq = subqs_[subq_id];
   const BelievedCardinality card(plan, subq_of_op_, source, completed_subqs);
@@ -131,8 +141,7 @@ QueryStage SubQEvaluator::BuildStage(
   st.output_rows = card.rows(root_op);
   st.output_bytes = card.bytes(root_op);
   st.exchanges_output = root_op != plan.root();
-
-  PartitionStage(theta_c, tp, ts, skew, &st);
+  *skew_out = skew;
   return st;
 }
 
@@ -144,17 +153,23 @@ SubQObjectives SubQEvaluator::Evaluate(
   obs::ScopedHistogramTimer timer(obs::HistogramFor("model.inference_us"));
   const QueryStage st = BuildStage(subq_id, theta_c, theta_p, theta_s,
                                    source, completed_subqs);
+  return CostStage(st, st.partitions, theta_c);
+}
+
+SubQObjectives SubQEvaluator::CostStage(const StageScalars& st,
+                                        std::span<const PartitionRun> runs,
+                                        const ContextParams& theta_c) const {
   // Equal partitions cost the same, so each run is costed once. All
   // partitions equal: n x L. Otherwise each task's latency is added in
   // task order.
   double task_sum = 0.0;
-  if (st.partitions.size() == 1) {
+  if (runs.size() == 1) {
     task_sum = st.num_partitions *
-               cost_model_.TaskLatency(st, st.partitions[0].bytes, 0, theta_c,
+               cost_model_.TaskLatency(st, runs[0].bytes, 0, theta_c,
                                        /*seed=*/0);
   } else {
     int task = 0;
-    for (const PartitionRun& run : st.partitions) {
+    for (const PartitionRun& run : runs) {
       const double latency =
           cost_model_.TaskLatency(st, run.bytes, task, theta_c, /*seed=*/0);
       for (int i = 0; i < run.count; ++i) task_sum += latency;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "exec/cost_model.h"
@@ -54,12 +55,23 @@ class SubQEvaluator {
   /// are known at runtime: operators inside them read true cardinalities
   /// regardless of `source` (the information the runtime optimizer
   /// actually has mid-query).
+  ///
+  /// It is PlanStage followed by PartitionStage.
   QueryStage BuildStage(int subq_id, const ContextParams& theta_c,
                         const PlanParams& theta_p,
                         const StageParams& theta_s,
                         CardinalitySource source,
                         const std::vector<bool>* completed_subqs =
                             nullptr) const;
+
+  /// \brief The theta_p part of BuildStage: the stage before partitioning
+  /// (no `partitions`, one partition). `*skew` receives the largest key
+  /// skew of the subQ's operators, which PartitionStage spreads the input
+  /// with.
+  QueryStage PlanStage(int subq_id, const PlanParams& theta_p,
+                       CardinalitySource source,
+                       const std::vector<bool>* completed_subqs,
+                       double* skew) const;
 
   /// Objectives of one subQ. Compile time: source = kEstimated, uniform
   /// partition assumption is still subject to operator skew annotations
@@ -70,6 +82,15 @@ class SubQEvaluator {
                           CardinalitySource source,
                           const std::vector<bool>* completed_subqs =
                               nullptr) const;
+
+  /// \brief Objectives of `stage` under `theta_c` when its tasks read
+  /// `runs` (canonical, summing to `stage.num_partitions`): the task
+  /// latencies over the granted cores plus setup, the IO bytes, and the
+  /// cloud cost. Evaluate costs every stage through it, and so does the
+  /// stage table (model/stage_table.h).
+  SubQObjectives CostStage(const StageScalars& stage,
+                           std::span<const PartitionRun> runs,
+                           const ContextParams& theta_c) const;
 
   const TaskCostModel& cost_model() const { return cost_model_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -24,18 +25,71 @@ void LearnedSubQModel::set_num_objectives(int k) {
   num_objectives_ = k;
 }
 
+namespace {
+
+#ifdef SPARKOPT_VERIFY
+bool SameBits(const ObjectiveVector& a, const ObjectiveVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+#endif
+
+}  // namespace
+
+ObjectiveVector AnalyticSubQModel::ToObjectives(
+    const SubQObjectives& obj) const {
+  if (num_objectives_ == 3) {
+    return {obj.analytical_latency, obj.cost, obj.io_bytes / 1e9};
+  }
+  return {obj.analytical_latency, obj.cost};
+}
+
 ObjectiveVector AnalyticSubQModel::Evaluate(
     int subq, const std::vector<double>& conf) const {
   evals_.fetch_add(1, std::memory_order_relaxed);
   const ContextParams tc = DecodeContext(conf);
   const PlanParams tp = DecodePlan(conf);
   const StageParams ts = DecodeStage(conf);
-  const auto obj =
-      evaluator_.Evaluate(subq, tc, tp, ts, CardinalitySource::kEstimated);
-  if (num_objectives_ == 3) {
-    return {obj.analytical_latency, obj.cost, obj.io_bytes / 1e9};
+  return ToObjectives(
+      evaluator_.Evaluate(subq, tc, tp, ts, CardinalitySource::kEstimated));
+}
+
+void AnalyticSubQModel::EvaluateBatch(
+    int subq, const std::vector<std::vector<double>>& confs,
+    std::vector<ObjectiveVector>* out) const {
+  out->resize(confs.size());
+  thread_local std::vector<StageTable::Row> rows;
+  thread_local std::vector<PartitionRun> scratch;
+  table_.Resolve(subq, confs, &rows);
+  obs::Histogram* const latency_us = obs::HistogramFor("model.inference_us");
+  size_t table_rows = 0;
+  for (size_t i = 0; i < confs.size(); ++i) {
+    const StageTable::Row& row = rows[i];
+    if (row.entry == nullptr) {
+      (*out)[i] = Evaluate(subq, confs[i]);
+      continue;
+    }
+    ++table_rows;
+    const ContextParams tc = DecodeContext(confs[i]);
+    {
+      obs::ScopedHistogramTimer timer(latency_us);
+      const StageScalars st = StageTable::Scalars(row, tc);
+      (*out)[i] = ToObjectives(
+          evaluator_.CostStage(st, StageTable::Runs(row, st, &scratch), tc));
+    }
+#ifdef SPARKOPT_VERIFY
+    const QueryStage direct = evaluator_.BuildStage(
+        subq, tc, DecodePlan(confs[i]), DecodeStage(confs[i]),
+        CardinalitySource::kEstimated);
+    SPARKOPT_CHECK(SameBits(
+        (*out)[i],
+        ToObjectives(evaluator_.CostStage(direct, direct.partitions, tc))))
+        << "stage-table row " << i << " of subQ " << subq
+        << " differs from the direct path";
+#endif
   }
-  return {obj.analytical_latency, obj.cost};
+  evals_.fetch_add(table_rows, std::memory_order_relaxed);
+  obs::Count("model.inferences", table_rows);
 }
 
 namespace {
@@ -61,6 +115,11 @@ ObjectiveVector DeriveObjectives(const PriceBook& prices,
 ObjectiveVector LearnedSubQModel::Evaluate(
     int subq, const std::vector<double>& conf) const {
   evals_.fetch_add(1, std::memory_order_relaxed);
+  return Direct(subq, conf);
+}
+
+ObjectiveVector LearnedSubQModel::Direct(
+    int subq, const std::vector<double>& conf) const {
   const ContextParams tc = DecodeContext(conf);
   const PlanParams tp = DecodePlan(conf);
   const StageParams ts = DecodeStage(conf);
@@ -82,28 +141,44 @@ void LearnedSubQModel::EvaluateBatch(
 
   const size_t d = model_->input_dim();
   const size_t k = model_->output_dim();
+  SPARKOPT_CHECK_EQ(d, static_cast<size_t>(FeatureLayout::Total()))
+      << "regressor input width differs from the feature layout";
+  thread_local std::vector<StageTable::Row> rows;
   thread_local std::vector<double> features;
   thread_local std::vector<double> preds;
   thread_local Mlp::BatchScratch scratch;
   features.resize(confs.size() * d);
   preds.resize(confs.size() * k);
 
+  table_.Resolve(subq, confs, &rows);
   for (size_t i = 0; i < confs.size(); ++i) {
     const ContextParams tc = DecodeContext(confs[i]);
-    const PlanParams tp = DecodePlan(confs[i]);
-    const StageParams ts = DecodeStage(confs[i]);
-    const QueryStage stage = evaluator_.BuildStage(
-        subq, tc, tp, ts, CardinalitySource::kEstimated);
+    double* f = features.data() + i * d;
+    if (rows[i].entry != nullptr) {
+      table_.WriteFeatures(subq, rows[i], confs[i], tc,
+                           StageTable::Scalars(rows[i], tc), f);
+      continue;
+    }
+    const QueryStage stage =
+        evaluator_.BuildStage(subq, tc, DecodePlan(confs[i]),
+                              DecodeStage(confs[i]),
+                              CardinalitySource::kEstimated);
     const auto row = StageFeatures(
         evaluator_.query().plan, stage, confs[i], /*use_true_cards=*/false,
         /*beta=*/{}, /*gamma=*/{}, /*drop_theta_p=*/false);
-    std::copy(row.begin(), row.end(), features.begin() + i * d);
+    std::copy(row.begin(), row.end(), f);
   }
   model_->PredictBatchInto(features.data(), confs.size(), preds.data(),
                            &scratch);
   for (size_t i = 0; i < confs.size(); ++i) {
     (*out)[i] = DeriveObjectives(prices_, DecodeContext(confs[i]),
                                  preds.data() + i * k, num_objectives_);
+#ifdef SPARKOPT_VERIFY
+    SPARKOPT_CHECK(rows[i].entry == nullptr ||
+                   SameBits((*out)[i], Direct(subq, confs[i])))
+        << "stage-table row " << i << " of subQ " << subq
+        << " differs from the direct path";
+#endif
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "model/features.h"
 #include "model/mlp.h"
+#include "model/stage_table.h"
 #include "model/subq_evaluator.h"
 #include "moo/problem.h"
 
@@ -17,6 +18,14 @@
 /// LearnedSubQModel runs the trained subQ regressor on extracted features,
 /// reproducing the paper's learned-model optimization loop including its
 /// model error.
+///
+/// Both models answer EvaluateBatch from a per-solve StageTable
+/// (model/stage_table.h): each (subQ, theta_p/theta_s slice) stage is
+/// built once, and each row pays only for what its theta_c changes.
+/// Every batched row equals Evaluate on its conf bit for bit, whatever
+/// else shares the batch; Evaluate stays the direct path, and rows whose
+/// slice the table cannot hold take it too. SPARKOPT_VERIFY builds check
+/// every table row against the direct path.
 
 namespace sparkopt {
 
@@ -27,7 +36,8 @@ class AnalyticSubQModel : public SubQObjectiveModel {
   AnalyticSubQModel(const Query* query, const ClusterSpec& cluster,
                     const CostModelParams& cost,
                     const PriceBook& prices = PriceBook(), size_t = 0)
-      : evaluator_(query, cluster, cost, prices) {}
+      : evaluator_(query, cluster, cost, prices),
+        table_(&evaluator_, /*with_features=*/false) {}
 
   int num_subqs() const override { return evaluator_.num_subqs(); }
   int num_objectives() const override { return num_objectives_; }
@@ -40,12 +50,22 @@ class AnalyticSubQModel : public SubQObjectiveModel {
   ObjectiveVector Evaluate(int subq,
                            const std::vector<double>& conf) const override;
 
+  /// Stage-table rows (see the file comment); each counts in
+  /// eval_count(), `model.inferences` and `model.inference_us` as an
+  /// Evaluate call does.
+  void EvaluateBatch(int subq,
+                     const std::vector<std::vector<double>>& confs,
+                     std::vector<ObjectiveVector>* out) const override;
+
   size_t eval_count() const override {
     return evals_.load(std::memory_order_relaxed);
   }
 
  private:
+  ObjectiveVector ToObjectives(const SubQObjectives& obj) const;
+
   SubQEvaluator evaluator_;
+  mutable StageTable table_;
   int num_objectives_ = 2;
   // Relaxed atomic: solver worker threads evaluate concurrently.
   mutable std::atomic<size_t> evals_{0};
@@ -63,6 +83,7 @@ class LearnedSubQModel : public SubQObjectiveModel {
                    const CostModelParams& cost, const Regressor* subq_model,
                    const PriceBook& prices = PriceBook(), size_t = 0)
       : evaluator_(query, cluster, cost, prices),
+        table_(&evaluator_, /*with_features=*/true),
         model_(subq_model),
         prices_(prices) {}
 
@@ -76,11 +97,11 @@ class LearnedSubQModel : public SubQObjectiveModel {
   ObjectiveVector Evaluate(int subq,
                            const std::vector<double>& conf) const override;
 
-  /// True batched path: per-conf feature extraction into one flat
-  /// row-major buffer, a single Regressor::PredictBatchInto call, then
-  /// the per-row latency/cost derivation. Every row is bitwise identical
-  /// to Evaluate on its conf, whatever else shares the batch, so a cache
-  /// layer may escalate any subset of a pool.
+  /// True batched path: stage-table features (see the file comment) in
+  /// one flat row-major buffer, a single Regressor::PredictBatchInto
+  /// call, then the per-row latency/cost derivation. Every row is bitwise
+  /// identical to Evaluate on its conf, whatever else shares the batch,
+  /// so a cache layer may escalate any subset of a pool.
   void EvaluateBatch(int subq,
                      const std::vector<std::vector<double>>& confs,
                      std::vector<ObjectiveVector>* out) const override;
@@ -90,7 +111,11 @@ class LearnedSubQModel : public SubQObjectiveModel {
   }
 
  private:
+  /// Evaluate without the count.
+  ObjectiveVector Direct(int subq, const std::vector<double>& conf) const;
+
   SubQEvaluator evaluator_;
+  mutable StageTable table_;
   const Regressor* model_;
   PriceBook prices_;
   int num_objectives_ = 2;

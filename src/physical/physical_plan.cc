@@ -113,6 +113,9 @@ double MedianBytes(const std::vector<PartitionRun>& runs) {
   return at_rank(sorted.begin(), sorted.end());
 }
 
+// Cap on any stage's planned partition count.
+constexpr int kMaxStagePartitions = 4096;
+
 int TaskCount(const std::vector<PartitionRun>& runs) {
   int n = 0;
   for (const PartitionRun& r : runs) n += r.count;
@@ -121,12 +124,16 @@ int TaskCount(const std::vector<PartitionRun>& runs) {
 
 }  // namespace
 
+PartitionRun UniformRun(double total_bytes, int n) {
+  return {n, total_bytes * (1.0 / n)};
+}
+
 std::vector<PartitionRun> SkewedPartitionSizes(double total_bytes, int n,
                                                double z) {
   n = std::max(n, 1);
   // At z = 0 every weight is exactly 1 and their sum exactly n, so each
   // size is total_bytes * (1.0 / n), as the loop below would compute.
-  if (z == 0.0) return {{n, total_bytes * (1.0 / n)}};
+  if (z == 0.0) return {UniformRun(total_bytes, n)};
   // Zipf-like weights (i+1)^{-2z}: z=0 -> uniform, z=1 -> strong skew.
   std::vector<PartitionRun> runs;
   runs.reserve(n);
@@ -251,23 +258,29 @@ JoinDecision ChooseJoin(const LogicalOperator& join, const PlanParams& tp,
   return {join.id, algo, build_mb, build};
 }
 
+int ScanPartitionCount(double input_bytes, int default_parallelism,
+                       const PlanParams& tp) {
+  const double mb = 1024.0 * 1024.0;
+  // Spark's file-split formula: maxSplitBytes = min(s8,
+  // max(s9, total/defaultParallelism)).
+  const double total = std::max(input_bytes, 1.0);
+  const double split =
+      std::min(tp.max_partition_bytes_mb * mb,
+               std::max(tp.file_open_cost_mb * mb,
+                        total / std::max(default_parallelism, 1)));
+  const int n =
+      std::max(1, static_cast<int>(std::ceil(total / std::max(split, 1.0))));
+  return std::min(n, kMaxStagePartitions);
+}
+
 void PartitionStage(const ContextParams& theta_c, const PlanParams& tp,
                     const StageParams& ts, double skew, QueryStage* st) {
-  const double mb = 1024.0 * 1024.0;
-  if (st->is_scan_stage) {
-    // Spark's file-split formula: maxSplitBytes = min(s8,
-    // max(s9, total/defaultParallelism)).
-    const double total = std::max(st->input_bytes, 1.0);
-    const double split =
-        std::min(tp.max_partition_bytes_mb * mb,
-                 std::max(tp.file_open_cost_mb * mb,
-                          total / std::max(theta_c.default_parallelism, 1)));
-    st->num_partitions = std::max(
-        1, static_cast<int>(std::ceil(total / std::max(split, 1.0))));
-  } else {
-    st->num_partitions = std::max(1, tp.shuffle_partitions);
-  }
-  st->num_partitions = std::min(st->num_partitions, 4096);
+  st->num_partitions =
+      st->is_scan_stage
+          ? ScanPartitionCount(st->input_bytes, theta_c.default_parallelism,
+                               tp)
+          : std::min(std::max(1, tp.shuffle_partitions),
+                     kMaxStagePartitions);
   st->partitions =
       SkewedPartitionSizes(st->input_bytes, st->num_partitions, skew);
   if (!st->is_scan_stage) {

@@ -44,20 +44,13 @@ struct PartitionRun {
   double bytes = 0.0;
 };
 
-/// \brief One executable query stage.
-struct QueryStage {
+/// \brief The scalar fields of a query stage: everything the task cost
+/// model reads. Trivially copyable, so a table of stages can keep one per
+/// entry without the stage's vectors.
+struct StageScalars {
   int id = -1;
   int subq_id = -1;            ///< canonical subQ this stage realizes
-  std::vector<int> op_ids;     ///< logical operators executed here
-  std::vector<int> deps;       ///< stages shuffled into this one
-  std::vector<int> broadcast_deps;  ///< stages broadcast into this one
-
   int num_partitions = 1;      ///< number of parallel tasks
-  /// Per-task input bytes after the partitioning rules (skew split,
-  /// coalesce), in task order, as runs of equal sizes. Canonical: every
-  /// count is >= 1, adjacent runs differ in bytes, and the counts sum to
-  /// num_partitions. Drives task latencies and the beta features.
-  std::vector<PartitionRun> partitions;
 
   double input_rows = 0.0;     ///< total rows entering the stage
   double input_bytes = 0.0;    ///< total bytes entering the stage
@@ -76,6 +69,18 @@ struct QueryStage {
   double sort_work = 0.0;
   JoinAlgo join_algo = JoinAlgo::kSortMergeJoin;
   bool has_join = false;
+};
+
+/// \brief One executable query stage.
+struct QueryStage : StageScalars {
+  std::vector<int> op_ids;     ///< logical operators executed here
+  std::vector<int> deps;       ///< stages shuffled into this one
+  std::vector<int> broadcast_deps;  ///< stages broadcast into this one
+  /// Per-task input bytes after the partitioning rules (skew split,
+  /// coalesce), in task order, as runs of equal sizes. Canonical: every
+  /// count is >= 1, adjacent runs differ in bytes, and the counts sum to
+  /// num_partitions. Drives task latencies and the beta features.
+  std::vector<PartitionRun> partitions;
 };
 
 /// \brief A physical plan: stage DAG plus join decisions.
@@ -172,14 +177,27 @@ JoinDecision ChooseJoin(const LogicalOperator& join,
                         const BelievedCardinality& card);
 
 /// \brief Spark's partitioning of one stage, from its `input_bytes`,
-/// `is_scan_stage` and `has_join`: the file-scan split (s8/s9) on scan
-/// stages, otherwise s5's shuffle partitions, capped at 4096; the input
-/// spread over them with key skew `skew` (SkewedPartitionSizes); then,
-/// on shuffle stages, AQE's skew split (s6/s7, join stages only) and
-/// coalescing (s1/s10/s11). Writes `num_partitions` and `partitions`.
+/// `is_scan_stage` and `has_join`: the file-scan split on scan stages
+/// (ScanPartitionCount), otherwise s5's shuffle partitions, capped at
+/// 4096; the input spread over them with key skew `skew`
+/// (SkewedPartitionSizes); then, on shuffle stages, AQE's skew split
+/// (s6/s7, join stages only) and coalescing (s1/s10/s11). Writes
+/// `num_partitions` and `partitions`. Only a scan stage reads `theta_c`,
+/// and only its default parallelism (k4).
 void PartitionStage(const ContextParams& theta_c, const PlanParams& theta_p,
                     const StageParams& theta_s, double skew,
                     QueryStage* stage);
+
+/// \brief Spark's file-scan split, the task count PartitionStage gives a
+/// scan stage reading `input_bytes`: maxSplitBytes = min(s8, max(s9,
+/// total / k4)), one task per split, capped at 4096.
+int ScanPartitionCount(double input_bytes, int default_parallelism,
+                       const PlanParams& theta_p);
+
+/// \brief `n` equal partitions of `total_bytes`: the one run
+/// (n, total_bytes * (1.0 / n)). SkewedPartitionSizes returns it at
+/// z = 0.
+PartitionRun UniformRun(double total_bytes, int n);
 
 // The three rules below take and return partitions as runs. Each returns
 // canonical runs (see QueryStage::partitions) that expand to exactly the

@@ -19,12 +19,14 @@ bool AllFinite(const ObjectiveVector& obj) {
 
 uint64_t CachedSubQModel::KeyFor(int subq,
                                  const std::vector<double>& conf) const {
-  // Bitwise hash of the raw conf. Over n distinct keys a 64-bit hash
-  // collides with probability ~n^2/2^64: negligible at the 10^4-10^6
-  // evaluations a workload performs.
-  const uint64_t h = Fnv1a(conf.data(), conf.size() * sizeof(double));
-  return HashCombine(salt_,
-                     HashCombine(h, static_cast<uint64_t>(subq)));
+  // Bitwise hash of the raw conf, word by word. Over n distinct keys a
+  // 64-bit hash collides with probability ~n^2/2^64: negligible at the
+  // 10^4-10^6 evaluations a workload performs. SharedEvalCache indexes
+  // slots by the key's low bits, which HashCombine mixes weakly, so the
+  // salted key is finished with a full-avalanche mix.
+  const uint64_t h = HashWords(conf.data(), conf.size());
+  return Mix64(HashCombine(salt_,
+                           HashCombine(h, static_cast<uint64_t>(subq))));
 }
 
 ObjectiveVector CachedSubQModel::FromCached(const SubQObjectives& v) const {

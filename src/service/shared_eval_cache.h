@@ -8,8 +8,10 @@
 
 /// \file shared_eval_cache.h
 /// \brief Cross-query, cross-session evaluation memo shared by every
-/// concurrent tuning session of the service — the only evaluation cache
-/// in the system (direct solves evaluate uncached; see DESIGN.md §9).
+/// concurrent tuning session of the service — the only cache of
+/// evaluation results in the system. Direct solves evaluate uncached; the
+/// models' per-solve stage tables (model/stage_table.h) keep stages, not
+/// results (see DESIGN.md §9).
 ///
 /// One lock-free open-addressing table: seqlock reads, second-chance
 /// eviction, so the cache is capacity-bounded with real replacement

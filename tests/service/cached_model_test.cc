@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
+
+#include "common/rng.h"
+#include "params/sampler.h"
+#include "params/spark_params.h"
 
 namespace sparkopt {
 namespace {
@@ -79,6 +84,82 @@ TEST(CachedSubQModelTest, NonFiniteObjectivesAreNeverCached) {
     EXPECT_TRUE(SameBits(got, first[row])) << "row " << row;
   }
   EXPECT_EQ(cache.occupancy(), confs.size() - non_finite);
+}
+
+// Counts evaluations; every objective is finite, so every miss inserts.
+class CountingModel : public SubQObjectiveModel {
+ public:
+  explicit CountingModel(int subqs) : subqs_(subqs) {}
+  int num_subqs() const override { return subqs_; }
+  ObjectiveVector Evaluate(int subq,
+                           const std::vector<double>& conf) const override {
+    evals_.fetch_add(1, std::memory_order_relaxed);
+    return {conf[kShufflePartitions] + subq, conf[kExecutorCores]};
+  }
+  size_t eval_count() const override {
+    return evals_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  int subqs_;
+  mutable std::atomic<size_t> evals_{0};
+};
+
+// The service's table keeps a recurring working set without evicting it.
+// Keys come the way HMOOC asks for them: per salt (one per query) and
+// subQ, one batch of 32 theta_p/theta_s slices under each of 32 theta_c.
+// 20,971 keys fill 16% of the service's 2^17 slots, as svc-recurring's
+// working set does. A table this size matters: keys whose low bits are
+// weakly mixed collide in its probe windows, where a smaller table
+// shows no eviction.
+TEST(CachedSubQModelTest, RecurringWorkingSetFillsTableWithoutEvicting) {
+  constexpr size_t kSlots = size_t{1} << 17;
+  constexpr size_t kKeys = 20971;
+  constexpr int kSubQs = 16;
+  SharedEvalCache cache(kSlots);
+  ASSERT_EQ(cache.capacity(), kSlots);
+  const CountingModel inner(kSubQs);
+
+  const auto& space = SparkParamSpace();
+  std::vector<ParamSpec> ps_specs;
+  for (const auto& spec : space.specs()) {
+    if (spec.category != ParamCategory::kContext) ps_specs.push_back(spec);
+  }
+  const ParamSpace c_space = space.Subspace(ParamCategory::kContext);
+  const ParamSpace ps_space(std::move(ps_specs));
+
+  // Pass 0 fills the table; pass 1 must hit every key.
+  for (int pass = 0; pass < 2; ++pass) {
+    size_t keys = 0;
+    for (uint64_t query = 0; keys < kKeys; ++query) {
+      const CachedSubQModel cached(&inner, &cache,
+                                   HashCombine(/*version=*/1, query));
+      Rng rng(HashCombine(0x5EC, query));
+      const auto theta_c = SampleLatinHypercube(c_space, 32, &rng, 0.08);
+      const auto pool = SampleLatinHypercube(ps_space, 32, &rng, 0.08);
+      for (int subq = 0; subq < kSubQs && keys < kKeys; ++subq) {
+        for (const auto& c : theta_c) {
+          if (keys == kKeys) break;
+          std::vector<std::vector<double>> confs;
+          for (const auto& ps : pool) {
+            if (keys + confs.size() == kKeys) break;
+            std::vector<double> conf = c;
+            conf.insert(conf.end(), ps.begin(), ps.end());
+            confs.push_back(std::move(conf));
+          }
+          std::vector<ObjectiveVector> out;
+          cached.EvaluateBatch(subq, confs, &out);
+          keys += confs.size();
+        }
+      }
+    }
+    ASSERT_EQ(keys, kKeys);
+    EXPECT_EQ(inner.eval_count(), kKeys) << "pass " << pass;
+  }
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.drops(), 0u);
+  EXPECT_EQ(cache.occupancy(), kKeys);
+  EXPECT_EQ(cache.hits(), kKeys);
 }
 
 }  // namespace
