@@ -118,17 +118,21 @@ ObjectiveVector LearnedSubQModel::Evaluate(
   return Direct(subq, conf);
 }
 
+std::vector<double> LearnedSubQModel::DirectFeatures(
+    int subq, const std::vector<double>& conf,
+    const ContextParams& tc) const {
+  const QueryStage stage =
+      evaluator_.BuildStage(subq, tc, DecodePlan(conf), DecodeStage(conf),
+                            CardinalitySource::kEstimated);
+  return StageFeatures(evaluator_.query().plan, stage, conf,
+                       /*use_true_cards=*/false, /*beta=*/{}, /*gamma=*/{},
+                       /*drop_theta_p=*/false);
+}
+
 ObjectiveVector LearnedSubQModel::Direct(
     int subq, const std::vector<double>& conf) const {
   const ContextParams tc = DecodeContext(conf);
-  const PlanParams tp = DecodePlan(conf);
-  const StageParams ts = DecodeStage(conf);
-  const QueryStage stage = evaluator_.BuildStage(
-      subq, tc, tp, ts, CardinalitySource::kEstimated);
-  const auto features = StageFeatures(
-      evaluator_.query().plan, stage, conf, /*use_true_cards=*/false,
-      /*beta=*/{}, /*gamma=*/{}, /*drop_theta_p=*/false);
-  const auto pred = model_->Predict(features);
+  const auto pred = model_->Predict(DirectFeatures(subq, conf, tc));
   return DeriveObjectives(prices_, tc, pred.data(), num_objectives_);
 }
 
@@ -159,13 +163,7 @@ void LearnedSubQModel::EvaluateBatch(
                            StageTable::Scalars(rows[i], tc), f);
       continue;
     }
-    const QueryStage stage =
-        evaluator_.BuildStage(subq, tc, DecodePlan(confs[i]),
-                              DecodeStage(confs[i]),
-                              CardinalitySource::kEstimated);
-    const auto row = StageFeatures(
-        evaluator_.query().plan, stage, confs[i], /*use_true_cards=*/false,
-        /*beta=*/{}, /*gamma=*/{}, /*drop_theta_p=*/false);
+    const auto row = DirectFeatures(subq, confs[i], tc);
     std::copy(row.begin(), row.end(), f);
   }
   model_->PredictBatchInto(features.data(), confs.size(), preds.data(),

@@ -111,6 +111,11 @@ class LearnedSubQModel : public SubQObjectiveModel {
   }
 
  private:
+  /// The direct path's features: StageFeatures of BuildStage under conf,
+  /// whose decoded theta_c is `tc`.
+  std::vector<double> DirectFeatures(int subq,
+                                     const std::vector<double>& conf,
+                                     const ContextParams& tc) const;
   /// Evaluate without the count.
   ObjectiveVector Direct(int subq, const std::vector<double>& conf) const;
 
