@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -18,6 +19,10 @@ static_assert((kIndexSlots & (kIndexSlots - 1)) == 0);
 // Arena block size: a solve's entries and runs take tens to hundreds of
 // kilobytes.
 constexpr size_t kArenaBlockBytes = 16 << 10;
+
+// The arena hands out raw storage that these are assigned into.
+static_assert(std::is_trivially_copyable_v<StageTable::Slice>);
+static_assert(std::is_trivially_copyable_v<StageTable::Entry>);
 
 uint64_t SliceHash(const std::vector<double>& conf) {
   return Mix64(HashWords(conf.data() + StageTable::kSliceBegin,
