@@ -177,6 +177,12 @@ void EmitInferenceResults() {
 // subQ, one batch over a 32-slice theta_p/theta_s pool under each of 8
 // theta_c, on a fresh model per pass, so the first theta_c builds each
 // stage and the other seven reuse it.
+//
+// `small_call_ns_per_row` (learned) times the 1-row calls of HMOOC's
+// steps 4-5, where a member theta_c meets the few pool entries that were
+// Pareto-optimal for its representative: on a fresh model per pass, one
+// untimed pool batch per subQ builds the stages, then every (theta_c,
+// slice) row of the pool is its own EvaluateBatch call.
 void EmitModelRowResults() {
   const std::vector<TableStats> catalog = TpchCatalog(10);
   const Query q9 = *MakeTpchQuery(9, &catalog);
@@ -298,6 +304,23 @@ void EmitModelRowResults() {
   const double learned_pool_ns = time_pool([&] {
     return std::make_unique<LearnedSubQModel>(&q9, cluster, cost, &*reg);
   });
+  double small_call_s = 0.0;
+  std::vector<std::vector<double>> one(1);
+  for (int p = 0; p < passes; ++p) {
+    const LearnedSubQModel learned(&q9, cluster, cost, &*reg);
+    for (int s = 0; s < subqs; ++s) learned.EvaluateBatch(s, pool[0], &out);
+    const benchutil::Timer timer;
+    for (int s = 0; s < subqs; ++s) {
+      for (const auto& batch : pool) {
+        for (const auto& conf : batch) {
+          one[0].assign(conf.begin(), conf.end());
+          learned.EvaluateBatch(s, one, &out);
+          benchmark::DoNotOptimize(out.data());
+        }
+      }
+    }
+    small_call_s += timer.Seconds();
+  }
 
   const double ns = 1e9 / rows;
   {
@@ -312,6 +335,8 @@ void EmitModelRowResults() {
   o.emplace_back("model", obs::Json("learned"));
   o.emplace_back("ns_per_row", obs::Json(learned_s * ns));
   o.emplace_back("pool_ns_per_row", obs::Json(learned_pool_ns));
+  o.emplace_back("small_call_ns_per_row",
+                 obs::Json(small_call_s * 1e9 / pool_rows));
   o.emplace_back("build_stage_ns", obs::Json(build_s * ns));
   o.emplace_back("stage_features_ns", obs::Json(features_s * ns));
   o.emplace_back("mlp_derive_ns", obs::Json(mlp_s * ns));

@@ -33,51 +33,42 @@ bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b) {
   return strictly_better;
 }
 
-namespace {
-
-// Sort-based 2D non-dominated filter (Kung et al. 1975), routed through
-// the flat kernel: one SoA staging pass replaces the ObjectiveVector
-// comparator sort, and the scratch buffers persist per thread.
-std::vector<size_t> Pareto2D(const std::vector<ObjectiveVector>& pts) {
-  ParetoScratch& scratch = TlsScratch();
-  scratch.ax.resize(pts.size());
-  scratch.ay.resize(pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    scratch.ax[i] = pts[i][0];
-    scratch.ay[i] = pts[i][1];
-  }
-  FlatParetoPositions(scratch.ax.data(), scratch.ay.data(), pts.size(),
-                      &scratch.kept, &scratch);
-  return {scratch.kept.begin(), scratch.kept.end()};
-}
-
-// 3-D filter routed through the flat kernel's staircase sweep (the
-// property suite pins it against the quadratic reference).
-std::vector<size_t> Pareto3D(const std::vector<ObjectiveVector>& pts) {
-  ParetoScratch& scratch = TlsScratch();
-  scratch.ax.resize(pts.size());
-  scratch.ay.resize(pts.size());
-  scratch.az.resize(pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    scratch.ax[i] = pts[i][0];
-    scratch.ay[i] = pts[i][1];
-    scratch.az[i] = pts[i][2];
-  }
-  FlatParetoPositions3(scratch.ax.data(), scratch.ay.data(), scratch.az.data(),
-                       pts.size(), &scratch.kept, &scratch);
-  return {scratch.kept.begin(), scratch.kept.end()};
-}
-
-}  // namespace
-
-std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points) {
-  if (points.empty()) return {};
+void ParetoPositions(const std::vector<ObjectiveVector>& points,
+                     std::vector<uint32_t>* kept) {
+  kept->clear();
+  if (points.empty()) return;
+  const size_t n = points.size();
   const size_t k = points[0].size();
   // Every model and solver produces 2 or 3 objectives; the kernels
   // support exactly those.
   SPARKOPT_CHECK(k == 2 || k == 3)
       << "ParetoIndices supports 2 or 3 objectives, got " << k;
-  return k == 2 ? Pareto2D(points) : Pareto3D(points);
+  // One SoA staging pass into the per-thread scratch, then the kernel:
+  // the index-order staircase filter for k = 2, the sorted staircase
+  // sweep for k = 3 (the property suites pin both against the quadratic
+  // reference).
+  ParetoScratch& scratch = TlsScratch();
+  scratch.ax.resize(n);
+  scratch.ay.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    scratch.ax[i] = points[i][0];
+    scratch.ay[i] = points[i][1];
+  }
+  if (k == 2) {
+    FlatParetoPositions(scratch.ax.data(), scratch.ay.data(), n, kept,
+                        &scratch);
+    return;
+  }
+  scratch.az.resize(n);
+  for (size_t i = 0; i < n; ++i) scratch.az[i] = points[i][2];
+  FlatParetoPositions3(scratch.ax.data(), scratch.ay.data(),
+                       scratch.az.data(), n, kept, &scratch);
+}
+
+std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points) {
+  std::vector<uint32_t>& kept = TlsScratch().kept;
+  ParetoPositions(points, &kept);
+  return {kept.begin(), kept.end()};
 }
 
 std::vector<ObjectiveVector> ParetoFilter(

@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/pareto_flat.h"
 
 /// \file pareto.h
 /// \brief Pareto-set primitives used across the optimizer: dominance
-/// checks, non-dominated filtering (Kung et al. sort-based algorithm for
-/// 2D, staircase sweep for 3D), 2-D hypervolume, and
+/// checks, non-dominated filtering (an index-order staircase sweep for
+/// 2D, a sorted staircase sweep for 3D), 2-D hypervolume, and
 /// Weighted-Utopia-Nearest (WUN) recommendation, plus the reference
 /// Minkowski-sum merge of HMOOC's divide-and-conquer DAG aggregation
 /// (Algorithm 3 in the paper).
@@ -37,12 +38,19 @@ bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b);
 
 /// \brief Indices of the non-dominated points in `points`.
 ///
-/// For 2-objective inputs this runs the classical sort-based Kung
-/// algorithm in O(n log n); 3-objective inputs take the flat kernel's
-/// staircase sweep (same complexity); any other k aborts. Ties:
+/// 2-objective inputs take the flat kernel's index-order staircase
+/// filter (O(n log h) for h front points, no sort); 3-objective inputs
+/// its sorted staircase sweep (O(n log n)); any other k aborts. Ties:
 /// duplicate non-dominated points are all kept (stable order by original
 /// index).
 std::vector<size_t> ParetoIndices(const std::vector<ObjectiveVector>& points);
+
+/// \brief ParetoIndices into a caller-owned buffer (cleared first): the
+/// same positions in the same order, and no allocation once `kept` and
+/// the calling thread's kernel scratch are warm. The solver's batch loops
+/// use it.
+void ParetoPositions(const std::vector<ObjectiveVector>& points,
+                     std::vector<uint32_t>* kept);
 
 /// \brief Filters `points` to its Pareto front (convenience wrapper).
 std::vector<ObjectiveVector> ParetoFilter(

@@ -28,6 +28,41 @@ void SortByXY(const double* x, const double* y, size_t n,
   });
 }
 
+// Minima staircase over two axes: sy strictly ascending, sz strictly
+// descending, so the smallest sz among the entries with sy' <= py is the
+// entry at the largest sy' <= py. The 2-D filter keeps one over (x, y),
+// the 3-D sweeps one over (y, z).
+
+// True when some staircase point weakly dominates (py, pz).
+bool StairCovers(const std::vector<double>& sy, const std::vector<double>& sz,
+                 double py, double pz) {
+  const auto it = std::upper_bound(sy.begin(), sy.end(), py);
+  if (it == sy.begin()) return false;
+  return sz[static_cast<size_t>(it - sy.begin()) - 1] <= pz;
+}
+
+// Inserts (py, pz), preserving the invariant. A point already weakly
+// covered contributes nothing and is skipped.
+void StairInsert(std::vector<double>* sy, std::vector<double>* sz, double py,
+                 double pz) {
+  const auto it = std::upper_bound(sy->begin(), sy->end(), py);
+  size_t pos = static_cast<size_t>(it - sy->begin());
+  if (pos > 0 && (*sz)[pos - 1] <= pz) return;  // covered: useless entry
+  if (pos > 0 && (*sy)[pos - 1] == py) {
+    // Same y, strictly better z: tighten in place.
+    --pos;
+    (*sz)[pos] = pz;
+  } else {
+    sy->insert(sy->begin() + pos, py);
+    sz->insert(sz->begin() + pos, pz);
+  }
+  // Entries after pos with z >= pz are now covered.
+  size_t end = pos + 1;
+  while (end < sz->size() && (*sz)[end] >= pz) ++end;
+  sy->erase(sy->begin() + pos + 1, sy->begin() + end);
+  sz->erase(sz->begin() + pos + 1, sz->begin() + end);
+}
+
 }  // namespace
 
 void FlatParetoPositions(const double* x, const double* y, size_t n,
@@ -35,26 +70,26 @@ void FlatParetoPositions(const double* x, const double* y, size_t n,
                          ParetoScratch* scratch) {
   kept->clear();
   if (n == 0) return;
-  SortByXY(x, y, n, &scratch->order);
-  // Sweep keeping the running minimum of y. A point survives when it
-  // strictly improves the minimum, or is an exact duplicate of the last
-  // survivor (duplicates sort adjacently) — the non-dominated multiset.
-  double best_y = kInf;
-  double prev_x = std::numeric_limits<double>::quiet_NaN();
-  double prev_y = std::numeric_limits<double>::quiet_NaN();
-  for (uint32_t idx : scratch->order) {
-    if (!kept->empty() && x[idx] == prev_x && y[idx] == prev_y) {
-      kept->push_back(idx);
-      continue;
-    }
-    if (y[idx] < best_y) {
-      kept->push_back(idx);
-      best_y = y[idx];
-      prev_x = x[idx];
-      prev_y = y[idx];
+  // Sweep in position order, keeping the minima staircase of every point
+  // seen so far. At the end it holds exactly the distinct non-dominated
+  // points: each point is weakly covered by an entry, and no entry is
+  // strictly dominated by any point.
+  auto& sx = scratch->stair_x;
+  auto& sy = scratch->stair_y;
+  sx.clear();
+  sy.clear();
+  for (size_t i = 0; i < n; ++i) StairInsert(&sx, &sy, x[i], y[i]);
+  // A point is non-dominated iff it equals a staircase entry (its
+  // covering entry would otherwise strictly dominate it), so exact
+  // duplicates of a kept point are all kept, in ascending position order.
+  for (size_t i = 0; i < n; ++i) {
+    const auto it = std::upper_bound(sx.begin(), sx.end(), x[i]);
+    if (it == sx.begin()) continue;
+    const size_t e = static_cast<size_t>(it - sx.begin()) - 1;
+    if (sx[e] == x[i] && sy[e] == y[i]) {
+      kept->push_back(static_cast<uint32_t>(i));
     }
   }
-  std::sort(kept->begin(), kept->end());
 }
 
 namespace {
@@ -340,40 +375,6 @@ void SortByXYZ(const double* x, const double* y, const double* z, size_t n,
     if (z[i] != z[j]) return z[i] < z[j];
     return i < j;
   });
-}
-
-// (y, z) minima staircase over the kept points of a lexicographic sweep:
-// sy strictly ascending, sz strictly descending, so the best (smallest)
-// z among kept points with y' <= py is the entry at the largest y' <= py.
-
-// True when some staircase point weakly dominates (py, pz) on (y, z).
-bool StairCovers(const std::vector<double>& sy, const std::vector<double>& sz,
-                 double py, double pz) {
-  const auto it = std::upper_bound(sy.begin(), sy.end(), py);
-  if (it == sy.begin()) return false;
-  return sz[static_cast<size_t>(it - sy.begin()) - 1] <= pz;
-}
-
-// Inserts a kept point's (py, pz), preserving the invariant. A point
-// already weakly covered contributes nothing and is skipped.
-void StairInsert(std::vector<double>* sy, std::vector<double>* sz, double py,
-                 double pz) {
-  const auto it = std::upper_bound(sy->begin(), sy->end(), py);
-  size_t pos = static_cast<size_t>(it - sy->begin());
-  if (pos > 0 && (*sz)[pos - 1] <= pz) return;  // covered: useless entry
-  if (pos > 0 && (*sy)[pos - 1] == py) {
-    // Same y, strictly better z: tighten in place.
-    --pos;
-    (*sz)[pos] = pz;
-  } else {
-    sy->insert(sy->begin() + pos, py);
-    sz->insert(sz->begin() + pos, pz);
-  }
-  // Entries after pos with z >= pz are now covered.
-  size_t end = pos + 1;
-  while (end < sz->size() && (*sz)[end] >= pz) ++end;
-  sy->erase(sy->begin() + pos + 1, sy->begin() + end);
-  sz->erase(sz->begin() + pos + 1, sz->begin() + end);
 }
 
 }  // namespace

@@ -152,6 +152,9 @@ struct ParetoScratch {
   /// (y, z) minima staircase of kept points: sy strictly ascending, sz
   /// strictly descending. Shared by the 3-D filter and merge.
   std::vector<double> sy, sz;
+  /// (x, y) minima staircase of the 2-D filter. Its own buffers, because
+  /// FlatMerge3 runs the 2-D filter on its groups while it holds sy/sz.
+  std::vector<double> stair_x, stair_y;
   std::vector<double> gy, gz;  ///< equal-sum-x group staging
 };
 
@@ -160,7 +163,11 @@ struct ParetoScratch {
 /// Appends to `*kept` (cleared first) the positions of all points not
 /// strictly dominated by any other point, in ascending position order —
 /// the same set and order `ParetoIndices` produces for 2-objective
-/// input. O(n log n), no allocation beyond scratch growth.
+/// input. No sort: one sweep in position order builds the minima
+/// staircase of the input (binary search plus erase per point), and a
+/// second keeps every position whose point is on it. O(n log h) for a
+/// staircase of h points — O(n) on a batch of repeats of one point — and
+/// no allocation beyond scratch growth.
 void FlatParetoPositions(const double* x, const double* y, size_t n,
                          std::vector<uint32_t>* kept, ParetoScratch* scratch);
 

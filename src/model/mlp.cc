@@ -62,6 +62,18 @@ Mlp::Mlp(std::vector<int> layers, uint64_t seed) : layers_(std::move(layers)) {
     // He initialization for ReLU nets.
     const double scale = std::sqrt(2.0 / layer.in);
     for (auto& w : layer.w) w = rng.Normal(0.0, scale);
+    layer.Transpose();
+  }
+}
+
+void Mlp::Layer::Transpose() {
+  const size_t pad = (static_cast<size_t>(out) + 3) & ~size_t{3};
+  wt.assign(static_cast<size_t>(in) * pad, 0.0);
+  for (int o = 0; o < out; ++o) {
+    for (int i = 0; i < in; ++i) {
+      wt[static_cast<size_t>(i) * pad + o] =
+          w[static_cast<size_t>(o) * in + i];
+    }
   }
 }
 
@@ -69,7 +81,8 @@ namespace {
 
 /// Dense-layer kernel contract:
 ///   out[r * n_out + o] = act(b[o] + sum_i w[o * n_in + i] * in[r * n_in + i])
-/// with the sum accumulated in ascending i. One kernel is selected at
+/// with the sum accumulated in ascending i. `wt` is the layer's
+/// transposed copy (Mlp::Layer::wt). One kernel is selected at
 /// startup (AVX2+FMA when the CPU has it, the portable scalar kernel
 /// otherwise) and used by BOTH the single-row path (Mlp::Forward, and
 /// therefore Predict) and the batched path (PredictBatchInto). That
@@ -78,8 +91,8 @@ namespace {
 /// exact same rounding sequence regardless of how many rows are in
 /// flight.
 using DenseKernel = void (*)(const double* in, size_t rows, const double* w,
-                             const double* b, int n_in, int n_out, bool relu,
-                             double* out);
+                             const double* wt, const double* b, int n_in,
+                             int n_out, bool relu, double* out);
 
 /// Portable kernel. Rows are tiled so the active weight row stays hot
 /// across the tile, and processed four at a time: four independent
@@ -88,8 +101,8 @@ using DenseKernel = void (*)(const double* in, size_t rows, const double* w,
 /// same i order as the scalar remainder loop, so results are bitwise
 /// identical at any batch size.
 void DenseLayerGeneric(const double* in, size_t rows, const double* w,
-                       const double* b, int n_in, int n_out, bool relu,
-                       double* out) {
+                       const double* /*wt*/, const double* b, int n_in,
+                       int n_out, bool relu, double* out) {
   constexpr size_t kRowTile = 32;
   for (size_t r0 = 0; r0 < rows; r0 += kRowTile) {
     const size_t r1 = std::min(r0 + kRowTile, rows);
@@ -129,15 +142,49 @@ void DenseLayerGeneric(const double* in, size_t rows, const double* w,
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
 /// Widest layer the transposed-tile path handles on the stack
-/// (8 lanes * 512 doubles = 32 KiB); wider layers take the scalar-fma
-/// loop below, which uses the identical rounding sequence.
+/// (8 lanes * 512 doubles = 32 KiB); wider layers take the row path
+/// below, which uses the identical rounding sequence.
 constexpr int kMaxTransposeIn = 512;
 
 /// ReLU that mirrors `(s < 0.0) ? 0.0 : s` per lane (NaN passes through,
-/// exactly like the scalar remainder path's std::max(s, 0.0)).
+/// exactly like std::max(s, 0.0)).
 __attribute__((target("avx2,fma"))) inline __m256d ReluPd(__m256d s) {
   const __m256d zero = _mm256_setzero_pd();
   return _mm256_blendv_pd(s, zero, _mm256_cmp_pd(s, zero, _CMP_LT_OQ));
+}
+
+/// Lane mask for the first min(count, 4) lanes.
+__attribute__((target("avx2,fma"))) inline __m256i LaneMask(int count) {
+  return _mm256_set_epi64x(count > 3 ? -1 : 0, count > 2 ? -1 : 0,
+                           count > 1 ? -1 : 0, count > 0 ? -1 : 0);
+}
+
+/// Outputs [o, o + 4 * NV) of one row, four per register: lane o of
+/// register v computes fma(w[o][i], x[i], s) in ascending i, reading four
+/// outputs' weights per load from the transposed copy (row stride
+/// `n_pad`). Lanes past n_out are neither loaded from `b` nor stored.
+template <int NV>
+__attribute__((target("avx2,fma"))) void DenseRowOutputs(
+    const double* xr, const double* wt, const double* b, int n_in,
+    int n_out, int n_pad, int o, bool relu, double* orow) {
+  __m256d acc[NV];
+#pragma GCC unroll 8
+  for (int v = 0; v < NV; ++v) {
+    acc[v] = _mm256_maskload_pd(b + o + 4 * v, LaneMask(n_out - o - 4 * v));
+  }
+  const double* wrow = wt + o;
+  for (int i = 0; i < n_in; ++i, wrow += n_pad) {
+    const __m256d xi = _mm256_set1_pd(xr[i]);
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = _mm256_fmadd_pd(_mm256_loadu_pd(wrow + 4 * v), xi, acc[v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < NV; ++v) {
+    _mm256_maskstore_pd(orow + o + 4 * v, LaneMask(n_out - o - 4 * v),
+                        relu ? ReluPd(acc[v]) : acc[v]);
+  }
 }
 
 /// AVX2+FMA kernel, compiled for that target and only dispatched to when
@@ -145,12 +192,16 @@ __attribute__((target("avx2,fma"))) inline __m256d ReluPd(__m256d s) {
 /// tile so each inner step is a broadcast of w[i] against contiguous
 /// loads of eight rows' x[i]; four outputs are computed per pass, giving
 /// 4 x 2 = 8 independent packed vfmadd chains — enough to hide the FMA
-/// latency that bounds a single dot-product chain. Every chain (vector
-/// lane or scalar remainder) computes fma(w[i], x[i], s) in ascending i
-/// with the same fused rounding, so rows==1 and rows==N agree bitwise.
+/// latency that bounds a single dot-product chain. Rows past the last
+/// full tile (and every row of a layer wider than kMaxTransposeIn) take
+/// DenseRowOutputs, up to eight registers of four outputs each, so a
+/// 1-row call runs as many independent chains as the layer has output
+/// registers instead of one scalar chain per output. Every chain (tile
+/// lane or row lane) computes fma(w[i], x[i], s) in ascending i with the
+/// same fused rounding, so rows==1 and rows==N agree bitwise.
 __attribute__((target("avx2,fma"))) void DenseLayerAvx2(
-    const double* in, size_t rows, const double* w, const double* b,
-    int n_in, int n_out, bool relu, double* out) {
+    const double* in, size_t rows, const double* w, const double* wt,
+    const double* b, int n_in, int n_out, bool relu, double* out) {
   constexpr size_t kLanes = 8;
   size_t r = 0;
   if (n_in <= kMaxTransposeIn) {
@@ -214,13 +265,29 @@ __attribute__((target("avx2,fma"))) void DenseLayerAvx2(
       }
     }
   }
+  using RowOutputs = void (*)(const double*, const double*, const double*,
+                             int, int, int, int, bool, double*);
+  static constexpr RowOutputs kRowOutputs[] = {
+      nullptr,
+      &DenseRowOutputs<1>,
+      &DenseRowOutputs<2>,
+      &DenseRowOutputs<3>,
+      &DenseRowOutputs<4>,
+      &DenseRowOutputs<5>,
+      &DenseRowOutputs<6>,
+      &DenseRowOutputs<7>,
+      &DenseRowOutputs<8>};
+  const int n_pad = (n_out + 3) & ~3;
   for (; r < rows; ++r) {
     const double* xr = in + r * n_in;
-    for (int o = 0; o < n_out; ++o) {
-      const double* wrow = w + static_cast<size_t>(o) * n_in;
-      double s = b[o];
-      for (int i = 0; i < n_in; ++i) s = std::fma(wrow[i], xr[i], s);
-      out[r * n_out + o] = relu ? std::max(s, 0.0) : s;
+    double* orow = out + r * n_out;
+    int o = 0;
+    for (; o + 32 <= n_pad; o += 32) {
+      DenseRowOutputs<8>(xr, wt, b, n_in, n_out, n_pad, o, relu, orow);
+    }
+    if (o < n_pad) {
+      kRowOutputs[(n_pad - o) / 4](xr, wt, b, n_in, n_out, n_pad, o, relu,
+                                   orow);
     }
   }
 }
@@ -251,8 +318,8 @@ void Mlp::Forward(const std::vector<double>& x,
     const auto& in = activations->back();
     std::vector<double> out(layer.out);
     // ReLU on hidden layers only.
-    kernel(in.data(), 1, layer.w.data(), layer.b.data(), layer.in, layer.out,
-           /*relu=*/l + 1 < net_.size(), out.data());
+    kernel(in.data(), 1, layer.w.data(), layer.wt.data(), layer.b.data(),
+           layer.in, layer.out, /*relu=*/l + 1 < net_.size(), out.data());
     activations->push_back(std::move(out));
   }
 }
@@ -281,8 +348,8 @@ void Mlp::PredictBatchInto(const double* x, size_t rows, double* out,
     const auto& layer = net_[l];
     const bool last = l + 1 == net_.size();
     double* dst = last ? out : ping;
-    kernel(in, rows, layer.w.data(), layer.b.data(), layer.in,
-           layer.out, /*relu=*/!last, dst);
+    kernel(in, rows, layer.w.data(), layer.wt.data(), layer.b.data(),
+           layer.in, layer.out, /*relu=*/!last, dst);
     in = dst;
     std::swap(ping, pong);
   }
@@ -457,6 +524,7 @@ Status Mlp::Fit(const Matrix& x, const Matrix& y, const TrainOptions& opts) {
           layer.b[j] -= opts.learning_rate * (adam[l].mb[j] / bc1) /
                         (std::sqrt(adam[l].vb[j] / bc2) + eps);
         }
+        layer.Transpose();
       }
     }
     // Early stopping on the validation split.

@@ -88,7 +88,13 @@ class Mlp {
   struct Layer {
     std::vector<double> w;  ///< out x in, row-major
     std::vector<double> b;  ///< out
+    /// w transposed, in x out rounded up to a multiple of 4 (zero-padded):
+    /// the AVX2 kernel's rows past the last full tile read four outputs'
+    /// weights per load. Rebuilt by Transpose() whenever w changes.
+    std::vector<double> wt;
     int in = 0, out = 0;
+
+    void Transpose();
   };
 
   void Forward(const std::vector<double>& x,

@@ -1,6 +1,7 @@
 #include "moo/hmooc.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -28,15 +29,44 @@ const char* DagAggregationName(DagAggregation a) {
 
 namespace {
 
+// Writes the 19-double conf of (theta_c, theta_ps) into `conf` over the
+// default config, reusing its storage.
+void FillConf(const std::vector<double>& theta_c,
+              const std::vector<double>& theta_ps, std::vector<double>* conf) {
+  static const std::vector<double> kDefault = DefaultSparkConfig();
+  conf->assign(kDefault.begin(), kDefault.end());
+  for (size_t i = 0; i < theta_c.size() && i < 8; ++i) (*conf)[i] = theta_c[i];
+  for (size_t i = 0; i < theta_ps.size() && i < 11; ++i) {
+    (*conf)[8 + i] = theta_ps[i];
+  }
+}
+
 std::vector<double> MakeConf(const std::vector<double>& theta_c,
                              const std::vector<double>& theta_ps) {
-  static const std::vector<double> kDefault = DefaultSparkConfig();
-  std::vector<double> conf = kDefault;
-  for (size_t i = 0; i < theta_c.size() && i < 8; ++i) conf[i] = theta_c[i];
-  for (size_t i = 0; i < theta_ps.size() && i < 11; ++i) {
-    conf[8 + i] = theta_ps[i];
-  }
+  std::vector<double> conf;
+  FillConf(theta_c, theta_ps, &conf);
   return conf;
+}
+
+// One thread's rows for the batches of steps 3-5. They persist across
+// batches and solves (RowList), so a warm thread fills, evaluates and
+// filters a batch with no allocation per row. Inline solves (one thread)
+// run on the caller and keep them; a pool's workers keep theirs for the
+// solve.
+struct BatchRows {
+  RowList confs;
+  RowList fs;
+  std::vector<uint32_t> kept;  // ParetoPositions output
+  // Step 3's batch depends on the representative only, not the subQ:
+  // `confs` holds representative `rep`'s batch of solve `solve` until a
+  // step-4/5 batch overwrites it.
+  uint64_t solve = 0;
+  int rep = -1;
+};
+
+BatchRows& TlsBatchRows() {
+  thread_local BatchRows rows;
+  return rows;
 }
 
 }  // namespace
@@ -78,6 +108,8 @@ MooRunResult HmoocSolver::Solve() const {
       screening.reset();
     }
   }
+  static std::atomic<uint64_t> next_solve{1};
+  const uint64_t solve_id = next_solve.fetch_add(1, std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   const size_t evals_before = model_->eval_count();
   Rng rng(opts_.seed);
@@ -146,16 +178,21 @@ MooRunResult HmoocSolver::Solve() const {
         const int r = static_cast<int>(task / m);
         const int i = static_cast<int>(task % m);
         const auto& rep_c = theta_c[km.representative[r]];
-        std::vector<std::vector<double>> confs;
-        confs.reserve(pool.size());
-        for (const auto& ps : pool) confs.push_back(MakeConf(rep_c, ps));
-        std::vector<ObjectiveVector> fs;
-        obs::Observe("hmooc.subq_batch_rows",
-                     static_cast<double>(confs.size()));
-        model->EvaluateBatch(i, confs, &fs);
-        for (size_t j : ParetoIndices(fs)) {
-          opt_pool[r][i].push_back(static_cast<int>(j));
+        BatchRows& batch = TlsBatchRows();
+        if (batch.solve != solve_id || batch.rep != r) {
+          batch.confs.Resize(pool.size());
+          for (size_t j = 0; j < pool.size(); ++j) {
+            FillConf(rep_c, pool[j], &batch.confs.rows[j]);
+          }
+          batch.solve = solve_id;
+          batch.rep = r;
         }
+        batch.fs.Resize(pool.size());
+        obs::Observe("hmooc.subq_batch_rows",
+                     static_cast<double>(pool.size()));
+        model->EvaluateBatch(i, batch.confs.rows, &batch.fs.rows);
+        ParetoPositions(batch.fs.rows, &batch.kept);
+        opt_pool[r][i].assign(batch.kept.begin(), batch.kept.end());
       });
 
   // ---- Step 4 + 5: assign optimal theta_p to members; enrich theta_c ----
@@ -173,20 +210,25 @@ MooRunResult HmoocSolver::Solve() const {
           const size_t c = task / m;
           const int i = static_cast<int>(task % m);
           const int r = member_cluster[c];
-          std::vector<std::vector<double>> confs;
-          confs.reserve(opt_pool[r][i].size());
-          for (int j : opt_pool[r][i]) {
-            confs.push_back(MakeConf(members[c], pool[j]));
+          const std::vector<int>& opt = opt_pool[r][i];
+          BatchRows& batch = TlsBatchRows();
+          batch.rep = -1;
+          batch.confs.Resize(opt.size());
+          batch.fs.Resize(opt.size());
+          for (size_t j = 0; j < opt.size(); ++j) {
+            FillConf(members[c], pool[opt[j]], &batch.confs.rows[j]);
           }
-          std::vector<ObjectiveVector> fs;
           obs::Observe("hmooc.subq_batch_rows",
-                       static_cast<double>(confs.size()));
-          model->EvaluateBatch(i, confs, &fs);
+                       static_cast<double>(opt.size()));
+          model->EvaluateBatch(i, batch.confs.rows, &batch.fs.rows);
+          const std::vector<ObjectiveVector>& fs = batch.fs.rows;
           auto& subq_set = (*eff)[base + c][i];
           // Keep only the member-level Pareto entries (Prop. 5.1).
-          for (size_t idx : ParetoIndices(fs)) {
+          ParetoPositions(fs, &batch.kept);
+          subq_set.reserve(batch.kept.size());
+          for (uint32_t idx : batch.kept) {
             SubQEntry e;
-            e.pool_idx = opt_pool[r][i][idx];
+            e.pool_idx = opt[idx];
             for (int d = 0; d < nk; ++d) e.f[d] = fs[idx][d];
             subq_set.push_back(e);
           }

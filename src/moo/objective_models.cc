@@ -36,12 +36,12 @@ bool SameBits(const ObjectiveVector& a, const ObjectiveVector& b) {
 
 }  // namespace
 
-ObjectiveVector AnalyticSubQModel::ToObjectives(
-    const SubQObjectives& obj) const {
-  if (num_objectives_ == 3) {
-    return {obj.analytical_latency, obj.cost, obj.io_bytes / 1e9};
-  }
-  return {obj.analytical_latency, obj.cost};
+void AnalyticSubQModel::ToObjectives(const SubQObjectives& obj,
+                                     ObjectiveVector* out) const {
+  out->resize(static_cast<size_t>(num_objectives_));
+  (*out)[0] = obj.analytical_latency;
+  (*out)[1] = obj.cost;
+  if (num_objectives_ == 3) (*out)[2] = obj.io_bytes / 1e9;
 }
 
 ObjectiveVector AnalyticSubQModel::Evaluate(
@@ -50,8 +50,11 @@ ObjectiveVector AnalyticSubQModel::Evaluate(
   const ContextParams tc = DecodeContext(conf);
   const PlanParams tp = DecodePlan(conf);
   const StageParams ts = DecodeStage(conf);
-  return ToObjectives(
-      evaluator_.Evaluate(subq, tc, tp, ts, CardinalitySource::kEstimated));
+  ObjectiveVector f;
+  ToObjectives(
+      evaluator_.Evaluate(subq, tc, tp, ts, CardinalitySource::kEstimated),
+      &f);
+  return f;
 }
 
 void AnalyticSubQModel::EvaluateBatch(
@@ -74,16 +77,17 @@ void AnalyticSubQModel::EvaluateBatch(
     {
       obs::ScopedHistogramTimer timer(latency_us);
       const StageScalars st = StageTable::Scalars(row, tc);
-      (*out)[i] = ToObjectives(
-          evaluator_.CostStage(st, StageTable::Runs(row, st, &scratch), tc));
+      ToObjectives(
+          evaluator_.CostStage(st, StageTable::Runs(row, st, &scratch), tc),
+          &(*out)[i]);
     }
 #ifdef SPARKOPT_VERIFY
     const QueryStage direct = evaluator_.BuildStage(
         subq, tc, DecodePlan(confs[i]), DecodeStage(confs[i]),
         CardinalitySource::kEstimated);
-    SPARKOPT_CHECK(SameBits(
-        (*out)[i],
-        ToObjectives(evaluator_.CostStage(direct, direct.partitions, tc))))
+    ObjectiveVector want;
+    ToObjectives(evaluator_.CostStage(direct, direct.partitions, tc), &want);
+    SPARKOPT_CHECK(SameBits((*out)[i], want))
         << "stage-table row " << i << " of subQ " << subq
         << " differs from the direct path";
 #endif
@@ -95,19 +99,19 @@ void AnalyticSubQModel::EvaluateBatch(
 namespace {
 
 /// Latency/cost derivation shared by the single and batched learned
-/// paths (`pred` = {latency, io_mb} from the regressor). With k = 3 the
-/// predicted IO itself becomes the third objective (gigabytes).
-ObjectiveVector DeriveObjectives(const PriceBook& prices,
-                                 const ContextParams& tc, const double* pred,
-                                 int k) {
+/// paths (`pred` = {latency, io_mb} from the regressor), written into
+/// `out` in place. With k = 3 the predicted IO itself becomes the third
+/// objective (gigabytes).
+void DeriveObjectives(const PriceBook& prices, const ContextParams& tc,
+                      const double* pred, int k, ObjectiveVector* out) {
   const double latency = std::max(pred[0], 1e-4);
   const double io_mb = std::max(pred[1], 0.0);
   const int cores = tc.TotalCores();
   const double mem_gb = tc.executor_memory_gb * tc.executor_instances;
-  const double cost =
-      CloudCost(prices, cores, mem_gb, latency, io_mb / 1024.0);
-  if (k == 3) return {latency, cost, io_mb / 1024.0};
-  return {latency, cost};
+  out->resize(static_cast<size_t>(k));
+  (*out)[0] = latency;
+  (*out)[1] = CloudCost(prices, cores, mem_gb, latency, io_mb / 1024.0);
+  if (k == 3) (*out)[2] = io_mb / 1024.0;
 }
 
 }  // namespace
@@ -133,7 +137,9 @@ ObjectiveVector LearnedSubQModel::Direct(
     int subq, const std::vector<double>& conf) const {
   const ContextParams tc = DecodeContext(conf);
   const auto pred = model_->Predict(DirectFeatures(subq, conf, tc));
-  return DeriveObjectives(prices_, tc, pred.data(), num_objectives_);
+  ObjectiveVector f;
+  DeriveObjectives(prices_, tc, pred.data(), num_objectives_, &f);
+  return f;
 }
 
 void LearnedSubQModel::EvaluateBatch(
@@ -169,8 +175,8 @@ void LearnedSubQModel::EvaluateBatch(
   model_->PredictBatchInto(features.data(), confs.size(), preds.data(),
                            &scratch);
   for (size_t i = 0; i < confs.size(); ++i) {
-    (*out)[i] = DeriveObjectives(prices_, DecodeContext(confs[i]),
-                                 preds.data() + i * k, num_objectives_);
+    DeriveObjectives(prices_, DecodeContext(confs[i]), preds.data() + i * k,
+                     num_objectives_, &(*out)[i]);
 #ifdef SPARKOPT_VERIFY
     SPARKOPT_CHECK(rows[i].entry == nullptr ||
                    SameBits((*out)[i], Direct(subq, confs[i])))

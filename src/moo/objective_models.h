@@ -62,7 +62,9 @@ class AnalyticSubQModel : public SubQObjectiveModel {
   }
 
  private:
-  ObjectiveVector ToObjectives(const SubQObjectives& obj) const;
+  /// Writes {latency, cost[, io_gb]} into `out` in place (the
+  /// EvaluateBatch row contract, moo/problem.h).
+  void ToObjectives(const SubQObjectives& obj, ObjectiveVector* out) const;
 
   SubQEvaluator evaluator_;
   mutable StageTable table_;

@@ -1,6 +1,7 @@
 #include "moo/problem.h"
 
 #include <limits>
+#include <utility>
 
 namespace sparkopt {
 
@@ -11,6 +12,18 @@ void SubQObjectiveModel::EvaluateBatch(
   for (size_t i = 0; i < confs.size(); ++i) {
     (*out)[i] = Evaluate(subq, confs[i]);
   }
+}
+
+void RowList::Resize(size_t n) {
+  while (rows.size() > n) {
+    spare.push_back(std::move(rows.back()));
+    rows.pop_back();
+  }
+  while (rows.size() < n && !spare.empty()) {
+    rows.push_back(std::move(spare.back()));
+    spare.pop_back();
+  }
+  rows.resize(n);
 }
 
 size_t MooRunResult::Recommend(const std::vector<double>& weights) const {

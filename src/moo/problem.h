@@ -83,10 +83,13 @@ class SubQObjectiveModel {
   /// \brief Evaluates one subQ under many configurations in one call
   /// (the solver hot path: one batch per (cluster, subQ) fan-out).
   ///
-  /// `out` is resized to `confs.size()`; out[i] corresponds to confs[i]
-  /// and is bitwise identical to Evaluate(subq, confs[i]). The default
-  /// loops over Evaluate; learned models override with true batched
-  /// inference.
+  /// out[i] corresponds to confs[i] and is bitwise identical to
+  /// Evaluate(subq, confs[i]). Rows are written in place: `out->resize(n)`
+  /// keeps the rows already there, and each row is resized to
+  /// num_objectives() and then assigned, whatever width it held before.
+  /// A caller that reuses `out` (see RowList) therefore pays no
+  /// allocation per row. The default loops over Evaluate; the concrete
+  /// models override it.
   virtual void EvaluateBatch(int subq,
                              const std::vector<std::vector<double>>& confs,
                              std::vector<ObjectiveVector>* out) const;
@@ -96,6 +99,23 @@ class SubQObjectiveModel {
 
   /// Unused by the solvers; kept only because bench/suite/ overrides it.
   virtual const SubQEvaluator* screen_evaluator() const { return nullptr; }
+};
+
+/// \brief Batch rows (confs or objective vectors) that keep their storage
+/// across batches of any size.
+///
+/// Shrinking a std::vector of rows frees the rows it drops, and solver
+/// batches range from 1 to HmoocOptions::theta_p_samples rows. Resize
+/// therefore parks the rows past the new size in `spare` and takes them
+/// back first when the list grows, so a list reused per thread holds at
+/// most its largest batch and, once warm, allocates nothing per row.
+struct RowList {
+  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> spare;
+
+  /// Resizes `rows` to n. Rows taken back from `spare` keep their last
+  /// contents; rows new to the list are empty.
+  void Resize(size_t n);
 };
 
 /// \brief Monolithic objective over a normalized decision vector in

@@ -1,6 +1,7 @@
 #include "service/cached_model.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -29,12 +30,14 @@ uint64_t CachedSubQModel::KeyFor(int subq,
                            HashCombine(h, static_cast<uint64_t>(subq))));
 }
 
-ObjectiveVector CachedSubQModel::FromCached(const SubQObjectives& v) const {
+void CachedSubQModel::FromCached(const SubQObjectives& v,
+                                 ObjectiveVector* out) const {
   // Storage mapping (see MaybeInsert): latency, cost, [third objective].
-  if (inner_->num_objectives() == 3) {
-    return {v.analytical_latency, v.cost, v.io_bytes};
-  }
-  return {v.analytical_latency, v.cost};
+  const int k = inner_->num_objectives();
+  out->resize(static_cast<size_t>(k));
+  (*out)[0] = v.analytical_latency;
+  (*out)[1] = v.cost;
+  if (k == 3) (*out)[2] = v.io_bytes;
 }
 
 void CachedSubQModel::MaybeInsert(uint64_t key,
@@ -53,7 +56,9 @@ ObjectiveVector CachedSubQModel::Evaluate(
   SubQObjectives cached;
   if (cache_->Lookup(key, &cached)) {
     shared_hits_.fetch_add(1, std::memory_order_relaxed);
-    return FromCached(cached);
+    ObjectiveVector obj;
+    FromCached(cached, &obj);
+    return obj;
   }
   shared_misses_.fetch_add(1, std::memory_order_relaxed);
   const ObjectiveVector obj = inner_->Evaluate(subq, conf);
@@ -65,38 +70,51 @@ void CachedSubQModel::EvaluateBatch(
     int subq, const std::vector<std::vector<double>>& confs,
     std::vector<ObjectiveVector>* out) const {
   const size_t n = confs.size();
-  out->assign(n, ObjectiveVector());
+  out->resize(n);
   if (n == 0) return;
 
-  std::vector<uint64_t> keys(n);
-  std::vector<size_t> miss_idx;
-  miss_idx.reserve(n);
-  uint64_t hits = 0;
+  // Per-thread buffers: once warm, a batch allocates nothing per row
+  // (hits are written into `out` in place, see moo/problem.h).
+  thread_local std::vector<uint64_t> keys;
+  thread_local std::vector<size_t> miss_idx;
+  thread_local RowList miss_confs;
+  thread_local RowList miss_out;
+  keys.resize(n);
+  miss_idx.clear();
   for (size_t i = 0; i < n; ++i) {
     keys[i] = KeyFor(subq, confs[i]);
     SubQObjectives cached;
     if (cache_->Lookup(keys[i], &cached)) {
-      (*out)[i] = FromCached(cached);
-      ++hits;
+      FromCached(cached, &(*out)[i]);
     } else {
       miss_idx.push_back(i);
     }
   }
-  shared_hits_.fetch_add(hits, std::memory_order_relaxed);
-  shared_misses_.fetch_add(miss_idx.size(), std::memory_order_relaxed);
-  if (miss_idx.empty()) return;
+  const size_t misses = miss_idx.size();
+  shared_hits_.fetch_add(n - misses, std::memory_order_relaxed);
+  shared_misses_.fetch_add(misses, std::memory_order_relaxed);
+  if (misses == 0) return;
 
+  if (misses == n) {
+    // All-miss batch: the inner model takes it as it is and writes `out`.
+    inner_->EvaluateBatch(subq, confs, out);
+    for (size_t i = 0; i < n; ++i) MaybeInsert(keys[i], (*out)[i]);
+    return;
+  }
   // Escalate only the misses. Both concrete models are per-row bitwise
   // independent of batch composition, so the subset batch returns
   // exactly what a full batch would have at those rows.
-  std::vector<std::vector<double>> miss_confs;
-  miss_confs.reserve(miss_idx.size());
-  for (size_t i : miss_idx) miss_confs.push_back(confs[i]);
-  std::vector<ObjectiveVector> miss_out;
-  inner_->EvaluateBatch(subq, miss_confs, &miss_out);
-  for (size_t j = 0; j < miss_idx.size(); ++j) {
-    MaybeInsert(keys[miss_idx[j]], miss_out[j]);
-    (*out)[miss_idx[j]] = std::move(miss_out[j]);
+  miss_confs.Resize(misses);
+  miss_out.Resize(misses);
+  for (size_t j = 0; j < misses; ++j) {
+    const std::vector<double>& conf = confs[miss_idx[j]];
+    miss_confs.rows[j].assign(conf.begin(), conf.end());
+  }
+  inner_->EvaluateBatch(subq, miss_confs.rows, &miss_out.rows);
+  for (size_t j = 0; j < misses; ++j) {
+    MaybeInsert(keys[miss_idx[j]], miss_out.rows[j]);
+    // Swap, not copy: both rows keep their storage for the next batch.
+    std::swap((*out)[miss_idx[j]], miss_out.rows[j]);
   }
 }
 

@@ -60,7 +60,8 @@ class CachedSubQModel : public SubQObjectiveModel {
 
  private:
   uint64_t KeyFor(int subq, const std::vector<double>& conf) const;
-  ObjectiveVector FromCached(const SubQObjectives& v) const;
+  /// Writes a cached entry's objectives into `out` in place.
+  void FromCached(const SubQObjectives& v, ObjectiveVector* out) const;
   void MaybeInsert(uint64_t key, const ObjectiveVector& obj) const;
 
   const SubQObjectiveModel* inner_;

@@ -34,6 +34,7 @@ SharedEvalCache::SharedEvalCache(size_t slots) {
   size_t cap = 1024;
   while (cap < slots) cap <<= 1;
   slots_ = std::make_unique<Slot[]>(cap);
+  refs_ = std::make_unique<std::atomic<uint8_t>[]>(cap);
   mask_ = cap - 1;
 }
 
@@ -46,7 +47,8 @@ bool SharedEvalCache::Lookup(uint64_t key, SubQObjectives* out) {
 bool SharedEvalCache::Find(uint64_t key, SubQObjectives* out) {
   if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
   for (int d = 0; d < kMaxProbe; ++d) {
-    Slot& slot = slots_[(key + d) & mask_];
+    const size_t idx = (key + d) & mask_;
+    Slot& slot = slots_[idx];
     const uint64_t tag = slot.tag.load(std::memory_order_acquire);
     if (tag == key) {
       // Seqlock-style read: load the payload, then re-check the tag. A
@@ -63,8 +65,9 @@ bool SharedEvalCache::Find(uint64_t key, SubQObjectives* out) {
       out->cost = cost;
       // Set the bit only when clear: a store on every hit would take the
       // line away from every other session reading the same entry.
-      if (slot.ref.load(std::memory_order_relaxed) == 0) {
-        slot.ref.store(1, std::memory_order_relaxed);
+      std::atomic<uint8_t>& ref = refs_[idx];
+      if (ref.load(std::memory_order_relaxed) == 0) {
+        ref.store(1, std::memory_order_relaxed);
       }
       return true;
     }
@@ -76,23 +79,25 @@ bool SharedEvalCache::Find(uint64_t key, SubQObjectives* out) {
 
 void SharedEvalCache::Insert(uint64_t key, const SubQObjectives& value) {
   if (key <= kBusy) key ^= 0x9E3779B97F4A7C15ULL;
-  auto publish = [&](Slot& slot) {
+  auto publish = [&](size_t idx) {
+    Slot& slot = slots_[idx];
     slot.latency.store(value.analytical_latency, std::memory_order_relaxed);
     slot.io_bytes.store(value.io_bytes, std::memory_order_relaxed);
     slot.cost.store(value.cost, std::memory_order_relaxed);
-    slot.ref.store(1, std::memory_order_relaxed);
+    refs_[idx].store(1, std::memory_order_relaxed);
     slot.tag.store(key, std::memory_order_release);
   };
   // Pass 1: take an empty slot (or find the key already present).
   for (int d = 0; d < kMaxProbe; ++d) {
-    Slot& slot = slots_[(key + d) & mask_];
+    const size_t idx = (key + d) & mask_;
+    Slot& slot = slots_[idx];
     uint64_t tag = slot.tag.load(std::memory_order_acquire);
     if (tag == key) return;  // already inserted by a concurrent thread
     if (tag != kEmpty) continue;
     uint64_t expected = kEmpty;
     if (slot.tag.compare_exchange_strong(expected, kBusy,
                                          std::memory_order_acq_rel)) {
-      publish(slot);
+      publish(idx);
       size_.Add(1);
       return;
     }
@@ -105,17 +110,18 @@ void SharedEvalCache::Insert(uint64_t key, const SubQObjectives& value) {
   // unchanged (a published entry is replaced in place).
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (int d = 0; d < kMaxProbe; ++d) {
-      Slot& slot = slots_[(key + d) & mask_];
+      const size_t idx = (key + d) & mask_;
+      Slot& slot = slots_[idx];
       uint64_t tag = slot.tag.load(std::memory_order_acquire);
       if (tag == key) return;
       if (tag == kEmpty || tag == kBusy) continue;  // mid-write elsewhere
-      if (slot.ref.load(std::memory_order_relaxed) != 0) {
-        slot.ref.store(0, std::memory_order_relaxed);
+      if (refs_[idx].load(std::memory_order_relaxed) != 0) {
+        refs_[idx].store(0, std::memory_order_relaxed);
         continue;
       }
       if (slot.tag.compare_exchange_strong(tag, kBusy,
                                            std::memory_order_acq_rel)) {
-        publish(slot);
+        publish(idx);
         evictions_.Add(1);
         return;
       }

@@ -60,9 +60,11 @@ class StripedCounter {
 /// value is recomputable, so a spurious miss is merely a little work).
 ///
 /// When the probe window is full, Insert falls back to CLOCK-style
-/// second-chance eviction inside the window: each slot carries a
-/// reference bit set on hit and on insert; a first sweep clears set bits,
-/// a second sweep replaces the first slot whose bit is still clear. Only
+/// second-chance eviction inside the window: each slot has a reference
+/// bit set on hit and on insert; a first sweep clears set bits, a second
+/// sweep replaces the first slot whose bit is still clear. The bits live
+/// in a byte array beside the slots, so a slot is 32 bytes (tag and three
+/// values) and a 2^17-slot table takes 4.3 MB. Only
 /// under extreme contention (every slot busy or repeatedly raced) does an
 /// insert drop. Since evaluation is a pure function of the key's
 /// preimage, losing a race, dropping, or evicting merely recomputes a
@@ -101,9 +103,9 @@ class SharedEvalCache {
   void PublishGauges() const;
 
  private:
-  struct Slot {
+  // 32 bytes, aligned so that no slot straddles a cache line.
+  struct alignas(32) Slot {
     std::atomic<uint64_t> tag{kEmpty};
-    std::atomic<uint32_t> ref{0};  ///< second-chance reference bit
     // Values are individually atomic so evicting writers never tear a
     // concurrent reader's view; the seqlock tag re-check in Find rejects
     // any read that overlapped a republish.
@@ -111,6 +113,7 @@ class SharedEvalCache {
     std::atomic<double> io_bytes{0.0};
     std::atomic<double> cost{0.0};
   };
+  static_assert(sizeof(Slot) == 32, "a slot is one tag and three values");
   static constexpr uint64_t kEmpty = 0;
   static constexpr uint64_t kBusy = 1;
   static constexpr int kMaxProbe = 16;
@@ -119,6 +122,8 @@ class SharedEvalCache {
   bool Find(uint64_t key, SubQObjectives* out);
 
   std::unique_ptr<Slot[]> slots_;
+  /// Second-chance reference bit of slot i, set on hit and on insert.
+  std::unique_ptr<std::atomic<uint8_t>[]> refs_;
   size_t mask_ = 0;
   StripedCounter size_;
   StripedCounter evictions_;

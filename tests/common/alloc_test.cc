@@ -9,6 +9,11 @@
 #include "common/arena.h"
 #include "common/pareto_flat.h"
 #include "moo/dag_aggregation.h"
+#include "moo/hmooc.h"
+#include "moo/objective_models.h"
+#include "service/cached_model.h"
+#include "service/model_bootstrap.h"
+#include "workload/tpch.h"
 
 // ---------------------------------------------------------------------------
 // Replaceable global allocation functions. Every operator-new form
@@ -133,6 +138,32 @@ TEST(SteadyStateAllocTest, Positions3IsAllocationFreeAfterWarmup) {
   EXPECT_EQ(scratch.kept.size(), a.size());
 }
 
+// HMOOC's batch shape on the analytic model: one or two distinct points
+// repeated, the filter's common case.
+TEST(SteadyStateAllocTest, Positions2IsAllocationFreeAfterWarmup) {
+  ParetoScratch scratch;
+  std::vector<double> x(128), y(128);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = i % 3 == 0 ? 2.0 : 1.0;
+    y[i] = i % 3 == 0 ? 1.0 : 2.0;
+  }
+  const Front2 staircase = Staircase2(256, 1.0, 400.0);
+  for (int r = 0; r < 2; ++r) {
+    FlatParetoPositions(staircase.x.data(), staircase.y.data(),
+                        staircase.size(), &scratch.kept, &scratch);
+  }
+  AllocProbe probe;
+  for (int r = 0; r < 16; ++r) {
+    FlatParetoPositions(staircase.x.data(), staircase.y.data(),
+                        staircase.size(), &scratch.kept, &scratch);
+    EXPECT_EQ(scratch.kept.size(), staircase.size());
+    FlatParetoPositions(x.data(), y.data(), x.size(), &scratch.kept,
+                        &scratch);
+    EXPECT_EQ(scratch.kept.size(), x.size());
+  }
+  EXPECT_EQ(probe.allocations(), 0u);
+}
+
 std::vector<std::vector<SubQEntry>> MakeSets(int m, int per_set, int k) {
   std::vector<std::vector<SubQEntry>> sets(m);
   for (int i = 0; i < m; ++i) {
@@ -231,6 +262,78 @@ TEST_P(DagAggregatorAllocTest, WeightedSumAndBoundaryAreAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(Objectives, DagAggregatorAllocTest,
                          ::testing::Values(2, 3));
+
+// Steps 3-5 of a solve keep their batch rows per thread (RowList), and
+// the models write objective rows in place, so a warm one-thread solve
+// allocates per batch and per front point, not per model row. Each solve
+// gets a fresh model, as a Tuner request does; the warm-up solve only
+// warms the calling thread.
+class SolveAllocTest : public ::testing::TestWithParam<int> {};
+
+// Allocations per model row of a one-thread default-budget solve of
+// `model` with `seed`, after a warm-up solve of `warm` with seed 1.
+double AllocationsPerRow(const SubQObjectiveModel& warm,
+                         const SubQObjectiveModel& model, uint64_t seed) {
+  HmoocOptions opts;
+  opts.num_threads = 1;
+  opts.seed = 1;
+  HmoocSolver(&warm, opts).Solve();
+  opts.seed = seed;
+  AllocProbe probe;
+  const MooRunResult result = HmoocSolver(&model, opts).Solve();
+  const uint64_t allocations = probe.allocations();
+  EXPECT_GT(result.evaluations, 0u);
+  EXPECT_FALSE(result.pareto.empty());
+  return static_cast<double>(allocations) /
+         static_cast<double>(result.evaluations);
+}
+
+TEST_P(SolveAllocTest, AnalyticSolveAllocatesLessThanHalfPerRow) {
+#if defined(SPARKOPT_VERIFY) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "verify and sanitizer builds allocate on the model path";
+#else
+  const std::vector<TableStats> catalog = TpchCatalog(100);
+  const Query q = *MakeTpchQuery(GetParam(), &catalog);
+  const ClusterSpec cluster;
+  const CostModelParams cost;
+  const AnalyticSubQModel warm(&q, cluster, cost);
+  const AnalyticSubQModel model(&q, cluster, cost);
+  EXPECT_LT(AllocationsPerRow(warm, model, /*seed=*/1), 0.5)
+      << "TPC-H Q" << GetParam();
+#endif
+}
+
+// The service's path: a learned model behind the shared cache. The
+// measured solve draws another seed, so nearly every row misses and the
+// cache hands whole batches to the learned model.
+TEST_P(SolveAllocTest, CachedLearnedSolveAllocatesLessThanHalfPerRow) {
+#if defined(SPARKOPT_VERIFY) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "verify and sanitizer builds allocate on the model path";
+#else
+  const std::vector<TableStats> catalog = TpchCatalog(100);
+  const Query q = *MakeTpchQuery(GetParam(), &catalog);
+  const ClusterSpec cluster;
+  const CostModelParams cost;
+  BootstrapOptions bo;
+  bo.samples_per_query = 12;
+  bo.hidden = {24, 12};
+  bo.epochs = 10;
+  auto reg = FitSubQRegressor({&q}, cluster, cost, PriceBook(), bo);
+  ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+  SharedEvalCache cache(size_t{1} << 16);
+  const LearnedSubQModel warm_learned(&q, cluster, cost, &*reg);
+  const LearnedSubQModel learned(&q, cluster, cost, &*reg);
+  const CachedSubQModel warm(&warm_learned, &cache, /*salt=*/0x5EED);
+  const CachedSubQModel model(&learned, &cache, /*salt=*/0x5EED);
+  EXPECT_LT(AllocationsPerRow(warm, model, /*seed=*/2), 0.5)
+      << "TPC-H Q" << GetParam();
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(TpchSf100, SolveAllocTest,
+                         ::testing::Values(9, 18));
 
 TEST(SteadyStateAllocTest, ArenaResetReusesBlocks) {
   MonotonicArena arena;

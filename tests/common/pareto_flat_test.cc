@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,32 @@ TEST_P(FlatKernelPropertyTest, ParetoPositionsMatchReference) {
     const std::vector<size_t> got(kept.begin(), kept.end());
     EXPECT_EQ(got, ReferenceKept(pts)) << "seed " << GetParam();
     // The shim must agree too.
+    EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts));
+  }
+  // HMOOC's batch shapes: up to 128 rows repeating one or two distinct
+  // vectors (on the analytic model a batch usually holds one), with
+  // coordinates from a set that includes +-inf and +-0.0.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kValues[] = {-kInf, -1.0, -0.0, 0.0, 0.5, 3.0, kInf};
+  for (int round = 0; round < 60; ++round) {
+    const int n = 1 + static_cast<int>(rng.NextBounded(128));
+    const int distinct = 1 + round % 2;
+    ObjectiveVector v[2];
+    for (auto& p : v) {
+      p = {kValues[rng.NextBounded(7)], kValues[rng.NextBounded(7)]};
+    }
+    std::vector<ObjectiveVector> pts(n);
+    std::vector<double> x(n), y(n);
+    for (int i = 0; i < n; ++i) {
+      pts[i] = v[rng.NextBounded(distinct)];
+      x[i] = pts[i][0];
+      y[i] = pts[i][1];
+    }
+    std::vector<uint32_t> kept;
+    FlatParetoPositions(x.data(), y.data(), n, &kept, &scratch);
+    const std::vector<size_t> got(kept.begin(), kept.end());
+    EXPECT_EQ(got, ReferenceKept(pts))
+        << "seed " << GetParam() << " round " << round;
     EXPECT_EQ(ParetoIndices(pts), ReferenceKept(pts));
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -113,6 +115,105 @@ TEST(MlpTest, FlatBatchBitwiseIdenticalToSingleRow) {
       EXPECT_EQ(out[r * 3 + k], single[k]) << "row " << r << " out " << k;
     }
   }
+}
+
+bool SameBits(const double* a, const double* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// Every row of a PredictBatchInto call equals Predict on it bit for bit,
+// for `rows` from 1 to 17 and 100: full 8-row tiles, the rows past them,
+// and 1-row calls alike.
+void ExpectBatchRowsMatchPredict(const Mlp& net, uint64_t seed) {
+  const size_t d = static_cast<size_t>(net.input_dim());
+  const size_t k = static_cast<size_t>(net.output_dim());
+  Rng rng(seed);
+  Mlp::BatchScratch scratch;
+  std::vector<size_t> row_counts;
+  for (size_t rows = 1; rows <= 17; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(100);
+  for (const size_t rows : row_counts) {
+    std::vector<double> x(rows * d);
+    for (auto& v : x) v = rng.Uniform(-2, 2);
+    std::vector<double> out(rows * k);
+    net.PredictBatchInto(x.data(), rows, out.data(), &scratch);
+    for (size_t r = 0; r < rows; ++r) {
+      const std::vector<double> row(x.begin() + r * d,
+                                    x.begin() + (r + 1) * d);
+      const std::vector<double> single = net.Predict(row);
+      ASSERT_EQ(single.size(), k);
+      EXPECT_TRUE(SameBits(out.data() + r * k, single.data(), k))
+          << "inputs " << d << ", outputs " << k << ", rows " << rows
+          << ", row " << r;
+    }
+  }
+}
+
+// Layer widths around the AVX2 kernel's register groups (4 outputs per
+// register, up to 8 registers per pass) and its 512-input tile limit.
+TEST(MlpTest, BatchRowsMatchPredictBitwiseAcrossShapes) {
+  for (const int in : {1, 75, 513}) {
+    for (const int out : {1, 2, 3, 4, 5, 12, 16, 24, 25}) {
+      // The hidden layer runs the ReLU path at width `out`, the output
+      // layer the linear one.
+      const Mlp net({in, out, out}, static_cast<uint64_t>(in * 100 + out));
+      ExpectBatchRowsMatchPredict(net, static_cast<uint64_t>(out));
+    }
+  }
+}
+
+Matrix RandomRows(Rng* rng, size_t n, size_t d) {
+  Matrix m(n, std::vector<double>(d));
+  for (auto& row : m) {
+    for (auto& v : row) v = rng->Uniform(-1, 1);
+  }
+  return m;
+}
+
+// The kernel reads trained weights through the transposed copy on every
+// row past the last full tile, and training runs 1-row forward passes, so
+// the copy must follow every Adam step. With no validation split Fit ends
+// on its last step, not on a restored snapshot.
+TEST(MlpTest, TrainedWeightsReachEveryKernelPath) {
+  Rng rng(12);
+  const Matrix x = RandomRows(&rng, 96, 6);
+  Matrix y;
+  for (const auto& row : x) y.push_back({row[0] * row[1], row[2] - row[3]});
+  for (const double validation : {0.0, 0.2}) {
+    Mlp net({6, 12, 5, 2}, 3);
+    Mlp::TrainOptions opts;
+    opts.epochs = 6;
+    opts.batch_size = 16;
+    opts.validation_fraction = validation;
+    ASSERT_TRUE(net.Fit(x, y, opts).ok());
+    ExpectBatchRowsMatchPredict(net, 5);
+  }
+}
+
+TEST(MlpTest, TwoFitsFromOneSeedGiveIdenticalWeights) {
+  Rng rng(13);
+  const Matrix x = RandomRows(&rng, 120, 7);
+  Matrix y;
+  for (const auto& row : x) y.push_back({row[0] + row[4] * row[5]});
+  Mlp::TrainOptions opts;
+  opts.epochs = 8;
+  opts.batch_size = 16;
+  Mlp a({7, 24, 12, 1}, 9);
+  Mlp b({7, 24, 12, 1}, 9);
+  ASSERT_TRUE(a.Fit(x, y, opts).ok());
+  ASSERT_TRUE(b.Fit(x, y, opts).ok());
+  // Bitwise-equal outputs over 100 rows on both kernel paths: with one
+  // shared architecture this pins every weight the rows exercise.
+  const Matrix probe = RandomRows(&rng, 100, 7);
+  const Matrix pa = a.PredictBatch(probe);
+  const Matrix pb = b.PredictBatch(probe);
+  for (size_t r = 0; r < probe.size(); ++r) {
+    EXPECT_TRUE(SameBits(pa[r].data(), pb[r].data(), 1)) << "row " << r;
+    const auto sa = a.Predict(probe[r]);
+    const auto sb = b.Predict(probe[r]);
+    EXPECT_TRUE(SameBits(sa.data(), sb.data(), 1)) << "row " << r;
+  }
+  EXPECT_NE(a.Predict(probe[0]), Mlp({7, 24, 12, 1}, 9).Predict(probe[0]));
 }
 
 TEST(MlpTest, MseFlatMatchesMse) {

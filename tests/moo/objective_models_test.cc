@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "model/trainer.h"
 #include "params/sampler.h"
 #include "service/model_bootstrap.h"
@@ -119,6 +122,59 @@ TEST(LearnedSubQModelTest, BatchRowsMatchSingleEvaluateBitwise) {
     }
   }
   EXPECT_GT(compared, 0u);
+}
+
+bool SameBits(const ObjectiveVector& a, const ObjectiveVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// EvaluateBatch writes rows in place (moo/problem.h): an `out` that holds
+// more rows than the batch, each of the other objective width and full
+// of NaN, must come back with the bits a fresh `out` gets.
+void ExpectReusedOutMatchesFresh(const SubQObjectiveModel& model, int k) {
+  Rng rng(17);
+  const auto confs = SampleLatinHypercube(SparkParamSpace(), 9, &rng);
+  const size_t other = k == 2 ? 3 : 2;
+  for (int subq = 0; subq < model.num_subqs(); ++subq) {
+    std::vector<ObjectiveVector> fresh;
+    model.EvaluateBatch(subq, confs, &fresh);
+    ASSERT_EQ(fresh.size(), confs.size());
+    std::vector<ObjectiveVector> reused(
+        confs.size() + 3,
+        ObjectiveVector(other, std::numeric_limits<double>::quiet_NaN()));
+    model.EvaluateBatch(subq, confs, &reused);
+    ASSERT_EQ(reused.size(), confs.size());
+    for (size_t i = 0; i < confs.size(); ++i) {
+      EXPECT_EQ(fresh[i].size(), static_cast<size_t>(k));
+      EXPECT_TRUE(SameBits(reused[i], fresh[i]))
+          << "k " << k << " subq " << subq << " row " << i;
+    }
+  }
+}
+
+TEST(AnalyticSubQModelTest, BatchRowsAreWrittenInPlace) {
+  Fixture fx;
+  for (const int k : {2, 3}) {
+    AnalyticSubQModel model(&fx.q, fx.cluster, fx.cost);
+    model.set_num_objectives(k);
+    ExpectReusedOutMatchesFresh(model, k);
+  }
+}
+
+TEST(LearnedSubQModelTest, BatchRowsAreWrittenInPlace) {
+  Fixture fx;
+  BootstrapOptions bo;
+  bo.samples_per_query = 12;
+  bo.hidden = {16, 8};
+  bo.epochs = 10;
+  auto reg = FitSubQRegressor({&fx.q}, fx.cluster, fx.cost, PriceBook(), bo);
+  ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+  for (const int k : {2, 3}) {
+    LearnedSubQModel model(&fx.q, fx.cluster, fx.cost, &*reg);
+    model.set_num_objectives(k);
+    ExpectReusedOutMatchesFresh(model, k);
+  }
 }
 
 }  // namespace

@@ -7,11 +7,15 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "moo/objective_models.h"
 #include "params/sampler.h"
 #include "params/spark_params.h"
+#include "workload/tpch.h"
 
 namespace sparkopt {
 namespace {
@@ -84,6 +88,113 @@ TEST(CachedSubQModelTest, NonFiniteObjectivesAreNeverCached) {
     EXPECT_TRUE(SameBits(got, first[row])) << "row " << row;
   }
   EXPECT_EQ(cache.occupancy(), confs.size() - non_finite);
+}
+
+// Confs of TPC-H Q5 for the batch tests: `n` LHS samples of the full
+// space, drawn with `seed`.
+std::vector<std::vector<double>> SampleConfs(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  return SampleLatinHypercube(SparkParamSpace(), n, &rng);
+}
+
+struct AnalyticQuery {
+  std::vector<TableStats> catalog = TpchCatalog(10);
+  ClusterSpec cluster;
+  CostModelParams cost;
+  Query q = *MakeTpchQuery(5, &catalog);
+};
+
+// The cached batch path writes `out` in place: hits from the table, an
+// all-miss batch straight from the inner model, a mixed batch by swapping
+// the misses' rows in. Whatever `out` held before — more rows than the
+// batch, of the other objective width, full of NaN — each of the three
+// must give the bits of a fresh `out` from the inner model.
+TEST(CachedSubQModelTest, ReusedOutRowsGiveFreshBits) {
+  const AnalyticQuery fx;
+  const auto base = SampleConfs(12, 3);
+  const auto extra = SampleConfs(12, 4);
+  for (const int k : {2, 3}) {
+    AnalyticSubQModel inner(&fx.q, fx.cluster, fx.cost);
+    inner.set_num_objectives(k);
+    SharedEvalCache cache(1024);
+    const CachedSubQModel cached(&inner, &cache, /*salt=*/0xC0DE + k);
+    // Mixed: every other row comes from `extra` and misses.
+    std::vector<std::vector<double>> mixed = base;
+    for (size_t i = 0; i < mixed.size(); i += 2) mixed[i] = extra[i];
+    const std::pair<const char*, const std::vector<std::vector<double>>*>
+        batches[] = {{"all-miss", &base}, {"all-hit", &base},
+                     {"mixed", &mixed}};
+    const size_t other = k == 2 ? 3 : 2;
+    for (int subq = 0; subq < inner.num_subqs(); ++subq) {
+      const uint64_t hits_before = cached.shared_hits();
+      for (const auto& [name, confs] : batches) {
+        std::vector<ObjectiveVector> fresh;
+        inner.EvaluateBatch(subq, *confs, &fresh);
+        std::vector<ObjectiveVector> out(
+            confs->size() + 3,
+            ObjectiveVector(other, std::numeric_limits<double>::quiet_NaN()));
+        cached.EvaluateBatch(subq, *confs, &out);
+        ASSERT_EQ(out.size(), confs->size());
+        for (size_t i = 0; i < out.size(); ++i) {
+          EXPECT_TRUE(SameBits(out[i], fresh[i]))
+              << name << " k " << k << " subq " << subq << " row " << i;
+        }
+      }
+      // all-hit hits every row, mixed every odd one.
+      EXPECT_EQ(cached.shared_hits() - hits_before,
+                base.size() + base.size() / 2)
+          << "subq " << subq;
+    }
+  }
+}
+
+// One cache and one cached model shared by four threads, each with its
+// own conf and `out` buffers reused across batches of varying size (the
+// service's sessions): every row has the bits a one-thread pass gets.
+TEST(CachedSubQModelTest, FourThreadsShareOneCacheWithSameBits) {
+  const AnalyticQuery fx;
+  AnalyticSubQModel inner(&fx.q, fx.cluster, fx.cost);
+  const int m = inner.num_subqs();
+  // Overlapping batches: threads ask for some of the same rows, so they
+  // hit each other's inserts as well as their own.
+  std::vector<std::vector<std::vector<double>>> batches;
+  for (uint64_t b = 0; b < 24; ++b) {
+    batches.push_back(SampleConfs(1 + (b * 7) % 17, b % 8));
+  }
+  std::vector<std::vector<std::vector<ObjectiveVector>>> want(batches.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    want[b].resize(m);
+    for (int subq = 0; subq < m; ++subq) {
+      inner.EvaluateBatch(subq, batches[b], &want[b][subq]);
+    }
+  }
+  SharedEvalCache cache(1024);
+  const CachedSubQModel cached(&inner, &cache, /*salt=*/0x4711);
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<ObjectiveVector> out;
+      for (int pass = 0; pass < 3; ++pass) {
+        for (size_t j = 0; j < batches.size(); ++j) {
+          const size_t b = (j + 5 * t) % batches.size();
+          for (int subq = 0; subq < m; ++subq) {
+            cached.EvaluateBatch(subq, batches[b], &out);
+            for (size_t i = 0; i < out.size(); ++i) {
+              if (!SameBits(out[i], want[b][subq][i])) ++mismatches[t];
+            }
+            if (out.size() != want[b][subq].size()) ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_GT(cached.shared_hits(), 0u);
 }
 
 // Counts evaluations; every objective is finite, so every miss inserts.
