@@ -270,6 +270,17 @@ INSTANTIATE_TEST_SUITE_P(Objectives, DagAggregatorAllocTest,
 // warms the calling thread.
 class SolveAllocTest : public ::testing::TestWithParam<int> {};
 
+// Verify builds recompute every stage-table row on the direct path and
+// so allocate per row; sanitizer builds are left out with them, since
+// the probe measures the solver, not an instrumented runtime.
+constexpr bool kSolveAllocIsMeasurable =
+#if defined(SPARKOPT_VERIFY) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+    false;
+#else
+    true;
+#endif
+
 // Allocations per model row of a one-thread default-budget solve of
 // `model` with `seed`, after a warm-up solve of `warm` with seed 1.
 double AllocationsPerRow(const SubQObjectiveModel& warm,
@@ -289,10 +300,9 @@ double AllocationsPerRow(const SubQObjectiveModel& warm,
 }
 
 TEST_P(SolveAllocTest, AnalyticSolveAllocatesLessThanHalfPerRow) {
-#if defined(SPARKOPT_VERIFY) || defined(__SANITIZE_ADDRESS__) || \
-    defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "verify and sanitizer builds allocate on the model path";
-#else
+  if (!kSolveAllocIsMeasurable) {
+    GTEST_SKIP() << "verify and sanitizer builds allocate on the model path";
+  }
   const std::vector<TableStats> catalog = TpchCatalog(100);
   const Query q = *MakeTpchQuery(GetParam(), &catalog);
   const ClusterSpec cluster;
@@ -301,17 +311,15 @@ TEST_P(SolveAllocTest, AnalyticSolveAllocatesLessThanHalfPerRow) {
   const AnalyticSubQModel model(&q, cluster, cost);
   EXPECT_LT(AllocationsPerRow(warm, model, /*seed=*/1), 0.5)
       << "TPC-H Q" << GetParam();
-#endif
 }
 
 // The service's path: a learned model behind the shared cache. The
 // measured solve draws another seed, so nearly every row misses and the
 // cache hands whole batches to the learned model.
 TEST_P(SolveAllocTest, CachedLearnedSolveAllocatesLessThanHalfPerRow) {
-#if defined(SPARKOPT_VERIFY) || defined(__SANITIZE_ADDRESS__) || \
-    defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "verify and sanitizer builds allocate on the model path";
-#else
+  if (!kSolveAllocIsMeasurable) {
+    GTEST_SKIP() << "verify and sanitizer builds allocate on the model path";
+  }
   const std::vector<TableStats> catalog = TpchCatalog(100);
   const Query q = *MakeTpchQuery(GetParam(), &catalog);
   const ClusterSpec cluster;
@@ -329,7 +337,6 @@ TEST_P(SolveAllocTest, CachedLearnedSolveAllocatesLessThanHalfPerRow) {
   const CachedSubQModel model(&learned, &cache, /*salt=*/0x5EED);
   EXPECT_LT(AllocationsPerRow(warm, model, /*seed=*/2), 0.5)
       << "TPC-H Q" << GetParam();
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(TpchSf100, SolveAllocTest,
