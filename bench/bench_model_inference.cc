@@ -178,6 +178,11 @@ void EmitInferenceResults() {
 // theta_c, on a fresh model per pass, so the first theta_c builds each
 // stage and the other seven reuse it.
 //
+// `skewed_pool_ns_per_row` (analytic) times the same pool batches on
+// Q9's two skewed subQs only (operator key skew above 0): their shuffle
+// stages spread the input over one partition run per distinct task size,
+// so a row adds many runs' task latencies.
+//
 // `small_call_ns_per_row` (learned) times the 1-row calls of HMOOC's
 // steps 4-5, where a member theta_c meets the few pool entries that were
 // Pareto-optimal for its representative: on a fresh model per pass, one
@@ -282,13 +287,24 @@ void EmitModelRowResults() {
     }
   }
 
-  // HMOOC-shaped pool batches, on a fresh model of each kind per pass.
-  const auto time_pool = [&](auto make_model) {
+  // HMOOC-shaped pool batches on the subQs `on`, on a fresh model of each
+  // kind per pass.
+  std::vector<int> all(subqs), skewed;
+  QueryStage stage;
+  for (int s = 0; s < subqs; ++s) {
+    all[s] = s;
+    double skew = 0.0;
+    eval.PlanStage(s, DecodePlan(DefaultSparkConfig()),
+                   CardinalitySource::kEstimated,
+                   /*completed_subqs=*/nullptr, &skew, &stage);
+    if (skew > 0.0) skewed.push_back(s);
+  }
+  const auto time_pool = [&](auto make_model, const std::vector<int>& on) {
     double seconds = 0.0;
     for (int p = 0; p < passes; ++p) {
       const auto model = make_model();
       const benchutil::Timer timer;
-      for (int s = 0; s < subqs; ++s) {
+      for (const int s : on) {
         for (const auto& batch : pool) {
           model->EvaluateBatch(s, batch, &out);
           benchmark::DoNotOptimize(out.data());
@@ -296,14 +312,20 @@ void EmitModelRowResults() {
       }
       seconds += timer.Seconds();
     }
-    return seconds * 1e9 / pool_rows;
+    return seconds * 1e9 /
+           (static_cast<double>(passes) * on.size() * theta_c.size() *
+            slices.size());
   };
-  const double analytic_pool_ns = time_pool([&] {
+  const auto make_analytic = [&] {
     return std::make_unique<AnalyticSubQModel>(&q9, cluster, cost);
-  });
-  const double learned_pool_ns = time_pool([&] {
-    return std::make_unique<LearnedSubQModel>(&q9, cluster, cost, &*reg);
-  });
+  };
+  const double analytic_pool_ns = time_pool(make_analytic, all);
+  const double skewed_pool_ns = time_pool(make_analytic, skewed);
+  const double learned_pool_ns = time_pool(
+      [&] {
+        return std::make_unique<LearnedSubQModel>(&q9, cluster, cost, &*reg);
+      },
+      all);
   double small_call_s = 0.0;
   std::vector<std::vector<double>> one(1);
   for (int p = 0; p < passes; ++p) {
@@ -328,6 +350,7 @@ void EmitModelRowResults() {
     o.emplace_back("model", obs::Json("analytic"));
     o.emplace_back("ns_per_row", obs::Json(analytic_s * ns));
     o.emplace_back("pool_ns_per_row", obs::Json(analytic_pool_ns));
+    o.emplace_back("skewed_pool_ns_per_row", obs::Json(skewed_pool_ns));
     o.emplace_back("rows", obs::Json(rows));
     benchutil::EmitJson("model_row", obs::Json(std::move(o)));
   }

@@ -42,9 +42,39 @@ class TaskCostModel {
   TaskCostModel(const ClusterSpec& cluster, const CostModelParams& params)
       : cluster_(cluster), params_(params) {}
 
+  /// \brief What a task latency reads of its stage and theta_c, computed
+  /// once per (stage, theta_c): the task formula below takes it with the
+  /// task's input bytes. Each field is computed by the operations the
+  /// formula would apply per task, so hoisting it moves no bit.
+  struct TaskContext {
+    double stage_bytes = 1.0;  ///< max(input_bytes, 1)
+    double cpu_work = 0.0;
+    double gc_factor = 1.0;    ///< memory.fraction's GC multiplier
+    bool scan = false;
+    double scan_mbps = 0.0;    ///< per-task scan bandwidth
+    bool shuffle_read = false;
+    double read_frac = 0.0;    ///< shuffle-read share of the input
+    double read_mbps = 0.0;
+    bool compress = false;
+    bool writes = false;
+    double write_io_s = 0.0;   ///< shuffle-write seconds, the same per task
+    bool large_working_set = false;  ///< joins and sorts hold 1.6x
+    double broadcast_mb = 0.0;
+    double mem_mb = 0.0;       ///< execution memory per task
+  };
+
+  /// The per-(stage, theta_c) part of TaskLatency.
+  TaskContext StageContext(const StageScalars& stage,
+                           const ContextParams& theta_c) const;
+
+  /// Noise-free latency (seconds) of one task of `ctx`'s stage that reads
+  /// `part_bytes` input bytes: the one task formula.
+  double TaskLatency(const TaskContext& ctx, double part_bytes) const;
+
   /// Latency (seconds) of task `task_idx` of `stage`, which reads
-  /// `part_bytes` input bytes. `seed` and `task_idx` key the deterministic
-  /// noise stream; pass 0 noise via params.noise_sigma = 0.
+  /// `part_bytes` input bytes: the task formula under StageContext(stage,
+  /// theta_c), times the noise. `seed` and `task_idx` key the
+  /// deterministic noise stream; pass 0 noise via params.noise_sigma = 0.
   double TaskLatency(const StageScalars& stage, double part_bytes,
                      int task_idx, const ContextParams& theta_c,
                      uint64_t seed) const;

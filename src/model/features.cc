@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/repeated_sum.h"
 #include "common/rng.h"
 
 namespace sparkopt {
@@ -68,11 +69,12 @@ std::vector<double> PartitionDistributionStats(
   std::vector<double> out(FeatureLayout::kBeta, 0.0);
   if (partitions.empty()) return out;
   // Both sums add every task's term in task order, as over the expanded
-  // sizes.
+  // sizes (RepeatedSum gives the bits of adding a run's term one task at
+  // a time).
   double sum = 0.0, mx = 0.0, mn = 1e300;
   int n = 0;
   for (const PartitionRun& r : partitions) {
-    for (int i = 0; i < r.count; ++i) sum += r.bytes;
+    sum = RepeatedSum(sum, r.bytes, r.count);
     mx = std::max(mx, r.bytes);
     mn = std::min(mn, r.bytes);
     n += r.count;
@@ -82,7 +84,7 @@ std::vector<double> PartitionDistributionStats(
   double var = 0.0;
   for (const PartitionRun& r : partitions) {
     const double sq = (r.bytes - mu) * (r.bytes - mu);
-    for (int i = 0; i < r.count; ++i) var += sq;
+    var = RepeatedSum(var, sq, r.count);
   }
   const double sigma = std::sqrt(var / static_cast<double>(n));
   out[0] = sigma / mu;          // std-to-average ratio
@@ -104,7 +106,9 @@ std::vector<double> StageFeatures(
   std::vector<double> f(FeatureLayout::Total(), 0.0);
   WriteSubQFeatures(plan, stage.op_ids, use_true_cards, f.data());
   // The caller built `stage` with the matching cardinality source.
-  WriteStageFeatures(stage, f.data());
+  double cardinality[FeatureLayout::kCardinality];
+  WriteCardinalityBlock(stage, cardinality);
+  WriteStageFeatures(stage, cardinality, f.data());
   // beta: partition distribution (0 = uniform assumption).
   for (int i = 0; i < FeatureLayout::kBeta; ++i) {
     f[kBetaAt + i] = i < static_cast<int>(beta.size()) ? beta[i] : 0.0;
@@ -114,7 +118,8 @@ std::vector<double> StageFeatures(
     f[kGammaAt + i] = i < static_cast<int>(gamma.size()) ? gamma[i] : 0.0;
   }
   WriteSliceFeatures(conf, drop_theta_p, f.data());
-  WriteRowFeatures(conf, DecodeContext(conf), stage, f.data());
+  WriteRowFeatures(MakeContextFeatures(conf, DecodeContext(conf)), stage,
+                   f.data());
   return f;
 }
 
@@ -174,16 +179,21 @@ void WriteSliceFeatures(const std::vector<double>& conf, bool drop_theta_p,
   }
 }
 
-void WriteStageFeatures(const StageScalars& stage, double* f) {
+void WriteCardinalityBlock(const StageScalars& stage, double* block) {
+  block[0] = Log1p(stage.input_rows);
+  block[1] = Log1p(stage.input_bytes);
+  block[2] = Log1p(stage.output_rows);
+  block[3] = Log1p(stage.output_bytes);
+  block[4] = Log1p(stage.shuffle_read_bytes);
+  block[5] = Log1p(stage.broadcast_bytes);
+  block[6] = Log1p(stage.cpu_work);
+  block[7] = Log1p(stage.sort_work);
+}
+
+void WriteStageFeatures(const StageScalars& stage, const double* cardinality,
+                        double* f) {
   // ---- cardinality block ----
-  f[kCardinalityAt + 0] = Log1p(stage.input_rows);
-  f[kCardinalityAt + 1] = Log1p(stage.input_bytes);
-  f[kCardinalityAt + 2] = Log1p(stage.output_rows);
-  f[kCardinalityAt + 3] = Log1p(stage.output_bytes);
-  f[kCardinalityAt + 4] = Log1p(stage.shuffle_read_bytes);
-  f[kCardinalityAt + 5] = Log1p(stage.broadcast_bytes);
-  f[kCardinalityAt + 6] = Log1p(stage.cpu_work);
-  f[kCardinalityAt + 7] = Log1p(stage.sort_work);
+  std::copy_n(cardinality, FeatureLayout::kCardinality, f + kCardinalityAt);
 
   // ---- stage metadata: join and stage flags ----
   const auto joins_by = [&stage](JoinAlgo algo) {
@@ -197,25 +207,35 @@ void WriteStageFeatures(const StageScalars& stage, double* f) {
   f[kMetaAt + 6] = stage.exchanges_output ? 1.0 : 0.0;
 }
 
-void WriteRowFeatures(const std::vector<double>& conf,
-                      const ContextParams& tc, const StageScalars& stage,
-                      double* f) {
+ContextFeatures MakeContextFeatures(const std::vector<double>& conf,
+                                    const ContextParams& tc) {
+  ContextFeatures c;
   // ---- theta_c: normalized context parameters ----
   const auto& space = SparkParamSpace();
-  for (size_t i = 0; i < kAdvisoryPartitionSizeMb; ++i) {
-    f[FeatureLayout::kThetaOffset + i] =
-        i < conf.size() ? space.spec(i).Normalize(conf[i]) : 0.0;
+  for (size_t i = 0; i < c.theta.size(); ++i) {
+    c.theta[i] = i < conf.size() ? space.spec(i).Normalize(conf[i]) : 0.0;
   }
+  // ---- derived interaction terms of theta_c alone ----
+  c.cores = std::max(1, tc.TotalCores());
+  c.log_cores = Log1p(c.cores);
+  c.log_memory = Log1p(tc.MemoryPerTaskMb());
+  return c;
+}
+
+void WriteRowFeatures(const ContextFeatures& tc, const StageScalars& stage,
+                      double* f) {
+  std::copy(tc.theta.begin(), tc.theta.end(),
+            f + FeatureLayout::kThetaOffset);
 
   // ---- stage metadata: partition count ----
   f[kMetaAt + 5] = Log1p(stage.num_partitions);
 
   // ---- derived interaction terms ----
-  const double cores = std::max(1, tc.TotalCores());
-  f[kDerivedAt + 0] = Log1p(cores);
-  f[kDerivedAt + 1] = Log1p(tc.MemoryPerTaskMb());
-  f[kDerivedAt + 2] = Log1p(stage.num_partitions / cores);
-  f[kDerivedAt + 3] = Log1p(stage.input_bytes / (1024.0 * 1024.0) / cores);
+  f[kDerivedAt + 0] = tc.log_cores;
+  f[kDerivedAt + 1] = tc.log_memory;
+  f[kDerivedAt + 2] = Log1p(stage.num_partitions / tc.cores);
+  f[kDerivedAt + 3] =
+      Log1p(stage.input_bytes / (1024.0 * 1024.0) / tc.cores);
 }
 
 std::vector<double> CollapsedPlanFeatures(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "exec/simulator.h"
@@ -69,10 +70,11 @@ std::vector<double> ContentionStats(const StageExecution& se);
 /// the runtime QS target pass observed values and set `drop_theta_p` so
 /// the already-applied plan parameters are zeroed.
 ///
-/// It writes the row with the four block writers below, split by what
-/// fixes each block, plus beta and gamma. The stage table
-/// (model/stage_table.h) assembles compile-time rows from the same
-/// writers, so both paths write the same bits.
+/// It writes the row with the block writers below, split by what fixes
+/// each block (subQ, slice, stage, theta_c, row), plus beta and gamma.
+/// The stage table (model/stage_table.h) keeps the fixed blocks and
+/// assembles compile-time rows from the same writers, so both paths
+/// write the same bits.
 std::vector<double> StageFeatures(
     const LogicalPlan& plan, const QueryStage& stage,
     const std::vector<double>& conf, bool use_true_cards,
@@ -92,14 +94,32 @@ void WriteSubQFeatures(const LogicalPlan& plan, const std::vector<int>& op_ids,
 void WriteSliceFeatures(const std::vector<double>& conf, bool drop_theta_p,
                         double* f);
 
-/// Per stage: the cardinality block and the join and stage flags.
-void WriteStageFeatures(const StageScalars& stage, double* f);
+/// Per stage: the cardinality block, FeatureLayout::kCardinality values
+/// written to `block`. It does not read the stage's partition count.
+void WriteCardinalityBlock(const StageScalars& stage, double* block);
 
-/// Per row: conf's normalized theta_c, the stage's partition count and
-/// the derived block. `theta_c` is conf's decoded theta_c.
-void WriteRowFeatures(const std::vector<double>& conf,
-                      const ContextParams& theta_c, const StageScalars& stage,
-                      double* f);
+/// Per stage: the cardinality block `cardinality` (WriteCardinalityBlock
+/// of `stage`) and the join and stage flags.
+void WriteStageFeatures(const StageScalars& stage, const double* cardinality,
+                        double* f);
+
+/// The theta_c block of a row, fixed by theta_c alone: conf's normalized
+/// theta_c and the two derived terms no stage enters.
+struct ContextFeatures {
+  std::array<double, kAdvisoryPartitionSizeMb> theta{};
+  double cores = 1.0;       ///< total cores, at least 1
+  double log_cores = 0.0;   ///< Log1p(cores)
+  double log_memory = 0.0;  ///< Log1p(memory per task, MB)
+};
+
+/// conf's theta_c block; `theta_c` is conf's decoded theta_c.
+ContextFeatures MakeContextFeatures(const std::vector<double>& conf,
+                                    const ContextParams& theta_c);
+
+/// Per row: the theta_c block, the stage's partition count and the
+/// derived terms that read the stage.
+void WriteRowFeatures(const ContextFeatures& theta_c,
+                      const StageScalars& stage, double* f);
 
 /// \brief Pooled features of a collapsed plan (the LQP-bar target): mean
 /// of the member subQ stage features over the *remaining* subQs plus the

@@ -1,6 +1,7 @@
 #include "model/stage_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -24,15 +25,88 @@ constexpr size_t kArenaBlockBytes = 16 << 10;
 static_assert(std::is_trivially_copyable_v<StageTable::Slice>);
 static_assert(std::is_trivially_copyable_v<StageTable::Entry>);
 
+// An odd multiplier per slice entry (SplitMix64 of i + 1, low bit set).
+constexpr uint64_t SliceMultiplier(size_t i) {
+  uint64_t z = (i + 1) * 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return (z ^ (z >> 31)) | 1;
+}
+
+// The slice index's hash, paid by every row: each entry's bits times its
+// own odd multiplier, summed, then mixed. The products are independent,
+// so they pipeline where a chained word hash waits on each step. Two
+// slices that differ in one entry never collide.
 uint64_t SliceHash(const std::vector<double>& conf) {
-  return Mix64(HashWords(conf.data() + StageTable::kSliceBegin,
-                         StageTable::kSliceWidth));
+  uint64_t h = 0;
+  for (size_t i = 0; i < StageTable::kSliceWidth; ++i) {
+    h += std::bit_cast<uint64_t>(conf[StageTable::kSliceBegin + i]) *
+         SliceMultiplier(i);
+  }
+  return Mix64(h);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// A stage's content, every field by its bits, with its skew and runs: the
+// equality canonical ids stand for. The scalars carry the subQ id, so
+// entries of different subQs never compare equal.
+uint64_t StageHash(const StageScalars& st, double skew,
+                   std::span<const PartitionRun> runs) {
+  uint64_t h = HashCombine(static_cast<uint64_t>(st.subq_id),
+                           static_cast<uint64_t>(st.num_partitions));
+  for (const double v : {st.input_rows, st.input_bytes, st.output_rows,
+                         st.output_bytes, st.shuffle_read_bytes,
+                         st.broadcast_bytes, st.cpu_work, st.sort_work,
+                         skew}) {
+    h = HashCombine(h, Bits(v));
+  }
+  h = HashCombine(h, (st.is_scan_stage ? 1u : 0u) |
+                         (st.exchanges_output ? 2u : 0u) |
+                         (st.has_join ? 4u : 0u) |
+                         static_cast<uint64_t>(st.join_algo) << 3);
+  for (const PartitionRun& r : runs) {
+    h = HashCombine(HashCombine(h, static_cast<uint64_t>(r.count)),
+                    Bits(r.bytes));
+  }
+  return Mix64(h);
+}
+
+bool SameStage(const StageTable::Entry& e, const StageScalars& st,
+               double skew, std::span<const PartitionRun> runs) {
+  const StageScalars& a = e.stage;
+  if (a.id != st.id || a.subq_id != st.subq_id ||
+      a.num_partitions != st.num_partitions ||
+      Bits(a.input_rows) != Bits(st.input_rows) ||
+      Bits(a.input_bytes) != Bits(st.input_bytes) ||
+      Bits(a.output_rows) != Bits(st.output_rows) ||
+      Bits(a.output_bytes) != Bits(st.output_bytes) ||
+      Bits(a.shuffle_read_bytes) != Bits(st.shuffle_read_bytes) ||
+      Bits(a.broadcast_bytes) != Bits(st.broadcast_bytes) ||
+      a.is_scan_stage != st.is_scan_stage ||
+      a.exchanges_output != st.exchanges_output ||
+      Bits(a.cpu_work) != Bits(st.cpu_work) ||
+      Bits(a.sort_work) != Bits(st.sort_work) ||
+      a.join_algo != st.join_algo || a.has_join != st.has_join ||
+      Bits(e.skew) != Bits(skew) ||
+      static_cast<size_t>(e.num_runs) != runs.size()) {
+    return false;
+  }
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (e.runs[r].count != runs[r].count ||
+        Bits(e.runs[r].bytes) != Bits(runs[r].bytes)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
 StageTable::StageTable(const SubQEvaluator* evaluator, bool with_features)
-    : evaluator_(evaluator), arena_(kArenaBlockBytes) {
+    : evaluator_(evaluator),
+      with_features_(with_features),
+      arena_(kArenaBlockBytes) {
   const int m = evaluator_->num_subqs();
   if (with_features) {
     const size_t d = FeatureLayout::Total();
@@ -44,8 +118,12 @@ StageTable::StageTable(const SubQEvaluator* evaluator, bool with_features)
     }
   }
   MutexLock lock(mu_);
+  slices_.reserve(kMaxSlices);
   slice_index_.assign(kIndexSlots, -1);
   entries_.resize(m);
+  canonical_.reserve(kMaxSlices);
+  canonical_index_.assign(kIndexSlots, -1);
+  canonical_count_.assign(m, 0);
 }
 
 int StageTable::FindOrAddSlice(const std::vector<double>& conf) {
@@ -75,22 +153,56 @@ int StageTable::FindOrAddSlice(const std::vector<double>& conf) {
 const StageTable::Entry* StageTable::BuildEntry(int subq,
                                                 const Slice& slice) {
   double skew = 0.0;
-  QueryStage st = evaluator_->PlanStage(subq, slice.theta_p,
-                                        CardinalitySource::kEstimated,
-                                        /*completed_subqs=*/nullptr, &skew);
+  evaluator_->PlanStage(subq, slice.theta_p, CardinalitySource::kEstimated,
+                        /*completed_subqs=*/nullptr, &skew, &build_);
+  if (!build_.is_scan_stage) {
+    // A shuffle stage's partitioning reads no theta_c.
+    PartitionStage(ContextParams(), slice.theta_p, slice.theta_s, skew,
+                   &build_);
+  }
+  const std::span<const PartitionRun> runs(build_.partitions);
+  const size_t mask = canonical_index_.size() - 1;
+  size_t at = StageHash(build_, skew, runs) & mask;
+  for (;; at = (at + 1) & mask) {
+    const int found = canonical_index_[at];
+    if (found < 0) break;
+    if (SameStage(*canonical_[found], build_, skew, runs)) {
+      return canonical_[found];
+    }
+  }
   Entry* e = arena_.AllocArray<Entry>(1);
   *e = Entry();
+  e->stage = build_;
   e->skew = skew;
-  if (!st.is_scan_stage) {
-    // A shuffle stage's partitioning reads no theta_c.
-    PartitionStage(ContextParams(), slice.theta_p, slice.theta_s, skew, &st);
-    PartitionRun* runs = arena_.AllocArray<PartitionRun>(st.partitions.size());
-    std::copy(st.partitions.begin(), st.partitions.end(), runs);
-    e->runs = runs;
-    e->num_runs = static_cast<int>(st.partitions.size());
+  if (!runs.empty()) {
+    PartitionRun* copy = arena_.AllocArray<PartitionRun>(runs.size());
+    std::copy(runs.begin(), runs.end(), copy);
+    e->runs = copy;
+    e->num_runs = static_cast<int>(runs.size());
   }
-  e->stage = st;
+  e->canonical = canonical_count_[subq]++;
+  if (with_features_) {
+    double* block = arena_.AllocArray<double>(FeatureLayout::kCardinality);
+    WriteCardinalityBlock(e->stage, block);
+    e->cardinality = block;
+  }
+  canonical_index_[at] = static_cast<int>(canonical_.size());
+  canonical_.push_back(e);
+  if (2 * canonical_.size() >= canonical_index_.size()) GrowCanonicalIndex();
   return e;
+}
+
+void StageTable::GrowCanonicalIndex() {
+  canonical_index_.assign(2 * canonical_index_.size(), -1);
+  const size_t mask = canonical_index_.size() - 1;
+  for (size_t i = 0; i < canonical_.size(); ++i) {
+    const Entry& e = *canonical_[i];
+    size_t at = StageHash(e.stage, e.skew,
+                          {e.runs, static_cast<size_t>(e.num_runs)}) &
+                mask;
+    while (canonical_index_[at] >= 0) at = (at + 1) & mask;
+    canonical_index_[at] = static_cast<int>(i);
+  }
 }
 
 void StageTable::Resolve(int subq,
@@ -99,6 +211,7 @@ void StageTable::Resolve(int subq,
   rows->assign(confs.size(), Row());
   MutexLock lock(mu_);
   std::vector<const Entry*>& by_slice = entries_[subq];
+  by_slice.reserve(kMaxSlices);
   for (size_t i = 0; i < confs.size(); ++i) {
     if (confs[i].size() != kNumSparkParams) continue;
     const int slice = FindOrAddSlice(confs[i]);
@@ -112,13 +225,19 @@ void StageTable::Resolve(int subq,
   }
 }
 
+int StageTable::PartitionCount(const Row& row,
+                               const ContextParams& theta_c) {
+  const StageScalars& st = row.entry->stage;
+  return st.is_scan_stage
+             ? ScanPartitionCount(st.input_bytes, theta_c.default_parallelism,
+                                  row.slice->theta_p)
+             : st.num_partitions;
+}
+
 StageScalars StageTable::Scalars(const Row& row,
                                  const ContextParams& theta_c) {
   StageScalars st = row.entry->stage;
-  if (st.is_scan_stage) {
-    st.num_partitions = ScanPartitionCount(
-        st.input_bytes, theta_c.default_parallelism, row.slice->theta_p);
-  }
+  st.num_partitions = PartitionCount(row, theta_c);
   return st;
 }
 
@@ -138,18 +257,16 @@ std::span<const PartitionRun> StageTable::Runs(
 }
 
 void StageTable::WriteFeatures(int subq, const Row& row,
-                               const std::vector<double>& conf,
-                               const ContextParams& theta_c,
+                               const ContextFeatures& theta_c,
                                const StageScalars& stage, double* f) const {
   const size_t d = FeatureLayout::Total();
-  SPARKOPT_DCHECK(subq_features_.size() ==
-                  static_cast<size_t>(evaluator_->num_subqs()) * d)
+  SPARKOPT_DCHECK(row.entry->cardinality != nullptr)
       << "StageTable built without features";
   std::copy_n(subq_features_.data() + subq * d, d, f);
   std::copy(row.slice->features.begin(), row.slice->features.end(),
             f + FeatureLayout::kThetaOffset + kSliceBegin);
-  WriteStageFeatures(stage, f);
-  WriteRowFeatures(conf, theta_c, stage, f);
+  WriteStageFeatures(stage, row.entry->cardinality, f);
+  WriteRowFeatures(theta_c, stage, f);
 }
 
 int StageTable::num_slices() const {

@@ -30,6 +30,14 @@
 /// `shuffle_partitions` 200.2 and 200.8 decode to the same 200 but are
 /// different features.
 ///
+/// Many slices build the same stage: a scan stage reads only the join
+/// choices of its slice, and coalescing maps many shuffle partition
+/// counts to the same runs. So each entry is kept once per subQ, with a
+/// canonical id: slices whose stages are equal bit for bit (scalars, skew
+/// and runs) share one entry, found at build time through a hash index
+/// and a full compare. A model then costs each distinct (canonical id,
+/// partition count) once per theta_c (AnalyticSubQModel::EvaluateBatch).
+///
 /// Each model owns one table, and models are built per solve (Tuner::Run,
 /// TuningService::Solve), so a table lives one solve. It holds at most
 /// kMaxSlices slices; rows of further slices are left unresolved and take
@@ -57,14 +65,21 @@ class StageTable {
     std::array<double, kSliceWidth> features;
   };
 
-  /// One subQ's stage under one slice. On a shuffle stage it is the whole
-  /// stage; on a scan stage `stage.num_partitions` is left unset, and the
-  /// row's theta_c sets it (see Scalars).
+  /// One subQ's stage under one or more slices. On a shuffle stage it is
+  /// the whole stage; on a scan stage `stage.num_partitions` is left
+  /// unset, and the row's theta_c sets it (see Scalars).
   struct Entry {
     StageScalars stage;
     double skew = 0.0;  ///< the operators' key skew (PlanStage)
     const PartitionRun* runs = nullptr;  ///< shuffle stages only
     int num_runs = 0;
+    /// Dense per subQ from 0. Slices of one subQ get the same entry, and
+    /// so the same id, exactly when their stage, skew and runs are equal
+    /// bit for bit.
+    int canonical = -1;
+    /// WriteCardinalityBlock of `stage`, FeatureLayout::kCardinality
+    /// values; tables built with features only.
+    const double* cardinality = nullptr;
   };
 
   /// A row's slice and entry; both null when the row takes the direct
@@ -87,8 +102,12 @@ class StageTable {
   void Resolve(int subq, const std::vector<std::vector<double>>& confs,
                std::vector<Row>* rows) SPARKOPT_EXCLUDES(mu_);
 
-  /// The row's stage scalars under `theta_c`: a scan stage gets its
-  /// partition count from ScanPartitionCount.
+  /// The row's partition count under `theta_c`: ScanPartitionCount on a
+  /// scan stage, the entry's own on a shuffle stage.
+  static int PartitionCount(const Row& row, const ContextParams& theta_c);
+
+  /// The row's stage scalars under `theta_c`: the entry's, with
+  /// PartitionCount.
   static StageScalars Scalars(const Row& row, const ContextParams& theta_c);
 
   /// The partition runs of `stage` = Scalars(row, theta_c): the entry's
@@ -104,12 +123,13 @@ class StageTable {
   /// from the same block writers StageFeatures calls: equal, bit for bit,
   /// to StageFeatures of BuildStage under conf with estimated
   /// cardinalities, no beta, no gamma and theta_p kept. `theta_c` is
-  /// conf's decoded theta_c and `stage` = Scalars(row, theta_c).
+  /// MakeContextFeatures of conf and its decoded theta_c, and `stage` =
+  /// Scalars(row, decoded theta_c). The subQ, slice, cardinality and
+  /// theta_c blocks are copied; only the partition terms are computed.
   /// Requires `with_features`.
   void WriteFeatures(int subq, const Row& row,
-                     const std::vector<double>& conf,
-                     const ContextParams& theta_c, const StageScalars& stage,
-                     double* f) const;
+                     const ContextFeatures& theta_c,
+                     const StageScalars& stage, double* f) const;
 
   /// Slices held (at most kMaxSlices).
   int num_slices() const SPARKOPT_EXCLUDES(mu_);
@@ -117,22 +137,36 @@ class StageTable {
  private:
   /// The slice number of conf's slice, added if new; -1 past the cap.
   int FindOrAddSlice(const std::vector<double>& conf) SPARKOPT_REQUIRES(mu_);
+  /// Plans the subQ's stage under `slice` into `build_`, then returns the
+  /// held entry equal to it, or a new one.
   const Entry* BuildEntry(int subq, const Slice& slice)
       SPARKOPT_REQUIRES(mu_);
+  /// Doubles the canonical index once it is half full.
+  void GrowCanonicalIndex() SPARKOPT_REQUIRES(mu_);
 
   const SubQEvaluator* evaluator_;
+  const bool with_features_;
   /// Per-subQ feature blocks, FeatureLayout::Total() per subQ (zeros
   /// outside them); empty without `with_features`. Set once.
   std::vector<double> subq_features_;
 
   mutable Mutex mu_;
-  /// Slices, entries and runs; allocations never move.
+  /// Slices, entries, runs and cardinality blocks; allocations never
+  /// move.
   MonotonicArena arena_ SPARKOPT_GUARDED_BY(mu_);
   std::vector<const Slice*> slices_ SPARKOPT_GUARDED_BY(mu_);
   /// Open addressing over slice key hashes: slice number, or -1.
   std::vector<int> slice_index_ SPARKOPT_GUARDED_BY(mu_);
   /// entries_[subq][slice]; null until built.
   std::vector<std::vector<const Entry*>> entries_ SPARKOPT_GUARDED_BY(mu_);
+  /// The distinct entries of every subQ, and open addressing over their
+  /// content hashes: a position in canonical_, or -1.
+  std::vector<const Entry*> canonical_ SPARKOPT_GUARDED_BY(mu_);
+  std::vector<int> canonical_index_ SPARKOPT_GUARDED_BY(mu_);
+  /// Canonical ids given out per subQ.
+  std::vector<int> canonical_count_ SPARKOPT_GUARDED_BY(mu_);
+  /// The stage BuildEntry plans into, its vectors reused.
+  QueryStage build_ SPARKOPT_GUARDED_BY(mu_);
 };
 
 }  // namespace sparkopt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/repeated_sum.h"
 #include "obs/trace.h"
 
 namespace sparkopt {
@@ -36,23 +37,28 @@ QueryStage SubQEvaluator::BuildStage(
     const StageParams& ts, CardinalitySource source,
     const std::vector<bool>* completed_subqs) const {
   double skew = 0.0;
-  QueryStage st = PlanStage(subq_id, tp, source, completed_subqs, &skew);
+  QueryStage st;
+  PlanStage(subq_id, tp, source, completed_subqs, &skew, &st);
   PartitionStage(theta_c, tp, ts, skew, &st);
   return st;
 }
 
-QueryStage SubQEvaluator::PlanStage(int subq_id, const PlanParams& tp,
-                                    CardinalitySource source,
-                                    const std::vector<bool>* completed_subqs,
-                                    double* skew_out) const {
+void SubQEvaluator::PlanStage(int subq_id, const PlanParams& tp,
+                              CardinalitySource source,
+                              const std::vector<bool>* completed_subqs,
+                              double* skew_out, QueryStage* out) const {
   const auto& plan = query_->plan;
   const auto& sq = subqs_[subq_id];
   const BelievedCardinality card(plan, subq_of_op_, source, completed_subqs);
 
-  QueryStage st;
+  QueryStage& st = *out;
+  static_cast<StageScalars&>(st) = StageScalars();
   st.id = subq_id;
   st.subq_id = subq_id;
-  st.op_ids = sq.op_ids;
+  st.op_ids.assign(sq.op_ids.begin(), sq.op_ids.end());
+  st.deps.clear();
+  st.broadcast_deps.clear();
+  st.partitions.clear();
   double skew = 0.0;
 
   for (int id : sq.op_ids) {
@@ -142,7 +148,6 @@ QueryStage SubQEvaluator::PlanStage(int subq_id, const PlanParams& tp,
   st.output_bytes = card.bytes(root_op);
   st.exchanges_output = root_op != plan.root();
   *skew_out = skew;
-  return st;
 }
 
 SubQObjectives SubQEvaluator::Evaluate(
@@ -161,19 +166,20 @@ SubQObjectives SubQEvaluator::CostStage(const StageScalars& st,
                                         const ContextParams& theta_c) const {
   // Equal partitions cost the same, so each run is costed once. All
   // partitions equal: n x L. Otherwise each task's latency is added in
-  // task order.
+  // task order, a run's count times over (RepeatedSum, the loop's bits),
+  // under one task context: the cost model here is noise-free, so a
+  // task's latency does not depend on its index.
   double task_sum = 0.0;
   if (runs.size() == 1) {
     task_sum = st.num_partitions *
                cost_model_.TaskLatency(st, runs[0].bytes, 0, theta_c,
                                        /*seed=*/0);
   } else {
-    int task = 0;
+    const TaskCostModel::TaskContext ctx =
+        cost_model_.StageContext(st, theta_c);
     for (const PartitionRun& run : runs) {
-      const double latency =
-          cost_model_.TaskLatency(st, run.bytes, task, theta_c, /*seed=*/0);
-      for (int i = 0; i < run.count; ++i) task_sum += latency;
-      task += run.count;
+      task_sum = RepeatedSum(task_sum, cost_model_.TaskLatency(ctx, run.bytes),
+                             run.count);
     }
   }
   const int cores = std::min(theta_c.TotalCores(),

@@ -64,14 +64,14 @@ class SubQEvaluator {
                         const std::vector<bool>* completed_subqs =
                             nullptr) const;
 
-  /// \brief The theta_p part of BuildStage: the stage before partitioning
-  /// (no `partitions`, one partition). `*skew` receives the largest key
-  /// skew of the subQ's operators, which PartitionStage spreads the input
-  /// with.
-  QueryStage PlanStage(int subq_id, const PlanParams& theta_p,
-                       CardinalitySource source,
-                       const std::vector<bool>* completed_subqs,
-                       double* skew) const;
+  /// \brief The theta_p part of BuildStage: writes to `*stage` the stage
+  /// before partitioning (no `partitions`, one partition), reusing its
+  /// vectors' storage. `*skew` receives the largest key skew of the
+  /// subQ's operators, which PartitionStage spreads the input with.
+  void PlanStage(int subq_id, const PlanParams& theta_p,
+                 CardinalitySource source,
+                 const std::vector<bool>* completed_subqs, double* skew,
+                 QueryStage* stage) const;
 
   /// Objectives of one subQ. Compile time: source = kEstimated, uniform
   /// partition assumption is still subject to operator skew annotations

@@ -8,6 +8,7 @@
 
 #include "analysis/invariants.h"
 #include "common/check.h"
+#include "common/pareto_flat.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "moo/dag_aggregation.h"
@@ -67,6 +68,21 @@ struct BatchRows {
 BatchRows& TlsBatchRows() {
   thread_local BatchRows rows;
   return rows;
+}
+
+// Step 7's points, staged straight from the aggregated batches: their
+// objectives in the Pareto kernel's SoA scratch (ax, ay[, az]), and each
+// point's candidate and choice row. Kept per thread across solves.
+struct FrontPoints {
+  ParetoScratch scratch;
+  std::vector<int> cand;
+  std::vector<const int*> choice;
+  std::vector<uint32_t> kept;
+};
+
+FrontPoints& TlsFrontPoints() {
+  thread_local FrontPoints points;
+  return points;
 }
 
 }  // namespace
@@ -312,38 +328,62 @@ MooRunResult HmoocSolver::Solve() const {
   obs::Count("hmooc.aggregated_points", total_points);
 
   // ---- Step 7: query-level Pareto filter + solution assembly -----------
+  // The kernel filters the staged points; only the kept ones become
+  // solutions.
   obs::Span filter_span("hmooc.pareto_filter");
-  std::vector<ObjectiveVector> fs;
-  std::vector<int> point_cand;          // candidate of fs[p]
-  std::vector<const int*> point_choice;  // choice row of fs[p]
-  fs.reserve(total_points);
-  point_cand.reserve(total_points);
-  point_choice.reserve(total_points);
+  FrontPoints& points = TlsFrontPoints();
+  ParetoScratch& ps = points.scratch;
+  ps.ax.clear();
+  ps.ay.clear();
+  ps.az.clear();
+  points.cand.clear();
+  points.choice.clear();
+  ps.ax.reserve(total_points);
+  ps.ay.reserve(total_points);
+  if (nk == 3) ps.az.reserve(total_points);
+  points.cand.reserve(total_points);
+  points.choice.reserve(total_points);
   for (size_t c = 0; c < per_cand.size(); ++c) {
     const AggregatedBatch& batch = per_cand[c];
     for (size_t p = 0; p < batch.size(); ++p) {
-      fs.push_back(ObjectiveVector(batch.obj.begin() + p * nk,
-                                   batch.obj.begin() + (p + 1) * nk));
-      point_cand.push_back(static_cast<int>(c));
-      point_choice.push_back(batch.choice.data() +
-                             p * static_cast<size_t>(batch.width));
+      const double* f = batch.obj.data() + p * nk;
+      ps.ax.push_back(f[0]);
+      ps.ay.push_back(f[1]);
+      if (nk == 3) ps.az.push_back(f[2]);
+      points.cand.push_back(static_cast<int>(c));
+      points.choice.push_back(batch.choice.data() +
+                              p * static_cast<size_t>(batch.width));
     }
+  }
+  if (nk == 2) {
+    FlatParetoPositions(ps.ax.data(), ps.ay.data(), ps.ax.size(),
+                        &points.kept, &ps);
+  } else {
+    FlatParetoPositions3(ps.ax.data(), ps.ay.data(), ps.az.data(),
+                         ps.ax.size(), &points.kept, &ps);
   }
 
   MooRunResult result;
   // Deduplicate coincident points (e.g. a candidate whose two extreme
-  // points collapse onto the same solution).
-  std::vector<std::pair<ObjectiveVector, int>> seen;
-  for (size_t idx : ParetoIndices(fs)) {
-    const std::pair<ObjectiveVector, int> key = {fs[idx], point_cand[idx]};
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-    seen.push_back(key);
+  // points collapse onto the same solution): a kept point equal in value
+  // to an earlier solution of the same candidate adds nothing.
+  std::vector<int> solution_cand;
+  for (const uint32_t idx : points.kept) {
+    const double f[3] = {ps.ax[idx], ps.ay[idx], nk == 3 ? ps.az[idx] : 0.0};
+    const int cand = points.cand[idx];
+    bool seen = false;
+    for (size_t j = 0; j < solution_cand.size() && !seen; ++j) {
+      seen = solution_cand[j] == cand &&
+             std::equal(f, f + nk, result.pareto[j].objectives.begin());
+    }
+    if (seen) continue;
+    solution_cand.push_back(cand);
     MooSolution sol;
-    sol.objectives = fs[idx];
+    sol.objectives.assign(f, f + nk);
     sol.per_subq_conf.reserve(m);
     for (int i = 0; i < m; ++i) {
       sol.per_subq_conf.push_back(
-          MakeConf(all_theta_c[point_cand[idx]], pool[point_choice[idx][i]]));
+          MakeConf(all_theta_c[cand], pool[points.choice[idx][i]]));
     }
     sol.conf = sol.per_subq_conf.front();
     result.pareto.push_back(std::move(sol));

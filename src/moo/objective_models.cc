@@ -1,6 +1,7 @@
 #include "moo/objective_models.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -34,6 +35,88 @@ bool SameBits(const ObjectiveVector& a, const ObjectiveVector& b) {
 }
 #endif
 
+/// A run of batch rows whose theta_c entries (conf 0-7) carry the same
+/// bits: they share one decoded theta_c, and whatever a model derives
+/// from it. HMOOC's batches are one run each.
+class ThetaCRun {
+ public:
+  /// Whether `conf` starts a new run; if so, decodes its theta_c.
+  bool Starts(const std::vector<double>& conf) {
+    if (conf_ != nullptr && SameThetaC(*conf_, conf)) return false;
+    conf_ = &conf;
+    tc_ = DecodeContext(conf);
+    return true;
+  }
+  const ContextParams& theta_c() const { return tc_; }
+
+ private:
+  static bool SameThetaC(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+    constexpr size_t kWidth = kAdvisoryPartitionSizeMb;
+    if (a.size() < kWidth || b.size() < kWidth) return false;
+    uint64_t differ = 0;
+    for (size_t i = 0; i < kWidth; ++i) {
+      differ |= std::bit_cast<uint64_t>(a[i]) ^ std::bit_cast<uint64_t>(b[i]);
+    }
+    return differ == 0;
+  }
+
+  const std::vector<double>* conf_ = nullptr;
+  ContextParams tc_;
+};
+
+/// The rows one theta_c run has costed, by (canonical id, partition
+/// count): each key maps to the first row that costed it, whose
+/// objectives the later rows copy. Open addressing with an epoch per
+/// slot, so a new run clears it in O(1). One per thread; it keeps only
+/// row numbers, never state that outlives a call.
+class StageMemo {
+ public:
+  /// Sizes the memo for a call of `rows` rows.
+  void Prepare(size_t rows) {
+    int bits = 6;
+    while ((size_t{1} << bits) < 2 * rows) ++bits;
+    if (slots_.size() < (size_t{1} << bits)) {
+      slots_.assign(size_t{1} << bits, Slot());
+      shift_ = 64 - bits;
+      epoch_ = 0;
+    }
+  }
+  /// Forgets every key (a new theta_c run).
+  void Clear() {
+    if (++epoch_ == 0) {
+      for (Slot& slot : slots_) slot.epoch = 0;
+      epoch_ = 1;
+    }
+  }
+  /// The row holding the objectives of (canonical, partitions), or -1
+  /// after recording `row` as that row.
+  int64_t FindOrAdd(int canonical, int partitions, uint32_t row) {
+    const uint64_t key = static_cast<uint64_t>(canonical) << 32 |
+                         static_cast<uint32_t>(partitions);
+    const size_t mask = slots_.size() - 1;
+    for (size_t at = (key * 0x9E3779B97F4A7C15ULL) >> shift_;;
+         at = (at + 1) & mask) {
+      Slot& slot = slots_[at];
+      if (slot.epoch != epoch_) {
+        slot = {key, epoch_, row};
+        return -1;
+      }
+      if (slot.key == key) return slot.row;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t epoch = 0;
+    uint32_t row = 0;
+  };
+  std::vector<Slot> slots_;
+  int shift_ = 64;  ///< 64 - log2(slots)
+  uint32_t epoch_ = 0;
+};
+
 }  // namespace
 
 void AnalyticSubQModel::ToObjectives(const SubQObjectives& obj,
@@ -63,8 +146,11 @@ void AnalyticSubQModel::EvaluateBatch(
   out->resize(confs.size());
   thread_local std::vector<StageTable::Row> rows;
   thread_local std::vector<PartitionRun> scratch;
+  thread_local StageMemo memo;
   table_.Resolve(subq, confs, &rows);
+  memo.Prepare(confs.size());
   obs::Histogram* const latency_us = obs::HistogramFor("model.inference_us");
+  ThetaCRun run;
   size_t table_rows = 0;
   for (size_t i = 0; i < confs.size(); ++i) {
     const StageTable::Row& row = rows[i];
@@ -73,13 +159,24 @@ void AnalyticSubQModel::EvaluateBatch(
       continue;
     }
     ++table_rows;
-    const ContextParams tc = DecodeContext(confs[i]);
+    if (run.Starts(confs[i])) memo.Clear();
+    const ContextParams& tc = run.theta_c();
     {
       obs::ScopedHistogramTimer timer(latency_us);
-      const StageScalars st = StageTable::Scalars(row, tc);
-      ToObjectives(
-          evaluator_.CostStage(st, StageTable::Runs(row, st, &scratch), tc),
-          &(*out)[i]);
+      // Rows of one theta_c whose stages share a canonical id and a
+      // partition count have the same objectives: the first one costs
+      // them, the others copy its bits.
+      const int64_t first = memo.FindOrAdd(
+          row.entry->canonical, StageTable::PartitionCount(row, tc),
+          static_cast<uint32_t>(i));
+      if (first >= 0) {
+        (*out)[i] = (*out)[first];
+      } else {
+        const StageScalars st = StageTable::Scalars(row, tc);
+        ToObjectives(
+            evaluator_.CostStage(st, StageTable::Runs(row, st, &scratch), tc),
+            &(*out)[i]);
+      }
     }
 #ifdef SPARKOPT_VERIFY
     const QueryStage direct = evaluator_.BuildStage(
@@ -161,11 +258,18 @@ void LearnedSubQModel::EvaluateBatch(
   preds.resize(confs.size() * k);
 
   table_.Resolve(subq, confs, &rows);
+  // The theta_c block of a row is written once per theta_c run; a table
+  // row then computes only its partition terms.
+  ThetaCRun run;
+  ContextFeatures context;
   for (size_t i = 0; i < confs.size(); ++i) {
-    const ContextParams tc = DecodeContext(confs[i]);
+    if (run.Starts(confs[i])) {
+      context = MakeContextFeatures(confs[i], run.theta_c());
+    }
+    const ContextParams& tc = run.theta_c();
     double* f = features.data() + i * d;
     if (rows[i].entry != nullptr) {
-      table_.WriteFeatures(subq, rows[i], confs[i], tc,
+      table_.WriteFeatures(subq, rows[i], context,
                            StageTable::Scalars(rows[i], tc), f);
       continue;
     }
@@ -174,8 +278,10 @@ void LearnedSubQModel::EvaluateBatch(
   }
   model_->PredictBatchInto(features.data(), confs.size(), preds.data(),
                            &scratch);
+  run = ThetaCRun();
   for (size_t i = 0; i < confs.size(); ++i) {
-    DeriveObjectives(prices_, DecodeContext(confs[i]), preds.data() + i * k,
+    run.Starts(confs[i]);
+    DeriveObjectives(prices_, run.theta_c(), preds.data() + i * k,
                      num_objectives_, &(*out)[i]);
 #ifdef SPARKOPT_VERIFY
     SPARKOPT_CHECK(rows[i].entry == nullptr ||

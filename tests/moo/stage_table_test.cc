@@ -195,6 +195,83 @@ TEST(StageTableTest, SweepMovesScanPartitionsAndSplitsRawSlices) {
   EXPECT_NE(rows[0].slice->features, rows[1].slice->features);
 }
 
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// Field by field, doubles by their bits: the equality canonical ids
+// stand for.
+bool SameEntry(const StageTable::Entry& a, const StageTable::Entry& b) {
+  const StageScalars& x = a.stage;
+  const StageScalars& y = b.stage;
+  if (x.id != y.id || x.subq_id != y.subq_id ||
+      x.num_partitions != y.num_partitions ||
+      !SameDouble(x.input_rows, y.input_rows) ||
+      !SameDouble(x.input_bytes, y.input_bytes) ||
+      !SameDouble(x.output_rows, y.output_rows) ||
+      !SameDouble(x.output_bytes, y.output_bytes) ||
+      !SameDouble(x.shuffle_read_bytes, y.shuffle_read_bytes) ||
+      !SameDouble(x.broadcast_bytes, y.broadcast_bytes) ||
+      x.is_scan_stage != y.is_scan_stage ||
+      x.exchanges_output != y.exchanges_output ||
+      !SameDouble(x.cpu_work, y.cpu_work) ||
+      !SameDouble(x.sort_work, y.sort_work) || x.join_algo != y.join_algo ||
+      x.has_join != y.has_join || !SameDouble(a.skew, b.skew) ||
+      a.num_runs != b.num_runs) {
+    return false;
+  }
+  for (int r = 0; r < a.num_runs; ++r) {
+    if (a.runs[r].count != b.runs[r].count ||
+        !SameDouble(a.runs[r].bytes, b.runs[r].bytes)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Entries of one subQ share a canonical id exactly when their stage
+// scalars, skew and partition runs are equal bit for bit. Slices that
+// differ only in the file split size (s8) build the same stage on every
+// subQ: a scan stage reads s8 only through its row's partition count.
+TEST(StageTableTest, EqualStagesShareACanonicalId) {
+  const Workload& w = TheWorkload();
+  size_t pairs = 0, shared = 0;
+  for (const Query* q : {&w.queries[2], &w.queries[8], &w.queries[30]}) {
+    const SubQEvaluator eval(q, w.cluster, w.cost);
+    StageTable table(&eval, /*with_features=*/false);
+    std::vector<std::vector<double>> confs;
+    for (const auto& s : w.slices) confs.push_back(Join(w.theta_c[0], s));
+    for (const double s8 : {16.0, 64.0, 500.0}) {
+      confs.push_back(confs[0]);
+      confs.back()[kMaxPartitionBytesMb] = s8;
+    }
+    for (int subq = 0; subq < eval.num_subqs(); ++subq) {
+      std::vector<StageTable::Row> rows;
+      table.Resolve(subq, confs, &rows);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_NE(rows[i].entry, nullptr) << q->name << " row " << i;
+        EXPECT_GE(rows[i].entry->canonical, 0);
+      }
+      for (size_t i = 0; i < rows.size(); ++i) {
+        for (size_t j = i + 1; j < rows.size(); ++j) {
+          const bool same_id =
+              rows[i].entry->canonical == rows[j].entry->canonical;
+          EXPECT_EQ(same_id, SameEntry(*rows[i].entry, *rows[j].entry))
+              << q->name << " subq " << subq << " rows " << i << ", " << j;
+          ++pairs;
+          shared += same_id;
+        }
+      }
+      for (size_t i = confs.size() - 3; i < confs.size(); ++i) {
+        EXPECT_EQ(rows[i].entry->canonical, rows[0].entry->canonical)
+            << q->name << " subq " << subq << " s8 variant " << i;
+      }
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_LT(shared, pairs);
+}
+
 // Past kMaxSlices, rows take the direct path and stay equal.
 TEST(StageTableTest, StopsAtItsCapAndRowsStillMatch) {
   const Workload& w = TheWorkload();
