@@ -104,9 +104,7 @@ bool SameStage(const StageTable::Entry& e, const StageScalars& st,
 }  // namespace
 
 StageTable::StageTable(const SubQEvaluator* evaluator, bool with_features)
-    : evaluator_(evaluator),
-      with_features_(with_features),
-      arena_(kArenaBlockBytes) {
+    : evaluator_(evaluator), arena_(kArenaBlockBytes) {
   const int m = evaluator_->num_subqs();
   if (with_features) {
     const size_t d = FeatureLayout::Total();
@@ -181,7 +179,7 @@ const StageTable::Entry* StageTable::BuildEntry(int subq,
     e->num_runs = static_cast<int>(runs.size());
   }
   e->canonical = canonical_count_[subq]++;
-  if (with_features_) {
+  if (!subq_features_.empty()) {
     double* block = arena_.AllocArray<double>(FeatureLayout::kCardinality);
     WriteCardinalityBlock(e->stage, block);
     e->cardinality = block;

@@ -90,7 +90,8 @@ class StageTable {
   };
 
   /// `evaluator` must outlive the table. `with_features` keeps each
-  /// subQ's per-subQ feature blocks, for WriteFeatures.
+  /// subQ's per-subQ feature blocks and each entry's cardinality block,
+  /// for WriteFeatures.
   StageTable(const SubQEvaluator* evaluator, bool with_features);
 
   StageTable(const StageTable&) = delete;
@@ -145,7 +146,6 @@ class StageTable {
   void GrowCanonicalIndex() SPARKOPT_REQUIRES(mu_);
 
   const SubQEvaluator* evaluator_;
-  const bool with_features_;
   /// Per-subQ feature blocks, FeatureLayout::Total() per subQ (zeros
   /// outside them); empty without `with_features`. Set once.
   std::vector<double> subq_features_;

@@ -20,12 +20,16 @@
 /// model error.
 ///
 /// Both models answer EvaluateBatch from a per-solve StageTable
-/// (model/stage_table.h): each (subQ, theta_p/theta_s slice) stage is
-/// built once, and each row pays only for what its theta_c changes.
-/// Every batched row equals Evaluate on its conf bit for bit, whatever
-/// else shares the batch; Evaluate stays the direct path, and rows whose
-/// slice the table cannot hold take it too. SPARKOPT_VERIFY builds check
-/// every table row against the direct path.
+/// (model/stage_table.h): each distinct (subQ, theta_p/theta_s slice)
+/// stage is built once, and each row pays only for what its call has not
+/// already computed. Within a call, rows with equal theta_c bits share
+/// one decode; the analytic model costs each distinct (canonical stage,
+/// partition count) once and copies the bits to the rest, and the
+/// learned model writes the theta_c feature block once. Every batched
+/// row equals Evaluate on its conf bit for bit, whatever else shares the
+/// batch; Evaluate stays the direct path, and rows whose slice the table
+/// cannot hold take it too. SPARKOPT_VERIFY builds check every table row
+/// against the direct path.
 
 namespace sparkopt {
 
