@@ -10,13 +10,23 @@ namespace sparkopt {
 namespace {
 constexpr double kMb = 1024.0 * 1024.0;
 
+// Whether a stage's tasks hold a working set larger than their input.
+bool LargeWorkingSet(const StageScalars& stage) {
+  return stage.has_join || stage.sort_work > 0.0;
+}
+
 // Memory a task reading `part_bytes` holds: joins and sorts keep a
 // working set ~1.6x the partition, plus the resident broadcast table.
-double WorkingSetMb(const StageScalars& stage, double part_bytes) {
+double WorkingSetMb(double part_bytes, bool large_working_set,
+                    double broadcast_mb) {
   double working_mb = part_bytes / kMb;
-  if (stage.has_join || stage.sort_work > 0.0) working_mb *= 1.6;
-  working_mb += stage.broadcast_bytes / kMb;
-  return working_mb;
+  if (large_working_set) working_mb *= 1.6;
+  return working_mb + broadcast_mb;
+}
+
+// Execution memory per task, with a 64 MB floor.
+double TaskMemoryMb(const ContextParams& theta_c) {
+  return std::max(theta_c.MemoryPerTaskMb(), 64.0);
 }
 }  // namespace
 
@@ -65,9 +75,9 @@ TaskCostModel::TaskContext TaskCostModel::StageContext(
     if (ctx.compress) write_bytes *= params_.compress_ratio;
     ctx.write_io_s = write_bytes / kMb / write_mbps;
   }
-  ctx.large_working_set = stage.has_join || stage.sort_work > 0.0;
+  ctx.large_working_set = LargeWorkingSet(stage);
   ctx.broadcast_mb = stage.broadcast_bytes / kMb;
-  ctx.mem_mb = std::max(theta_c.MemoryPerTaskMb(), 64.0);
+  ctx.mem_mb = TaskMemoryMb(theta_c);
   return ctx;
 }
 
@@ -96,9 +106,8 @@ double TaskCostModel::TaskLatency(const TaskContext& ctx,
 
   // ---- Memory pressure -------------------------------------------------
   // A working set exceeding the per-task execution memory spills.
-  double working_mb = part_bytes / kMb;
-  if (ctx.large_working_set) working_mb *= 1.6;
-  working_mb += ctx.broadcast_mb;
+  const double working_mb =
+      WorkingSetMb(part_bytes, ctx.large_working_set, ctx.broadcast_mb);
   double spill_mult = 1.0;
   if (working_mb > ctx.mem_mb) {
     spill_mult +=
@@ -123,8 +132,8 @@ double TaskCostModel::TaskLatency(const StageScalars& stage,
 bool TaskCostModel::TaskSpills(const StageScalars& stage,
                                double part_bytes,
                                const ContextParams& theta_c) const {
-  const double mem_mb = std::max(theta_c.MemoryPerTaskMb(), 64.0);
-  return WorkingSetMb(stage, part_bytes) > mem_mb;
+  return WorkingSetMb(part_bytes, LargeWorkingSet(stage),
+                      stage.broadcast_bytes / kMb) > TaskMemoryMb(theta_c);
 }
 
 double TaskCostModel::StageSetupLatency(const StageScalars& stage,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/repeated_sum.h"
 #include "common/rng.h"
 
 namespace sparkopt {
@@ -69,12 +68,11 @@ std::vector<double> PartitionDistributionStats(
   std::vector<double> out(FeatureLayout::kBeta, 0.0);
   if (partitions.empty()) return out;
   // Both sums add every task's term in task order, as over the expanded
-  // sizes (RepeatedSum gives the bits of adding a run's term one task at
-  // a time).
+  // sizes.
   double sum = 0.0, mx = 0.0, mn = 1e300;
   int n = 0;
   for (const PartitionRun& r : partitions) {
-    sum = RepeatedSum(sum, r.bytes, r.count);
+    for (int i = 0; i < r.count; ++i) sum += r.bytes;
     mx = std::max(mx, r.bytes);
     mn = std::min(mn, r.bytes);
     n += r.count;
@@ -84,7 +82,7 @@ std::vector<double> PartitionDistributionStats(
   double var = 0.0;
   for (const PartitionRun& r : partitions) {
     const double sq = (r.bytes - mu) * (r.bytes - mu);
-    var = RepeatedSum(var, sq, r.count);
+    for (int i = 0; i < r.count; ++i) var += sq;
   }
   const double sigma = std::sqrt(var / static_cast<double>(n));
   out[0] = sigma / mu;          // std-to-average ratio

@@ -25,32 +25,16 @@ constexpr size_t kArenaBlockBytes = 16 << 10;
 static_assert(std::is_trivially_copyable_v<StageTable::Slice>);
 static_assert(std::is_trivially_copyable_v<StageTable::Entry>);
 
-// An odd multiplier per slice entry (SplitMix64 of i + 1, low bit set).
-constexpr uint64_t SliceMultiplier(size_t i) {
-  uint64_t z = (i + 1) * 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return (z ^ (z >> 31)) | 1;
-}
-
-// The slice index's hash, paid by every row: each entry's bits times its
-// own odd multiplier, summed, then mixed. The products are independent,
-// so they pipeline where a chained word hash waits on each step. Two
-// slices that differ in one entry never collide.
 uint64_t SliceHash(const std::vector<double>& conf) {
-  uint64_t h = 0;
-  for (size_t i = 0; i < StageTable::kSliceWidth; ++i) {
-    h += std::bit_cast<uint64_t>(conf[StageTable::kSliceBegin + i]) *
-         SliceMultiplier(i);
-  }
-  return Mix64(h);
+  return Mix64(HashWords(conf.data() + StageTable::kSliceBegin,
+                         StageTable::kSliceWidth));
 }
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 // A stage's content, every field by its bits, with its skew and runs: the
-// equality canonical ids stand for. The scalars carry the subQ id, so
-// entries of different subQs never compare equal.
+// equality under which slices share an entry. The scalars carry the subQ
+// id, so entries of different subQs never compare equal.
 uint64_t StageHash(const StageScalars& st, double skew,
                    std::span<const PartitionRun> runs) {
   uint64_t h = HashCombine(static_cast<uint64_t>(st.subq_id),
@@ -121,7 +105,6 @@ StageTable::StageTable(const SubQEvaluator* evaluator, bool with_features)
   entries_.resize(m);
   canonical_.reserve(kMaxSlices);
   canonical_index_.assign(kIndexSlots, -1);
-  canonical_count_.assign(m, 0);
 }
 
 int StageTable::FindOrAddSlice(const std::vector<double>& conf) {
@@ -178,7 +161,6 @@ const StageTable::Entry* StageTable::BuildEntry(int subq,
     e->runs = copy;
     e->num_runs = static_cast<int>(runs.size());
   }
-  e->canonical = canonical_count_[subq]++;
   if (!subq_features_.empty()) {
     double* block = arena_.AllocArray<double>(FeatureLayout::kCardinality);
     WriteCardinalityBlock(e->stage, block);

@@ -32,10 +32,11 @@
 ///
 /// Many slices build the same stage: a scan stage reads only the join
 /// choices of its slice, and coalescing maps many shuffle partition
-/// counts to the same runs. So each entry is kept once per subQ, with a
-/// canonical id: slices whose stages are equal bit for bit (scalars, skew
-/// and runs) share one entry, found at build time through a hash index
-/// and a full compare. A model then costs each distinct (canonical id,
+/// counts to the same runs. So each distinct stage is kept once per subQ:
+/// slices whose stages are equal bit for bit (scalars, skew and runs)
+/// share one entry, found at build time through a hash index and a full
+/// compare, and two rows of a subQ have equal stages exactly when they
+/// point to the same entry. A model then costs each distinct (entry,
 /// partition count) once per theta_c (AnalyticSubQModel::EvaluateBatch).
 ///
 /// Each model owns one table, and models are built per solve (Tuner::Run,
@@ -73,10 +74,6 @@ class StageTable {
     double skew = 0.0;  ///< the operators' key skew (PlanStage)
     const PartitionRun* runs = nullptr;  ///< shuffle stages only
     int num_runs = 0;
-    /// Dense per subQ from 0. Slices of one subQ get the same entry, and
-    /// so the same id, exactly when their stage, skew and runs are equal
-    /// bit for bit.
-    int canonical = -1;
     /// WriteCardinalityBlock of `stage`, FeatureLayout::kCardinality
     /// values; tables built with features only.
     const double* cardinality = nullptr;
@@ -163,8 +160,6 @@ class StageTable {
   /// content hashes: a position in canonical_, or -1.
   std::vector<const Entry*> canonical_ SPARKOPT_GUARDED_BY(mu_);
   std::vector<int> canonical_index_ SPARKOPT_GUARDED_BY(mu_);
-  /// Canonical ids given out per subQ.
-  std::vector<int> canonical_count_ SPARKOPT_GUARDED_BY(mu_);
   /// The stage BuildEntry plans into, its vectors reused.
   QueryStage build_ SPARKOPT_GUARDED_BY(mu_);
 };

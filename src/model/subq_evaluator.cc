@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/repeated_sum.h"
 #include "obs/trace.h"
 
 namespace sparkopt {
@@ -166,9 +165,8 @@ SubQObjectives SubQEvaluator::CostStage(const StageScalars& st,
                                         const ContextParams& theta_c) const {
   // Equal partitions cost the same, so each run is costed once. All
   // partitions equal: n x L. Otherwise each task's latency is added in
-  // task order, a run's count times over (RepeatedSum, the loop's bits),
-  // under one task context: the cost model here is noise-free, so a
-  // task's latency does not depend on its index.
+  // task order, under one task context: the cost model here is
+  // noise-free, so a task's latency does not depend on its index.
   double task_sum = 0.0;
   if (runs.size() == 1) {
     task_sum = st.num_partitions *
@@ -178,8 +176,8 @@ SubQObjectives SubQEvaluator::CostStage(const StageScalars& st,
     const TaskCostModel::TaskContext ctx =
         cost_model_.StageContext(st, theta_c);
     for (const PartitionRun& run : runs) {
-      task_sum = RepeatedSum(task_sum, cost_model_.TaskLatency(ctx, run.bytes),
-                             run.count);
+      const double latency = cost_model_.TaskLatency(ctx, run.bytes);
+      for (int i = 0; i < run.count; ++i) task_sum += latency;
     }
   }
   const int cores = std::min(theta_c.TotalCores(),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -65,7 +66,7 @@ class ThetaCRun {
   ContextParams tc_;
 };
 
-/// The rows one theta_c run has costed, by (canonical id, partition
+/// The rows one theta_c run has costed, by (table entry, partition
 /// count): each key maps to the first row that costed it, whose
 /// objectives the later rows copy. Open addressing with an epoch per
 /// slot, so a new run clears it in O(1). One per thread; it keeps only
@@ -89,26 +90,31 @@ class StageMemo {
       epoch_ = 1;
     }
   }
-  /// The row holding the objectives of (canonical, partitions), or -1
-  /// after recording `row` as that row.
-  int64_t FindOrAdd(int canonical, int partitions, uint32_t row) {
-    const uint64_t key = static_cast<uint64_t>(canonical) << 32 |
-                         static_cast<uint32_t>(partitions);
+  /// The row holding the objectives of (entry, partitions), or -1 after
+  /// recording `row` as that row.
+  int64_t FindOrAdd(const StageTable::Entry* entry, int partitions,
+                    uint32_t row) {
+    const uint64_t hash =
+        reinterpret_cast<uintptr_t>(entry) ^
+        static_cast<uint64_t>(static_cast<uint32_t>(partitions)) << 32;
     const size_t mask = slots_.size() - 1;
-    for (size_t at = (key * 0x9E3779B97F4A7C15ULL) >> shift_;;
+    for (size_t at = (hash * 0x9E3779B97F4A7C15ULL) >> shift_;;
          at = (at + 1) & mask) {
       Slot& slot = slots_[at];
       if (slot.epoch != epoch_) {
-        slot = {key, epoch_, row};
+        slot = {entry, partitions, epoch_, row};
         return -1;
       }
-      if (slot.key == key) return slot.row;
+      if (slot.entry == entry && slot.partitions == partitions) {
+        return slot.row;
+      }
     }
   }
 
  private:
   struct Slot {
-    uint64_t key = 0;
+    const StageTable::Entry* entry = nullptr;
+    int partitions = 0;
     uint32_t epoch = 0;
     uint32_t row = 0;
   };
@@ -163,12 +169,12 @@ void AnalyticSubQModel::EvaluateBatch(
     const ContextParams& tc = run.theta_c();
     {
       obs::ScopedHistogramTimer timer(latency_us);
-      // Rows of one theta_c whose stages share a canonical id and a
+      // Rows of one theta_c whose stages share a table entry and a
       // partition count have the same objectives: the first one costs
       // them, the others copy its bits.
-      const int64_t first = memo.FindOrAdd(
-          row.entry->canonical, StageTable::PartitionCount(row, tc),
-          static_cast<uint32_t>(i));
+      const int64_t first =
+          memo.FindOrAdd(row.entry, StageTable::PartitionCount(row, tc),
+                         static_cast<uint32_t>(i));
       if (first >= 0) {
         (*out)[i] = (*out)[first];
       } else {

@@ -23,7 +23,7 @@
 /// (model/stage_table.h): each distinct (subQ, theta_p/theta_s slice)
 /// stage is built once, and each row pays only for what its call has not
 /// already computed. Within a call, rows with equal theta_c bits share
-/// one decode; the analytic model costs each distinct (canonical stage,
+/// one decode; the analytic model costs each distinct (table entry,
 /// partition count) once and copies the bits to the rest, and the
 /// learned model writes the theta_c feature block once. Every batched
 /// row equals Evaluate on its conf bit for bit, whatever else shares the

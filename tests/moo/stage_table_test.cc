@@ -199,8 +199,8 @@ bool SameDouble(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
-// Field by field, doubles by their bits: the equality canonical ids
-// stand for.
+// Field by field, doubles by their bits: the equality under which rows
+// share an entry.
 bool SameEntry(const StageTable::Entry& a, const StageTable::Entry& b) {
   const StageScalars& x = a.stage;
   const StageScalars& y = b.stage;
@@ -229,10 +229,11 @@ bool SameEntry(const StageTable::Entry& a, const StageTable::Entry& b) {
   return true;
 }
 
-// Entries of one subQ share a canonical id exactly when their stage
-// scalars, skew and partition runs are equal bit for bit. Slices that
-// differ only in the file split size (s8) build the same stage on every
-// subQ: a scan stage reads s8 only through its row's partition count.
+// Rows of one subQ share an entry, the canonical copy of their stage,
+// exactly when their stage scalars, skew and partition runs are equal bit
+// for bit. Slices that differ only in the file split size (s8) build the
+// same stage on every subQ: a scan stage reads s8 only through its row's
+// partition count.
 TEST(StageTableTest, EqualStagesShareACanonicalId) {
   const Workload& w = TheWorkload();
   size_t pairs = 0, shared = 0;
@@ -250,20 +251,18 @@ TEST(StageTableTest, EqualStagesShareACanonicalId) {
       table.Resolve(subq, confs, &rows);
       for (size_t i = 0; i < rows.size(); ++i) {
         ASSERT_NE(rows[i].entry, nullptr) << q->name << " row " << i;
-        EXPECT_GE(rows[i].entry->canonical, 0);
       }
       for (size_t i = 0; i < rows.size(); ++i) {
         for (size_t j = i + 1; j < rows.size(); ++j) {
-          const bool same_id =
-              rows[i].entry->canonical == rows[j].entry->canonical;
-          EXPECT_EQ(same_id, SameEntry(*rows[i].entry, *rows[j].entry))
+          const bool same_entry = rows[i].entry == rows[j].entry;
+          EXPECT_EQ(same_entry, SameEntry(*rows[i].entry, *rows[j].entry))
               << q->name << " subq " << subq << " rows " << i << ", " << j;
           ++pairs;
-          shared += same_id;
+          shared += same_entry;
         }
       }
       for (size_t i = confs.size() - 3; i < confs.size(); ++i) {
-        EXPECT_EQ(rows[i].entry->canonical, rows[0].entry->canonical)
+        EXPECT_EQ(rows[i].entry, rows[0].entry)
             << q->name << " subq " << subq << " s8 variant " << i;
       }
     }
