@@ -211,165 +211,6 @@ void EmitSolve3Results() {
   }
 }
 
-// Multi-fidelity screening sweep (DESIGN.md section 13): for each
-// workload, solve every query single-fidelity (the quality/latency
-// reference) and under each screen config, then emit
-//  - mf_screen: mean solve time + per-tier eval counts/survival rate,
-//  - mf_hypervolume_loss: mean % of normalized hypervolume (shared
-//    bounds per query) the screened front gives up vs the reference.
-void EmitFidelitySweep() {
-  struct ScreenCfg {
-    const char* mode;
-    FidelityMode fm;
-    double promote_frac;
-    double margin;
-    int min_promote;
-  };
-  const std::vector<ScreenCfg> cfgs{
-      ScreenCfg{"off", FidelityMode::kOff, 0.10, 0.15, 8},
-      // The distilled screen's tier-0 objectives are predictions of a
-      // small regressor, typically 25% or more off the tier-1 latency
-      // (further off on cost), so it runs with a wide survival band
-      // (0.45) and a higher promotion floor to keep the hypervolume loss
-      // within its 1% bound.
-      ScreenCfg{"distilled", FidelityMode::kDistilled, 0.10, 0.45, 16},
-  };
-  struct Workload {
-    const char* name;
-    std::vector<Query> queries;
-  };
-  const bool fast = benchutil::FastMode();
-  std::vector<Workload> workloads;
-  {
-    auto tpch_catalog = TpchCatalog(100);
-    Workload w{"tpch", {}};
-    for (int qid : fast ? std::vector<int>{3, 9}
-                        : std::vector<int>{3, 5, 9}) {
-      w.queries.push_back(*MakeTpchQuery(qid, &tpch_catalog));
-    }
-    workloads.push_back(std::move(w));
-    auto tpcds_catalog = TpcdsCatalog(100);
-    Workload d{"tpcds", {}};
-    const size_t want = fast ? 2 : 3;
-    for (int qid = 1; qid <= 102 && d.queries.size() < want; ++qid) {
-      auto q = MakeTpcdsQuery(qid, &tpcds_catalog);
-      if (q.ok()) d.queries.push_back(std::move(*q));
-    }
-    workloads.push_back(std::move(d));
-  }
-  ClusterSpec cluster;
-  CostModelParams cost;
-  HmoocOptions base;
-  base.seed = 3;
-  if (fast) {
-    base.theta_c_samples = 24;
-    base.clusters = 6;
-    base.theta_p_samples = 48;
-    base.enriched_samples = 8;
-  }
-  const int reps = 2;  // best-of-2 even in fast mode: see EmitSolveResults
-
-  for (const Workload& w : workloads) {
-    // Single-fidelity reference fronts per query (also the "off" row).
-    std::vector<std::vector<ObjectiveVector>> ref_fronts;
-    for (const ScreenCfg& cfg : cfgs) {
-      double solve_s_sum = 0.0;
-      uint64_t tier0 = 0, tier1 = 0;
-      double hv_loss_pct_sum = 0.0;
-      for (size_t qi = 0; qi < w.queries.size(); ++qi) {
-        const Query& q = w.queries[qi];
-        AnalyticSubQModel tier1_model(&q, cluster, cost);
-        FidelityOptions fo;
-        fo.mode = cfg.fm;
-        fo.promote_frac = cfg.promote_frac;
-        fo.survival_margin = cfg.margin;
-        fo.min_promote = cfg.min_promote;
-        fo.distill_samples = 320;
-        // The screens are a one-off training artifact; keep their cost
-        // out of the timed solve (as a production deployment would).
-        std::vector<Regressor> screens;
-        if (cfg.fm == FidelityMode::kDistilled) {
-          auto trained = TrainDistilledScreens(
-              tier1_model, fo.distill_samples, base.seed);
-          if (!trained.ok()) continue;
-          screens = std::move(*trained);
-          fo.distilled = &screens;
-        }
-        // Wrap explicitly (rather than via HmoocOptions::fidelity) so
-        // the tier counters survive the solve for emission.
-        ScreeningSubQModel screen(&tier1_model, fo);
-        const SubQObjectiveModel* model = &tier1_model;
-        if (cfg.fm != FidelityMode::kOff && screen.usable()) {
-          model = &screen;
-        }
-        HmoocSolver solver(model, base);
-        double best_s = 1e300;
-        MooRunResult r;
-        for (int rep = 0; rep < reps; ++rep) {
-          benchutil::Timer timer;
-          r = solver.Solve();
-          best_s = std::min(best_s, timer.Seconds());
-        }
-        solve_s_sum += best_s;
-        tier0 += screen.tier0_evals();
-        tier1 += cfg.fm == FidelityMode::kOff
-                     ? static_cast<uint64_t>(r.evaluations)
-                     : screen.tier1_evals();
-        const auto front = benchutil::FrontOf(r);
-        if (cfg.fm == FidelityMode::kOff) {
-          ref_fronts.push_back(front);
-        } else if (qi < ref_fronts.size()) {
-          // Quality guard: HV against an origin-anchored reference box
-          // (lo = 0, ref = 1.1x the shared max). Min-max bounds would
-          // divide by the front's *spread*, which on a narrow objective
-          // range turns epsilon-sized pointwise differences into
-          // double-digit "loss"; anchoring at the origin measures loss
-          // relative to the objective magnitudes instead.
-          ObjectiveVector dummy_lo(2, 1e300), hi(2, -1e300);
-          benchutil::ExtendBounds(ref_fronts[qi], &dummy_lo, &hi);
-          benchutil::ExtendBounds(front, &dummy_lo, &hi);
-          const ObjectiveVector lo(2, 0.0);
-          const ObjectiveVector ref = {1.1 * hi[0], 1.1 * hi[1]};
-          const double hv_ref =
-              benchutil::NormalizedHypervolume(ref_fronts[qi], lo, ref);
-          const double hv_scr =
-              benchutil::NormalizedHypervolume(front, lo, ref);
-          if (hv_ref > 0.0) {
-            hv_loss_pct_sum +=
-                std::max(0.0, (hv_ref - hv_scr) / hv_ref * 100.0);
-          }
-        }
-      }
-      const double nq = static_cast<double>(w.queries.size());
-      obs::JsonObject o;
-      o.emplace_back("workload", obs::Json(w.name));
-      o.emplace_back("mode", obs::Json(cfg.mode));
-      o.emplace_back("promote_frac", obs::Json(cfg.promote_frac));
-      o.emplace_back("solve_ms", obs::Json(solve_s_sum / nq * 1e3));
-      o.emplace_back("queries",
-                     obs::Json(static_cast<uint64_t>(w.queries.size())));
-      o.emplace_back("tier0_evals", obs::Json(tier0));
-      o.emplace_back("tier1_evals", obs::Json(tier1));
-      o.emplace_back(
-          "survival_rate",
-          obs::Json(tier0 > 0 ? static_cast<double>(tier1) /
-                                    static_cast<double>(tier0)
-                              : 1.0));
-      benchutil::EmitJson("mf_screen", obs::Json(std::move(o)));
-      if (cfg.fm != FidelityMode::kOff) {
-        obs::JsonObject h;
-        h.emplace_back("workload", obs::Json(w.name));
-        h.emplace_back("mode", obs::Json(cfg.mode));
-        h.emplace_back("promote_frac", obs::Json(cfg.promote_frac));
-        h.emplace_back("hv_loss_pct", obs::Json(hv_loss_pct_sum / nq));
-        h.emplace_back(
-            "queries", obs::Json(static_cast<uint64_t>(w.queries.size())));
-        benchutil::EmitJson("mf_hypervolume_loss", obs::Json(std::move(h)));
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace sparkopt
 
@@ -383,6 +224,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   sparkopt::EmitSolveResults();
   sparkopt::EmitSolve3Results();
-  sparkopt::EmitFidelitySweep();
   return 0;
 }

@@ -623,24 +623,6 @@ void Regressor::PredictBatchInto(const double* x, size_t rows, double* out,
   }
 }
 
-Result<Regressor> Regressor::Distill(const Matrix& x,
-                                     const std::vector<int>& hidden,
-                                     const Mlp::TrainOptions& opts) const {
-  if (!trained_) {
-    return Status::InvalidArgument("Distill: teacher regressor untrained");
-  }
-  if (x.empty()) {
-    return Status::InvalidArgument("Distill: empty pseudo-label sample");
-  }
-  // Teacher pseudo-labels in raw space; the student re-applies its own
-  // log-target transform during Fit, so the pair round-trips through the
-  // same representation the teacher was trained in.
-  const Matrix y = PredictBatch(x);
-  Regressor student(input_dim(), output_dim(), hidden, opts.seed);
-  SPARKOPT_RETURN_NOT_OK(student.Fit(x, y, opts));
-  return student;
-}
-
 Matrix Regressor::PredictBatch(const Matrix& x) const {
   Matrix out(x.size(), std::vector<double>(mlp_.output_dim()));
   if (x.empty()) return out;

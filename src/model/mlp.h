@@ -128,17 +128,6 @@ class Regressor {
   void PredictBatchInto(const double* x, size_t rows, double* out,
                         Mlp::BatchScratch* scratch) const;
 
-  /// \brief Knowledge distillation: trains a (typically much smaller)
-  /// student with hidden sizes `hidden` on THIS regressor's raw-space
-  /// predictions over the sample `x` — no ground-truth labels needed, so
-  /// the teacher can cheaply pseudo-label as large a sample as the caller
-  /// wants. The student standardizes and log-transforms independently
-  /// (it is a full Regressor), making it a drop-in low-fidelity stand-in
-  /// for the teacher (the tier-0 screen of the multi-fidelity solve
-  /// pipeline, DESIGN.md section 13). Fails if the teacher is untrained.
-  Result<Regressor> Distill(const Matrix& x, const std::vector<int>& hidden,
-                            const Mlp::TrainOptions& opts) const;
-
   int input_dim() const { return mlp_.input_dim(); }
   int output_dim() const { return mlp_.output_dim(); }
   bool trained() const { return trained_; }

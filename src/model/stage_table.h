@@ -50,8 +50,9 @@ namespace sparkopt {
 
 class StageTable {
  public:
-  /// Slices one table holds: four times HMOOC's default pool, enough for
-  /// TrainDistilledScreens' 160 labelling confs plus a 128-slice pool.
+  /// Slices one table holds. An HMOOC solve's slices are its theta_p
+  /// pool: 128 by default, at most 192 in any bench or test, so four
+  /// times the default holds every pool in use with room to spare.
   static constexpr int kMaxSlices = 512;
   /// Conf entries of a slice: theta_p then theta_s.
   static constexpr size_t kSliceBegin = kAdvisoryPartitionSizeMb;

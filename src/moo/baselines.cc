@@ -52,8 +52,9 @@ MooRunResult SolveWeightedSum(const QueryObjectiveFn& fn,
   SPARKOPT_CHECK(nk == 2 || nk == 3) << "WS supports 2 or 3 objectives";
   std::vector<std::vector<double>> xs;
   std::vector<ObjectiveVector> fs;
-  xs.reserve(opts.samples);
-  fs.reserve(opts.samples);
+  const size_t samples = static_cast<size_t>(std::max(opts.samples, 0));
+  xs.reserve(samples);
+  fs.reserve(samples);
   ObjectiveVector lo(nk, std::numeric_limits<double>::infinity());
   ObjectiveVector hi(nk, -std::numeric_limits<double>::infinity());
   for (int i = 0; i < opts.samples; ++i) {
@@ -73,7 +74,7 @@ MooRunResult SolveWeightedSum(const QueryObjectiveFn& fn,
   std::vector<ObjectiveVector> win_f;
   for (size_t w = 0; w < n_weights; ++w) {
     double best = std::numeric_limits<double>::infinity();
-    size_t best_i = 0;
+    size_t best_i = fs.size();  // none yet
     for (size_t i = 0; i < fs.size(); ++i) {
       double v = 0.0;
       for (size_t k = 0; k < nk; ++k) {
@@ -87,11 +88,12 @@ MooRunResult SolveWeightedSum(const QueryObjectiveFn& fn,
         best_i = i;
       }
     }
+    if (best_i == fs.size()) continue;  // no sample scored below inf
     win_x.push_back(xs[best_i]);
     win_f.push_back(fs[best_i]);
   }
   return FinishResult(decoder, std::move(win_x), std::move(win_f),
-                      Seconds(t0), opts.samples);
+                      Seconds(t0), fs.size());
 }
 
 MooRunResult SolveSoFixedWeights(const QueryObjectiveFn& fn,
@@ -139,7 +141,10 @@ MooRunResult SolveSoFixedWeights(const QueryObjectiveFn& fn,
   }
   MooRunResult result;
   result.solve_seconds = Seconds(t0);
-  result.evaluations = samples;
+  result.evaluations = fs.size();
+  // No sample scored below inf (none drawn, or non-finite weights): an
+  // empty front, which callers report.
+  if (best_x.empty()) return result;
   MooSolution sol = decoder.Decode(best_x);
   sol.objectives = best_f;
   result.pareto.push_back(std::move(sol));

@@ -19,7 +19,8 @@ namespace sparkopt {
 /// and for each of `num_weights` evenly spaced weight vectors return the
 /// sample minimizing the weighted sum of min-max-normalized objectives
 /// (the paper's WS with 10k samples and 11 weight pairs). The returned
-/// Pareto set is the non-dominated subset of the winners.
+/// Pareto set is the non-dominated subset of the winners; it is empty
+/// when no sample is drawn.
 struct WsOptions {
   int samples = 10000;
   int num_weights = 11;
@@ -30,7 +31,8 @@ MooRunResult SolveWeightedSum(const QueryObjectiveFn& fn,
                               const WsOptions& opts);
 
 /// Single-objective with fixed weights (SO-FW, Expt 10): one weighted-sum
-/// scalarization solved by sampling; returns exactly one solution.
+/// scalarization solved by sampling; returns one solution, or none when
+/// no sample scores below +inf (no samples, or non-finite weights).
 MooRunResult SolveSoFixedWeights(const QueryObjectiveFn& fn,
                                  const FlatProblem& decoder,
                                  const std::vector<double>& weights,

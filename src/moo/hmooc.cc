@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
@@ -13,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "moo/dag_aggregation.h"
 #include "moo/kmeans.h"
-#include "moo/objective_models.h"
 #include "obs/trace.h"
 #include "params/sampler.h"
 
@@ -95,35 +93,6 @@ MooRunResult HmoocSolver::Solve() const {
       << "HmoocSolver supports 2 or 3 objectives, got " << nk;
   span.Arg("subqs", m);
   span.Arg("objectives", nk);
-  // Multi-fidelity screening: route batched evaluations through the
-  // tiered wrapper. kOff (the default) and unusable screen configs take
-  // the raw model, keeping the single-fidelity path bitwise intact.
-  std::unique_ptr<ScreeningSubQModel> screening;
-  const SubQObjectiveModel* model = model_;
-  std::vector<Regressor> screens;
-  if (opts_.fidelity.mode != FidelityMode::kOff) {
-    FidelityOptions fidelity = opts_.fidelity;
-    // Train the per-subQ screens the caller did not supply. This runs
-    // before the clock starts and eval_count is snapshotted, so the
-    // one-off training stays out of MooRunResult::solve_seconds and
-    // ::evaluations; a failure leaves the config unusable and the solve
-    // runs single-fidelity.
-    if (fidelity.distilled == nullptr) {
-      obs::Span distill_span("hmooc.distill_screens");
-      auto trained = TrainDistilledScreens(*model_, fidelity.distill_samples,
-                                           opts_.seed);
-      if (trained.ok()) {
-        screens = std::move(*trained);
-        fidelity.distilled = &screens;
-      }
-    }
-    screening = std::make_unique<ScreeningSubQModel>(model_, fidelity);
-    if (screening->usable()) {
-      model = screening.get();
-    } else {
-      screening.reset();
-    }
-  }
   static std::atomic<uint64_t> next_solve{1};
   const uint64_t solve_id = next_solve.fetch_add(1, std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
@@ -206,7 +175,7 @@ MooRunResult HmoocSolver::Solve() const {
         batch.fs.Resize(pool.size());
         obs::Observe("hmooc.subq_batch_rows",
                      static_cast<double>(pool.size()));
-        model->EvaluateBatch(i, batch.confs.rows, &batch.fs.rows);
+        model_->EvaluateBatch(i, batch.confs.rows, &batch.fs.rows);
         ParetoPositions(batch.fs.rows, &batch.kept);
         opt_pool[r][i].assign(batch.kept.begin(), batch.kept.end());
       });
@@ -236,7 +205,7 @@ MooRunResult HmoocSolver::Solve() const {
           }
           obs::Observe("hmooc.subq_batch_rows",
                        static_cast<double>(opt.size()));
-          model->EvaluateBatch(i, batch.confs.rows, &batch.fs.rows);
+          model_->EvaluateBatch(i, batch.confs.rows, &batch.fs.rows);
           const std::vector<ObjectiveVector>& fs = batch.fs.rows;
           auto& subq_set = (*eff)[base + c][i];
           // Keep only the member-level Pareto entries (Prop. 5.1).
@@ -402,14 +371,6 @@ MooRunResult HmoocSolver::Solve() const {
   obs::Count("hmooc.solves");
   obs::Count("hmooc.model_evals", result.evaluations);
   obs::Count("hmooc.pareto_points", result.pareto.size());
-  if (screening) {
-    span.Arg("mf_tier0_evals",
-             static_cast<double>(screening->tier0_evals()));
-    span.Arg("mf_tier1_evals",
-             static_cast<double>(screening->tier1_evals()));
-    span.Arg("mf_batches",
-             static_cast<double>(screening->screened_batches()));
-  }
   return result;
 }
 

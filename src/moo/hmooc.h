@@ -64,12 +64,7 @@ struct HmoocOptions {
   /// bitwise identical at any thread count: every parallel region writes
   /// index-addressed slots and all RNG draws stay on the calling thread.
   int num_threads = 0;
-  /// Multi-fidelity screening of the subQ-tuning batches with distilled
-  /// per-subQ screens (DESIGN.md section 13). The default
-  /// (FidelityMode::kOff) keeps the solve bitwise identical to the
-  /// single-fidelity path. kDistilled without `fidelity.distilled` trains
-  /// the screens at the start of Solve (seeded with `seed`); a config
-  /// that stays unusable silently falls back to kOff.
+  /// Ignored by the solver; see FidelityOptions.
   FidelityOptions fidelity;
   uint64_t seed = 1;
 };

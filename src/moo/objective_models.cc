@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
-#include <numeric>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "obs/trace.h"
-#include "params/sampler.h"
 
 namespace sparkopt {
 
@@ -296,201 +291,6 @@ void LearnedSubQModel::EvaluateBatch(
         << " differs from the direct path";
 #endif
   }
-}
-
-// ---- Multi-fidelity screening ------------------------------------------
-
-void SelectSurvivors2(const std::vector<ObjectiveVector>& tier0,
-                      double survival_margin, int min_promote,
-                      double promote_frac, std::vector<size_t>* out) {
-  out->clear();
-  const size_t n = tier0.size();
-  if (n == 0) return;
-  const size_t nk = tier0[0].size();
-  const std::vector<size_t> front = ParetoIndices(tier0);
-
-  // Margin ratio against the tier-0 front (see header). Denominators are
-  // floored to keep near-zero objectives from exploding the ratio.
-  std::vector<double> ratio(n, std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t g : front) {
-      double worst = 0.0;
-      for (size_t d = 0; d < nk; ++d) {
-        worst = std::max(worst,
-                         tier0[i][d] / std::max(tier0[g][d], 1e-12));
-      }
-      ratio[i] = std::min(ratio[i], worst);
-    }
-  }
-
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (ratio[a] != ratio[b]) return ratio[a] < ratio[b];
-    return a < b;
-  });
-
-  size_t in_band = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (ratio[i] <= 1.0 + survival_margin) ++in_band;
-  }
-  size_t floor_k = std::max<size_t>(
-      std::max(min_promote, 0),
-      static_cast<size_t>(
-          std::ceil(promote_frac * static_cast<double>(n))));
-  floor_k = std::clamp<size_t>(floor_k, std::min<size_t>(n, 2), n);
-  const size_t k = std::max(in_band, floor_k);
-
-  std::vector<char> taken(n, 0);
-  for (size_t i = 0; i < k; ++i) taken[order[i]] = 1;
-  // Extreme guarantee: the boundary (HMOOC3) aggregation is built from
-  // per-objective minima, and a candidate that is near-best on one
-  // objective but poor on the other scores a bad dominance ratio. Promote
-  // the top candidates of each single objective so a tier-0 screen can
-  // never starve the extremes of the tier-1 front.
-  const size_t per_obj =
-      std::min<size_t>(n, std::max<size_t>(1, std::max(min_promote, 0) / 2));
-  for (size_t d = 0; d < nk; ++d) {
-    std::vector<size_t> by_obj(n);
-    std::iota(by_obj.begin(), by_obj.end(), size_t{0});
-    std::partial_sort(by_obj.begin(), by_obj.begin() + per_obj, by_obj.end(),
-                      [&](size_t a, size_t b) {
-                        if (tier0[a][d] != tier0[b][d]) {
-                          return tier0[a][d] < tier0[b][d];
-                        }
-                        return a < b;
-                      });
-    for (size_t i = 0; i < per_obj; ++i) taken[by_obj[i]] = 1;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (taken[i]) out->push_back(i);
-  }
-}
-
-bool ScreeningSubQModel::usable() const {
-  if (fidelity_.mode != FidelityMode::kDistilled ||
-      fidelity_.distilled == nullptr ||
-      static_cast<int>(fidelity_.distilled->size()) != tier1_->num_subqs()) {
-    return false;
-  }
-  for (const auto& reg : *fidelity_.distilled) {
-    if (!reg.trained()) return false;
-    // A screen must predict one value per tier-1 objective.
-    if (static_cast<int>(reg.output_dim()) != tier1_->num_objectives()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void ScreeningSubQModel::EvaluateBatch(
-    int subq, const std::vector<std::vector<double>>& confs,
-    std::vector<ObjectiveVector>* out) const {
-  const size_t n = confs.size();
-  // Below the promotion floor the screen cannot prune anything — skip the
-  // tier-0 pass entirely and keep single-fidelity behavior.
-  const size_t floor_k = std::max<size_t>(
-      std::max(fidelity_.min_promote, 0),
-      static_cast<size_t>(
-          std::ceil(fidelity_.promote_frac * static_cast<double>(n))));
-  if (n <= std::max<size_t>(floor_k, 2)) {
-    tier1_->EvaluateBatch(subq, confs, out);
-    return;
-  }
-
-  // Tier 0: screen every candidate. Screen objective width follows the
-  // tier-1 model (the distilled screens are trained at the same width).
-  SPARKOPT_DCHECK(usable());
-  const size_t nk = static_cast<size_t>(tier1_->num_objectives());
-  const Regressor& reg = (*fidelity_.distilled)[subq];
-  const size_t d = static_cast<size_t>(reg.input_dim());
-  thread_local std::vector<double> flat;
-  thread_local std::vector<double> preds;
-  thread_local Mlp::BatchScratch scratch;
-  flat.assign(n * d, 0.0);
-  preds.resize(n * nk);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t m = std::min(d, confs[i].size());
-    std::copy(confs[i].begin(), confs[i].begin() + m, flat.begin() + i * d);
-  }
-  reg.PredictBatchInto(flat.data(), n, preds.data(), &scratch);
-  std::vector<ObjectiveVector> t0(n);
-  for (size_t i = 0; i < n; ++i) {
-    t0[i] = {std::max(preds[nk * i], 1e-4),
-             std::max(preds[nk * i + 1], 1e-12)};
-    if (nk == 3) t0[i].push_back(std::max(preds[nk * i + 2], 1e-12));
-  }
-  tier0_evals_.fetch_add(n, std::memory_order_relaxed);
-  obs::Count("hmooc.mf_tier0_evals", n);
-
-  std::vector<size_t> survivors;
-  SelectSurvivors2(t0, fidelity_.survival_margin, fidelity_.min_promote,
-                   fidelity_.promote_frac, &survivors);
-
-  // Tier 1: escalate the survivors; the final objectives are tier-1 only.
-  std::vector<std::vector<double>> promoted;
-  promoted.reserve(survivors.size());
-  for (size_t s : survivors) promoted.push_back(confs[s]);
-  std::vector<ObjectiveVector> t1;
-  tier1_->EvaluateBatch(subq, promoted, &t1);
-  tier1_evals_.fetch_add(survivors.size(), std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  obs::Count("hmooc.mf_tier1_evals", survivors.size());
-  obs::Observe("hmooc.mf_survival_rate",
-               static_cast<double>(survivors.size()) /
-                   static_cast<double>(n));
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  out->assign(n, ObjectiveVector(nk, kInf));
-  for (size_t j = 0; j < survivors.size(); ++j) {
-    (*out)[survivors[j]] = std::move(t1[j]);
-  }
-}
-
-Result<std::vector<Regressor>> TrainDistilledScreens(
-    const SubQObjectiveModel& tier1, int samples, uint64_t seed) {
-  if (samples < 16) {
-    return Status::InvalidArgument(
-        "TrainDistilledScreens: need >= 16 samples");
-  }
-  Rng rng(seed);
-  const auto& space = SparkParamSpace();
-  // Teacher labels on tier-1 objectives; a second unlabeled sample gets
-  // pseudo-labels from the teacher during distillation. Margin 0 so the
-  // screen covers every conf a solve (whatever its search_margin) emits.
-  const auto labeled = SampleLatinHypercube(
-      space, static_cast<size_t>(samples), &rng, /*margin=*/0.0);
-  auto distill_x = labeled;
-  const auto extra = SampleLatinHypercube(
-      space, static_cast<size_t>(samples), &rng, /*margin=*/0.0);
-  distill_x.insert(distill_x.end(), extra.begin(), extra.end());
-
-  const int dims = static_cast<int>(space.size());
-  const int nk = tier1.num_objectives();
-  std::vector<Regressor> screens;
-  screens.reserve(tier1.num_subqs());
-  std::vector<ObjectiveVector> fs;
-  for (int i = 0; i < tier1.num_subqs(); ++i) {
-    tier1.EvaluateBatch(i, labeled, &fs);
-    Matrix y;
-    y.reserve(fs.size());
-    for (const auto& f : fs) y.push_back(ObjectiveVector(f.begin(), f.end()));
-
-    Mlp::TrainOptions topts;
-    topts.epochs = 100;
-    topts.batch_size = 32;
-    topts.seed = HashCombine(seed, 0xD1 + static_cast<uint64_t>(i));
-    Regressor teacher(dims, nk, {32, 16},
-                      HashCombine(seed, 0x7E + static_cast<uint64_t>(i)));
-    SPARKOPT_RETURN_NOT_OK(teacher.Fit(labeled, y, topts));
-
-    Mlp::TrainOptions sopts = topts;
-    sopts.seed = HashCombine(seed, 0x5D + static_cast<uint64_t>(i));
-    auto student = teacher.Distill(distill_x, {16}, sopts);
-    if (!student.ok()) return student.status();
-    screens.push_back(std::move(*student));
-  }
-  return screens;
 }
 
 }  // namespace sparkopt

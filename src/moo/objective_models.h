@@ -133,95 +133,4 @@ class LearnedSubQModel : public SubQObjectiveModel {
   mutable std::atomic<size_t> evals_{0};
 };
 
-/// \brief Dominance-aware survival selection over tier-0 objectives
-/// (2 or 3 objectives — taken from the rows of `tier0` — minimization).
-///
-/// Candidate i's margin ratio is r_i = min over tier-0 Pareto-front
-/// points g of max_d(f_id / g_d) — the smallest uniform scaling
-/// of some front point that weakly dominates i. Front members score
-/// r = 1, so the exact tier-0 extremes always survive. Survivors are the
-/// first max(|{i : r_i <= 1 + margin}|, K) candidates in ascending
-/// (r, index) order, with K = max(min_promote, ceil(promote_frac * n))
-/// clamped to [min(n, 2), n]; because the margin band is a prefix of
-/// that order, a larger margin always yields a superset of survivors.
-/// Additionally the top max(1, min_promote / 2) candidates of each
-/// single objective are always promoted (the extreme guarantee: boundary
-/// DAG aggregation consumes per-objective minima, which the dominance
-/// ratio alone can starve). `out` receives the surviving indices in
-/// ascending order.
-void SelectSurvivors2(const std::vector<ObjectiveVector>& tier0,
-                      double survival_margin, int min_promote,
-                      double promote_frac, std::vector<size_t>* out);
-
-/// \brief Tiered (multi-fidelity) phi: a cheap tier-0 screen over the
-/// whole batch, full tier-1 evaluation of the survivors only.
-///
-/// Wraps any SubQObjectiveModel. EvaluateBatch screens every conf with
-/// the subQ's distilled tier-0 regressor (FidelityOptions::distilled),
-/// selects survivors with SelectSurvivors2, and escalates only those to
-/// tier1->EvaluateBatch. Pruned entries are reported as {+inf, +inf}:
-/// any finite point dominates them, so they can never enter a Pareto
-/// front — and the >= 2 survivor floor guarantees finite points exist.
-/// Single-point Evaluate calls pass through to tier 1 unscreened (they
-/// are not a pool to thin). Screening a batch requires usable().
-///
-/// eval_count() delegates to tier 1, so MooRunResult::evaluations shows
-/// exactly the full-fidelity evaluations the screen saved.
-class ScreeningSubQModel : public SubQObjectiveModel {
- public:
-  ScreeningSubQModel(const SubQObjectiveModel* tier1,
-                     const FidelityOptions& fidelity)
-      : tier1_(tier1), fidelity_(fidelity) {}
-
-  /// False unless the mode is kDistilled with one trained screen per
-  /// subQ, each predicting one value per tier-1 objective. Callers
-  /// should fall back to tier 1.
-  bool usable() const;
-
-  int num_subqs() const override { return tier1_->num_subqs(); }
-  int num_objectives() const override { return tier1_->num_objectives(); }
-
-  ObjectiveVector Evaluate(int subq,
-                           const std::vector<double>& conf) const override {
-    return tier1_->Evaluate(subq, conf);
-  }
-
-  void EvaluateBatch(int subq,
-                     const std::vector<std::vector<double>>& confs,
-                     std::vector<ObjectiveVector>* out) const override;
-
-  size_t eval_count() const override { return tier1_->eval_count(); }
-
-  /// Tier counters (across all batches; worker-thread safe).
-  uint64_t tier0_evals() const {
-    return tier0_evals_.load(std::memory_order_relaxed);
-  }
-  uint64_t tier1_evals() const {
-    return tier1_evals_.load(std::memory_order_relaxed);
-  }
-  uint64_t screened_batches() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const SubQObjectiveModel* tier1_;
-  FidelityOptions fidelity_;
-  mutable std::atomic<uint64_t> tier0_evals_{0};
-  mutable std::atomic<uint64_t> tier1_evals_{0};
-  mutable std::atomic<uint64_t> batches_{0};
-};
-
-/// \brief Trains one tiny tier-0 screen per subQ for FidelityMode::
-/// kDistilled: `samples` LHS-sampled full confs are labeled by the
-/// tier-1 model (EvaluateBatch), a mid-capacity teacher regressor fits
-/// conf -> the tier-1 objective vector (k = tier1.num_objectives())
-/// per subQ, and Regressor::Distill compresses
-/// it into the final tiny student over a 2x teacher-pseudo-labeled
-/// sample. Deterministic given `seed`. The tier-1 labeling counts
-/// toward tier1's eval_count (it is real full-fidelity work), but
-/// HmoocSolver::Solve trains before it snapshots eval_count, so the
-/// labeling stays out of MooRunResult::evaluations.
-Result<std::vector<Regressor>> TrainDistilledScreens(
-    const SubQObjectiveModel& tier1, int samples, uint64_t seed);
-
 }  // namespace sparkopt

@@ -1,6 +1,6 @@
 #include "moo/problem.h"
 
-#include <limits>
+#include <cmath>
 #include <utility>
 
 namespace sparkopt {
@@ -31,6 +31,20 @@ size_t MooRunResult::Recommend(const std::vector<double>& weights) const {
   pts.reserve(pareto.size());
   for (const auto& s : pareto) pts.push_back(s.objectives);
   return WeightedUtopiaNearest(pts, weights);
+}
+
+Status CheckPreference(const std::vector<double>& weights,
+                       int num_objectives) {
+  if (weights.size() != static_cast<size_t>(num_objectives)) {
+    return Status::InvalidArgument("preference dimensionality mismatch");
+  }
+  for (const double w : weights) {
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::InvalidArgument(
+          "preference weights must be finite and non-negative");
+    }
+  }
+  return Status::OK();
 }
 
 FlatProblem::FlatProblem(const SubQObjectiveModel* model, bool fine_grained)

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/pareto.h"
+#include "common/status.h"
 #include "params/spark_params.h"
 
 /// \file problem.h
@@ -21,41 +22,15 @@
 namespace sparkopt {
 
 class SubQEvaluator;
-class Regressor;
 
-/// Tier-0 screen used by the multi-fidelity solve pipeline
-/// (moo/objective_models.h; DESIGN.md section 13).
-enum class FidelityMode {
-  kOff = 0,    ///< single fidelity: every candidate pays the full model
-  kDistilled   ///< screen with per-subQ distilled tiny regressors
-};
+/// What is left of the deleted multi-fidelity screen (DESIGN.md section
+/// 13): read only by bench/suite/layer_trace.cc, through
+/// HmoocOptions::fidelity, until the benchmark next changes. The solvers
+/// ignore it.
+enum class FidelityMode { kOff };
 
-/// \brief Knobs of the tiered (multi-fidelity) evaluation pipeline of
-/// HmoocSolver (HmoocOptions::fidelity).
-///
-/// The default (kOff) is guaranteed to leave every solve path untouched —
-/// bitwise-identical fronts to the single-fidelity solver. With the
-/// distilled screen enabled, each batch is first evaluated by one tiny
-/// per-subQ regressor (tier 0); candidates within `survival_margin` of
-/// the tier-0 Pareto front (dominance-aware ratio, see SelectSurvivors2)
-/// escalate to the full tier-1 model, plus a guaranteed-promotion floor
-/// so the tier-0 extremes and at least max(min_promote, promote_frac *
-/// n) candidates always escalate. Final fronts are built from tier-1
-/// objectives only: screening can lose quality, never fabricate points.
 struct FidelityOptions {
   FidelityMode mode = FidelityMode::kOff;
-  /// Survival band around the tier-0 front: candidate i survives when
-  /// min over front points g of max(f_i0/g0, f_i1/g1) <= 1 + margin.
-  double survival_margin = 0.15;
-  /// Floor on promoted candidates per batch (absolute and fractional).
-  int min_promote = 8;
-  double promote_frac = 0.10;
-  /// Tier-1-labeled training confs per subQ when the solve trains its
-  /// own screens (`distilled` == nullptr; see TrainDistilledScreens).
-  int distill_samples = 160;
-  /// One trained screen per subQ (size must equal num_subqs). Not owned;
-  /// must outlive the solve. nullptr: HmoocSolver::Solve trains them.
-  const std::vector<Regressor>* distilled = nullptr;
 };
 
 /// \brief Per-subQ objective evaluation phi(subQ_i; theta).
@@ -147,6 +122,13 @@ struct MooRunResult {
   /// WUN-recommended solution index for the given preference weights.
   size_t Recommend(const std::vector<double>& weights) const;
 };
+
+/// \brief InvalidArgument unless `weights` holds one finite, non-negative
+/// weight per objective. Callers check a preference before they solve
+/// with it: WUN would return a valid-looking pick for NaN, infinite or
+/// negative weights, and a short preference reads past its end.
+Status CheckPreference(const std::vector<double>& weights,
+                       int num_objectives);
 
 /// \brief Adapts a SubQObjectiveModel to the monolithic interface.
 ///

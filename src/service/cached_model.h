@@ -23,8 +23,7 @@
 ///
 /// Entries whose objectives are not all finite are never inserted, so a
 /// model that returns NaN or inf for some conf is asked again on every
-/// lookup rather than memoized. Screen sentinels never get here: the
-/// multi-fidelity screen wraps this model, not the other way round.
+/// lookup rather than memoized.
 
 namespace sparkopt {
 

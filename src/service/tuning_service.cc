@@ -1,7 +1,6 @@
 #include "service/tuning_service.h"
 
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/rng.h"
@@ -194,17 +193,8 @@ Result<TuningServiceResult> TuningService::Solve(const TuningRequest& req) {
                                                salt);
     model = cached.get();
   }
-  // Reject a malformed preference before any solve work: WUN would
-  // return a valid-looking pick for NaN, infinite or negative weights.
-  if (pref.size() != static_cast<size_t>(model->num_objectives())) {
-    return Status::InvalidArgument("preference dimensionality mismatch");
-  }
-  for (const double w : pref) {
-    if (!std::isfinite(w) || w < 0.0) {
-      return Status::InvalidArgument(
-          "preference weights must be finite and non-negative");
-    }
-  }
+  // Reject a malformed preference before any solve work.
+  SPARKOPT_RETURN_NOT_OK(CheckPreference(pref, model->num_objectives()));
 
   // Seed derivation identical to Tuner::Run — the bitwise-equivalence
   // contract depends on it.

@@ -39,6 +39,9 @@ Result<TuningOutcome> Tuner::RunWithConfig(const Query& query,
   const StageParams ts = DecodeStage(conf);
 
   if (runtime_opt) {
+    // The runtime optimizer weighs (latency, cost) by the preference.
+    SPARKOPT_RETURN_NOT_OK(
+        CheckPreference(opts_.preference, /*num_objectives=*/2));
     SubQEvaluator eval(&query, opts_.cluster, opts_.cost_params,
                        opts_.prices);
     RuntimeOptimizerOptions ro = opts_.runtime;
@@ -89,6 +92,9 @@ Result<TuningOutcome> Tuner::Run(const Query& query,
         opts_.prices);
     model = learned.get();
   }
+  // The WUN pick, SO-FW and the runtime optimizer read the preference.
+  SPARKOPT_RETURN_NOT_OK(
+      CheckPreference(opts_.preference, model->num_objectives()));
 
   TuningOutcome out;
   out.method = method;

@@ -286,43 +286,5 @@ TEST(RegressorTest, FlatBatchBitwiseIdenticalToSingleRow) {
   }
 }
 
-TEST(RegressorTest, DistillRequiresTrainedTeacher) {
-  Regressor teacher;
-  EXPECT_FALSE(teacher.Distill({{0.0, 0.0}}, {4}, Mlp::TrainOptions()).ok());
-}
-
-TEST(RegressorTest, DistilledStudentApproximatesTeacher) {
-  // Teacher learns a smooth 2-in/2-out map; the student must reproduce
-  // the teacher's own predictions (not ground truth) over the same range.
-  Regressor teacher(2, 2, {16}, 3);
-  Matrix x, y;
-  for (int i = 0; i < 64; ++i) {
-    const double a = i / 63.0, b = (i * 37 % 64) / 63.0;
-    x.push_back({a, b});
-    y.push_back({1.0 + a + 0.5 * b, 2.0 + 0.25 * a * b});
-  }
-  Mlp::TrainOptions opts;
-  opts.epochs = 120;
-  opts.seed = 5;
-  ASSERT_TRUE(teacher.Fit(x, y, opts).ok());
-
-  auto sopts = opts;
-  sopts.epochs = 600;  // the tiny student converges slowly at this LR
-  auto student = teacher.Distill(x, {8}, sopts);
-  ASSERT_TRUE(student.ok()) << student.status().message();
-  EXPECT_TRUE(student->trained());
-  double err_num = 0, err_den = 0;
-  for (const auto& row : x) {
-    const auto t = teacher.Predict(row);
-    const auto s = student->Predict(row);
-    for (size_t j = 0; j < t.size(); ++j) {
-      err_num += std::fabs(t[j] - s[j]);
-      err_den += std::fabs(t[j]);
-    }
-  }
-  EXPECT_LT(err_num / err_den, 0.15)
-      << "student diverges from teacher predictions";
-}
-
 }  // namespace
 }  // namespace sparkopt

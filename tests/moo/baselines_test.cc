@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "params/spark_params.h"
 
@@ -100,6 +102,18 @@ TEST(WeightedSumTest, Deterministic) {
   }
 }
 
+TEST(WeightedSumTest, NoSampleYieldsEmptyFront) {
+  ToyModel model(2);
+  FlatProblem flat(&model, false);
+  WsOptions opts;
+  for (const int samples : {0, -1}) {
+    opts.samples = samples;
+    const auto r = SolveWeightedSum(flat, flat, opts);
+    EXPECT_TRUE(r.pareto.empty()) << samples << " samples";
+    EXPECT_EQ(r.evaluations, 0u);
+  }
+}
+
 TEST(SoFixedWeightsTest, SingleSolutionTracksPreference) {
   ToyModel model(2);
   FlatProblem flat(&model, false);
@@ -109,6 +123,22 @@ TEST(SoFixedWeightsTest, SingleSolutionTracksPreference) {
   ASSERT_EQ(cheap.pareto.size(), 1u);
   EXPECT_LT(fast.pareto[0].objectives[0], cheap.pareto[0].objectives[0]);
   EXPECT_GT(fast.pareto[0].objectives[1], cheap.pareto[0].objectives[1]);
+}
+
+// With no sample drawn, or no finite score to rank them by, there is no
+// winner: the front is empty, not a read of an empty sample.
+TEST(SoFixedWeightsTest, NoWinnerYieldsEmptyFront) {
+  ToyModel model(2);
+  FlatProblem flat(&model, false);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [weights, samples] :
+       std::vector<std::pair<std::vector<double>, int>>{
+           {{0.5, 0.5}, 0}, {{nan, 1.0}, 50}, {{inf, 1.0}, 50}}) {
+    EXPECT_TRUE(
+        SolveSoFixedWeights(flat, flat, weights, samples, 1).pareto.empty())
+        << weights[0] << ", " << samples << " samples";
+  }
 }
 
 TEST(EvoTest, RespectsEvaluationBudget) {

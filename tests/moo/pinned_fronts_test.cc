@@ -183,8 +183,9 @@ TEST(PinnedFrontBitsTest, Hmooc2WithAndWithoutPerSubQNormalization) {
 // TPC-H Q3, Q5 and Q9 and TPC-DS Q18 at SF10, each solved by HMOOC1 and
 // HMOOC3 at k = 2 and 3 with a small budget, hashed in that order.
 // `learned` swaps the analytic model for a learned one over a regressor
-// bootstrapped as PinnedBitsTest's is.
-FrontHash HashHmoocFronts(bool learned) {
+// bootstrapped as PinnedBitsTest's is. Fronts are bitwise identical at
+// any `num_threads`, so the hash is too.
+FrontHash HashHmoocFronts(bool learned, int num_threads) {
   const std::vector<TableStats> tpch = TpchCatalog(10);
   const std::vector<TableStats> tpcds = TpcdsCatalog(10);
   const ClusterSpec cluster;
@@ -220,7 +221,7 @@ FrontHash HashHmoocFronts(bool learned) {
         o.theta_p_samples = 24;
         o.enriched_samples = 8;
         o.aggregation = agg;
-        o.num_threads = 1;
+        o.num_threads = num_threads;
         o.seed = 7;
         const SubQObjectiveModel* model = &analytic;
         if (learned) model = &learned_model;
@@ -232,15 +233,21 @@ FrontHash HashHmoocFronts(bool learned) {
 }
 
 TEST(PinnedFrontBitsTest, HmoocOnAnalyticModel) {
-  const FrontHash h = HashHmoocFronts(/*learned=*/false);
-  EXPECT_EQ(h.count(), 31980u);
-  EXPECT_EQ(h.value(), 0xea0f7aca6fb59ee8ULL) << Hex(h.value());
+  for (const int threads : {1, 4}) {
+    const FrontHash h = HashHmoocFronts(/*learned=*/false, threads);
+    EXPECT_EQ(h.count(), 31980u) << threads << " threads";
+    EXPECT_EQ(h.value(), 0xea0f7aca6fb59ee8ULL)
+        << Hex(h.value()) << " at " << threads << " threads";
+  }
 }
 
 TEST(PinnedFrontBitsTest, HmoocOnLearnedModel) {
-  const FrontHash h = HashHmoocFronts(/*learned=*/true);
-  EXPECT_EQ(h.count(), 1321957u);
-  EXPECT_EQ(h.value(), 0x992efc4bd4ad8e04ULL) << Hex(h.value());
+  for (const int threads : {1, 4}) {
+    const FrontHash h = HashHmoocFronts(/*learned=*/true, threads);
+    EXPECT_EQ(h.count(), 1321957u) << threads << " threads";
+    EXPECT_EQ(h.value(), 0x992efc4bd4ad8e04ULL)
+        << Hex(h.value()) << " at " << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "workload/tpch.h"
 
 namespace sparkopt {
@@ -106,6 +108,51 @@ TEST(TunerTest, RunWithConfigExecutesGivenConfiguration) {
   ASSERT_TRUE(def.ok());
   EXPECT_LT(big->execution.exec.latency, def->execution.exec.latency);
   EXPECT_GT(big->execution.exec.cost, def->execution.exec.cost);
+}
+
+// A baseline that draws no sample has no front; Run reports that as it
+// does for PF and HMOOC with a zero budget.
+TEST(TunerTest, EmptySampleBudgetIsAnError) {
+  auto catalog = TpchCatalog(10);
+  auto q = *MakeTpchQuery(3, &catalog);
+  TunerOptions ws = FastOptions();
+  ws.mo_ws.samples = 0;
+  auto ws_out = Tuner(ws).Run(q, TuningMethod::kMoWs);
+  ASSERT_FALSE(ws_out.ok());
+  EXPECT_EQ(ws_out.status().code(), StatusCode::kInternal);
+  TunerOptions fw = FastOptions();
+  fw.so_fw_samples = 0;
+  auto fw_out = Tuner(fw).Run(q, TuningMethod::kSoFixedWeights);
+  ASSERT_FALSE(fw_out.ok());
+  EXPECT_EQ(fw_out.status().code(), StatusCode::kInternal);
+}
+
+// Every path that reads the preference (the WUN pick, SO-FW, the runtime
+// optimizer) rejects one that is not a finite, non-negative weight per
+// objective, as TuningService::Solve does.
+TEST(TunerTest, MalformedPreferenceIsRejected) {
+  auto catalog = TpchCatalog(10);
+  auto q = *MakeTpchQuery(3, &catalog);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& pref : std::vector<std::vector<double>>{
+           {nan, 1.0}, {inf, 1.0}, {-1.0, 2.0}, {1.0}, {0.5, 0.3, 0.2}}) {
+    TunerOptions opts = FastOptions();
+    opts.preference = pref;
+    const Tuner tuner(opts);
+    for (TuningMethod method :
+         {TuningMethod::kHmooc3, TuningMethod::kHmooc3Plus,
+          TuningMethod::kMoWs, TuningMethod::kSoFixedWeights}) {
+      auto out = tuner.Run(q, method);
+      ASSERT_FALSE(out.ok()) << TuningMethodName(method) << ", "
+                             << pref.size() << " weights";
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    }
+    auto runtime = tuner.RunWithConfig(q, DefaultSparkConfig(),
+                                       /*runtime_opt=*/true);
+    ASSERT_FALSE(runtime.ok()) << pref.size() << " weights";
+    EXPECT_EQ(runtime.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TunerTest, MethodNamesStable) {
